@@ -28,7 +28,7 @@ from .analytic import (
     phase_integral_elementary,
     phase_integral_quadrature,
 )
-from .ode import IntegrationError, TwoLevelBlock, branch_states_ode, branch_states_ode_sweep, evolve_block
+from .ode import IntegrationError, branch_states_ode, branch_states_ode_sweep
 from .observables import (
     EntropyPair,
     OverlapTriple,

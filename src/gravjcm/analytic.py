@@ -9,6 +9,11 @@ closed form as published does not reduce to zero at t = 0 under principal
 branches; a one-time audit over the eight sign/branch variants selects the
 variant that matches the quadrature, and the production evaluator hardwires
 that winner in a cancellation-free regrouping (see ``phase_integral_closed``).
+
+The detunings, the closed and elementary phase integrals and the branch
+coefficients broadcast over arrays of momentum nodes, so one call covers the
+whole grid.  The Faddeeva function is scipy's ``wofz`` (S. G. Johnson's
+Faddeeva Package) behind a finiteness check.
 """
 
 from __future__ import annotations
@@ -20,14 +25,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, wofz
 
-from .cerf import SQRT_PI, erf_complex, faddeeva
 from .core import CoherentField, MomentumGrid, BranchState, PhysicalParams
 
 log = logging.getLogger(__name__)
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
-ROOT_I = cmath.exp(1j * math.pi / 4)     # principal sqrt(i)
+SQRT_PI = math.sqrt(math.pi)
 
 
 class QuadratureError(RuntimeError):
@@ -56,7 +61,8 @@ class BranchCoeffs:
 
     ``eta`` carries the dimensional-restoration factor lam_scale^2 so that
     a_n = 1 + (n+1) eta and b_n = -(n+1) eta stay dimensionless; ``xi`` is
-    1 + 1/eta (infinite at t = 0 where eta vanishes).
+    1 + 1/eta (infinite at t = 0 where eta vanishes).  Each member is an
+    array when ``branch_coeffs`` is given arrays.
     """
 
     a_n: complex
@@ -65,15 +71,42 @@ class BranchCoeffs:
     xi: complex
 
 
+# --- complex error function kernels ----------------------------------------
+
+
+def _checked(kernel, z):
+    """kernel(z) for finite z; a non-finite value for a finite z overflowed."""
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{kernel.__name__} requires a finite argument")
+    out = kernel(z)
+    if not np.all(np.isfinite(out)):
+        bad = complex(z[~np.isfinite(out)][0])
+        raise OverflowError(f"{kernel.__name__} leaves the double range at z={bad}")
+    return out[()]
+
+
+def faddeeva(z):
+    """w(z) = exp(-z^2) erfc(-iz), elementwise for finite complex z.
+
+    Raises OverflowError where w itself leaves the double range, which
+    happens deep in the lower half-plane (w(0.1 - 27i) ~ exp(729)).
+    """
+    return _checked(wofz, z)
+
+
 # --- detunings --------------------------------------------------------------
 
 
-def detuning0_of_p(p: float, params: PhysicalParams) -> float:
-    """Static detuning seen at scaled momentum p: delta0 - q p_phys / (2 M)."""
+def detuning0_of_p(p, params: PhysicalParams):
+    """Static detuning seen at scaled momentum p: delta0 - q p_phys / (2 M).
+
+    p may be a scalar or an array of momentum nodes.
+    """
     return params.delta0 - params.q * p * params.p_unit / (2.0 * params.mass)
 
 
-def detuning1(p: float, t: float, params: PhysicalParams) -> float:
+def detuning1(p, t: float, params: PhysicalParams):
     """Time-dependent detuning including the gravitational chirp."""
     return detuning0_of_p(p, params) - params.qg * t / 2.0
 
@@ -138,12 +171,14 @@ def phase_integral_quadrature(
     return PhaseIntegrals(e_plus=ep, e_minus=em)
 
 
-def phase_integral_elementary(p: float, t: float, params: PhysicalParams) -> PhaseIntegrals:
-    """Chirp-free (qg = 0) antiderivative: (exp(i d0 t) - 1) / (i d0)."""
-    d0 = detuning0_of_p(p, params)
-    if d0 == 0.0:
-        return PhaseIntegrals(e_plus=complex(t), e_minus=complex(t))
-    ep = (cmath.exp(1j * d0 * t) - 1.0) / (1j * d0)
+def phase_integral_elementary(p, t: float, params: PhysicalParams) -> PhaseIntegrals:
+    """Chirp-free (qg = 0) antiderivative: (exp(i d0 t) - 1) / (i d0).
+
+    Broadcasts over an array of nodes p; nodes with d0 = 0 take the limit t.
+    """
+    d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
+    safe = np.where(d0 == 0.0, 1.0, d0)
+    ep = np.where(d0 == 0.0, complex(t), (np.exp(1j * safe * t) - 1.0) / (1j * safe))[()]
     return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
 
 
@@ -176,11 +211,11 @@ def closed_form_variant(
     x = d0 / math.sqrt(2.0 * qg)
     s = math.sqrt(qg / 2.0) * t
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
-    bracket = -erf_complex(1j * ROOT_1_34 * x) + sign2 * erf_complex(ray2 * (x - s))
+    bracket = -_checked(erf, 1j * ROOT_1_34 * x) + sign2 * _checked(erf, ray2 * (x - s))
     return pref * cmath.exp(1j * exp_sign * x * x) * bracket
 
 
-def phase_integral_closed(p: float, t: float, params: PhysicalParams) -> PhaseIntegrals:
+def phase_integral_closed(p, t: float, params: PhysicalParams) -> PhaseIntegrals:
     """Audited closed form of the phase integrals (qg > 0 only).
 
     The winning branch variant is algebraically regrouped so the huge
@@ -192,7 +227,8 @@ def phase_integral_closed(p: float, t: float, params: PhysicalParams) -> PhaseIn
 
     with x = d0 / sqrt(2 qg), u2 = sqrt(qg/2) t - x.  In the usual regime
     (chirp not yet through resonance) the standalone e^{i x^2} term cancels
-    exactly and only well-conditioned phases survive.
+    exactly and only well-conditioned phases survive.  Broadcasts over an
+    array of nodes p.
     """
     qg = params.qg
     if qg <= 0:
@@ -200,19 +236,19 @@ def phase_integral_closed(p: float, t: float, params: PhysicalParams) -> PhaseIn
                          "use the quadrature or the elementary antiderivative")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d0 = detuning0_of_p(p, params)
+    d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
     x = d0 / math.sqrt(2.0 * qg)
     u2 = math.sqrt(qg / 2.0) * t - x
-    sx = float(np.sign(x))
-    su = float(np.sign(u2))
-    w1 = faddeeva(abs(x) * ROOT_1_34)
-    w2 = faddeeva(abs(u2) * ROOT_1_34)
+    sx = np.sign(x)
+    su = np.sign(u2)
+    w1 = faddeeva(np.abs(x) * ROOT_1_34)
+    w2 = faddeeva(np.abs(u2) * ROOT_1_34)
     phi = d0 * t - 0.5 * qg * t * t
-    core = -sx * w1 - su * cmath.exp(1j * phi) * w2
-    if sx + su != 0.0:
-        core += (sx + su) * cmath.exp(1j * math.fmod(x * x, 2.0 * math.pi))
+    core = -sx * w1 - su * np.exp(1j * phi) * w2
+    # sx + su = 0 until the chirp sweeps the node through resonance
+    core = core + (sx + su) * np.exp(1j * np.fmod(x * x, 2.0 * math.pi))
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
-    ep = pref * core
+    ep = (pref * core)[()]
     return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
 
 
@@ -264,22 +300,25 @@ def audit_branch_variants(
 
 
 def branch_coeffs(
-    n: int, E: PhaseIntegrals, params: PhysicalParams, lam_scale: float | None = None
+    n, E: PhaseIntegrals, params: PhysicalParams, lam_scale: float | None = None
 ) -> BranchCoeffs:
     """Block weights a_n (excited) and b_n (ground); a_n + b_n = 1 exactly.
 
     lam_scale^2 multiplies E+ E-^2 so the published expression becomes
-    dimensionless; pass lam_scale=1 for the literal-text reading.
+    dimensionless; pass lam_scale=1 for the literal-text reading.  n and the
+    members of E may be arrays and broadcast against each other.
     """
-    if n < 0:
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("n must be nonnegative")
     if lam_scale is None:
         lam_scale = params.lam
-    eta = -1j * lam_scale**2 * E.e_plus * E.e_minus**2
+    eta = np.asarray(-1j * lam_scale**2 * E.e_plus * E.e_minus**2)
     b = -(n + 1) * eta
     a = 1.0 - b
-    xi = 1.0 + (1.0 / eta if eta != 0 else complex(math.inf))
-    return BranchCoeffs(a_n=a, b_n=b, eta=eta, xi=xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.where(eta != 0, 1.0 + 1.0 / eta, complex(math.inf))
+    return BranchCoeffs(a_n=a[()], b_n=b[()], eta=eta[()], xi=xi[()])
 
 
 def approx_sqrt_coeffs(
@@ -296,10 +335,8 @@ def approx_sqrt_coeffs(
             f"approximate coefficients assume |alpha|^2 >> 1 (got {nbar:.2f})",
             stacklevel=2,
         )
-    if lam_scale is None:
-        lam_scale = params.lam
-    eta = -1j * lam_scale**2 * E.e_plus * E.e_minus**2
-    xi = 1.0 + (1.0 / eta if eta != 0 else complex(math.inf))
+    bc = branch_coeffs(0, E, params, lam_scale)
+    eta, xi = bc.eta, bc.xi
     sqrt_a = cmath.sqrt(eta * nbar) * (1.0 + (n + xi - nbar) / (2.0 * nbar))
     sqrt_b = cmath.sqrt(-eta * nbar) * (1.0 + (n + 1.0 - nbar) / (2.0 * nbar))
     return sqrt_a, sqrt_b
@@ -326,7 +363,9 @@ def branch_states_analytic(
     C_n = w_n sqrt(a_n) exp(i/2 lam_scale E+ sqrt(n+1)) and
     D_n = w_{n-1} sqrt(b_n) exp(i/2 lam_scale E+ sqrt(n)), per momentum node.
     ``literal=True`` drops the dimensional-restoration factors and reads the
-    time axis in units of 1/lam with the printed parameter values.
+    time axis in units of 1/lam with the printed parameter values.  The
+    closed and elementary routes cover all nodes in one array evaluation;
+    the quadrature oracle integrates node by node.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -334,31 +373,32 @@ def branch_states_analytic(
         raise ValueError(f"unknown phase-integral method {method!r}")
     lam_scale = 1.0 if literal else params.lam
     tau = params.lam * t if literal else t
-    nmax = field.nmax
-    nfock = nmax + 2
-    n_arr = np.arange(nfock)
-    k_nodes = grid.nodes.size
-    c = np.zeros((k_nodes, nfock), dtype=np.complex128)
-    d = np.zeros((k_nodes, nfock), dtype=np.complex128)
     used = method
-    for k, p in enumerate(grid.nodes):
-        if method == "auto":
-            used = "closed" if params.qg > 0 else "elementary"
-        if used == "closed":
-            E = phase_integral_closed(p, tau, params)
-        elif used == "quadrature":
-            E = phase_integral_quadrature(p, tau, params)
-        else:
-            if params.qg != 0:
-                raise ValueError("elementary phase integral requires qg = 0")
-            E = phase_integral_elementary(p, tau, params)
-        eta = -1j * lam_scale**2 * E.e_plus * E.e_minus**2
-        b = -(n_arr + 1.0) * eta           # b_n, n = 0 .. nmax+1
-        a = 1.0 - b
-        phase = np.exp(0.5j * lam_scale * E.e_plus * np.sqrt(n_arr + 1.0))
-        c[k, : nmax + 1] = field.w * _principal_sqrt_logged(a[: nmax + 1]) * phase[: nmax + 1]
-        phase_d = np.exp(0.5j * lam_scale * E.e_plus * np.sqrt(n_arr[1:]))
-        d[k, 1:] = field.w * _principal_sqrt_logged(b[1:]) * phase_d
+    if used == "auto":
+        used = "closed" if params.qg > 0 else "elementary"
+    nodes = grid.nodes[:, None]  # (K, 1) broadcasts against the Fock axis
+    if used == "closed":
+        E = phase_integral_closed(nodes, tau, params)
+    elif used == "quadrature":
+        per_node = [phase_integral_quadrature(p, tau, params) for p in grid.nodes]
+        E = PhaseIntegrals(
+            e_plus=np.array([e.e_plus for e in per_node])[:, None],
+            e_minus=np.array([e.e_minus for e in per_node])[:, None],
+        )
+    else:
+        if params.qg != 0:
+            raise ValueError("elementary phase integral requires qg = 0")
+        E = phase_integral_elementary(nodes, tau, params)
+    nmax = field.nmax
+    n_arr = np.arange(nmax + 2)
+    bc = branch_coeffs(n_arr, E, params, lam_scale)  # (K, nmax+2), n = 0 .. nmax+1
+    c = np.zeros(bc.a_n.shape, dtype=np.complex128)
+    d = np.zeros_like(c)
+    phase = np.exp(0.5j * lam_scale * E.e_plus * np.sqrt(n_arr + 1.0))
+    c[:, : nmax + 1] = (field.w * _principal_sqrt_logged(bc.a_n[:, : nmax + 1])
+                        * phase[:, : nmax + 1])
+    phase_d = np.exp(0.5j * lam_scale * E.e_plus * np.sqrt(n_arr[1:]))
+    d[:, 1:] = field.w * _principal_sqrt_logged(bc.b_n[:, 1:]) * phase_d
     meta = {
         "backend": "analytic",
         "literal": literal,

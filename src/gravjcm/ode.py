@@ -15,9 +15,6 @@ cross-check.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -27,15 +24,6 @@ from .core import BranchState, CoherentField, MomentumGrid, PhysicalParams
 
 class IntegrationError(RuntimeError):
     """The adaptive integrator failed before reaching the requested time."""
-
-
-@dataclass(frozen=True)
-class TwoLevelBlock:
-    """Amplitudes of one excitation block: |e, n> and |g, n+1>."""
-
-    n: int
-    c_e: complex
-    c_g: complex
 
 
 def _check_tol(tol: float) -> None:
@@ -118,31 +106,6 @@ def _integrate(
     return res
 
 
-def evolve_block(
-    n: int,
-    p: float,
-    t_final: float,
-    params: PhysicalParams,
-    tol: float = 1e-10,
-    frame: str = "literal",
-) -> TwoLevelBlock:
-    """Propagate a single excitation block from c_e = 1, c_g = 0.
-
-    On resonance the populations follow the Rabi law
-    |c_e|^2 = 1 - (Omega^2/Omega_R^2) sin^2(Omega_R t) with
-    Omega_R^2 = Omega^2 + delta0(p)^2 / 4 when qg = 0.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
-    _check_tol(tol)
-    d0 = np.array([detuning0_of_p(p, params)])
-    omega = np.array([params.lam * math.sqrt(n + 1.0)])
-    res = _integrate(d0, omega, params.qg, np.array([t_final]), tol, frame)
-    return TwoLevelBlock(n=n, c_e=complex(res[0, 0, 0, 0]), c_g=complex(res[0, 1, 0, 0]))
-
-
 def branch_states_ode_sweep(
     times: np.ndarray,
     params: PhysicalParams,
@@ -163,7 +126,7 @@ def branch_states_ode_sweep(
         raise ValueError("times must be nonnegative and strictly increasing")
     _check_tol(tol)
     nmax = field.nmax
-    d0 = np.array([detuning0_of_p(p, params) for p in grid.nodes])
+    d0 = detuning0_of_p(grid.nodes, params)
     omega = params.lam * np.sqrt(np.arange(nmax + 1) + 1.0)
     res = _integrate(d0, omega, params.qg, times, tol, frame)
     states = []

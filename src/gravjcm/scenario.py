@@ -77,8 +77,8 @@ class Scenario:
             )
         if not self.qg_list:
             raise ScenarioError("qg_list must be non-empty")
-        if any(v < 0 for v in self.qg_list):
-            raise ScenarioError("qg values must be >= 0")
+        if not all(0 <= v < math.inf for v in self.qg_list):
+            raise ScenarioError("qg values must be finite and >= 0")
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")
@@ -144,9 +144,12 @@ def _parse_bool(raw: str, key: str, line_no: int) -> bool:
 
 
 def _build(kv: dict, filled_defaults: list) -> Scenario:
-    qg_list = tuple(
-        float(tok) for tok in str(kv["qg"]).split(",") if tok.strip()
-    )
+    try:
+        qg_list = tuple(
+            float(tok) for tok in str(kv["qg"]).split(",") if tok.strip()
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"key 'qg': not a list of numbers ({kv['qg']!r})") from exc
     outputs = tuple(
         dict.fromkeys(tok.strip() for tok in str(kv["outputs"]).split(",") if tok.strip())
     )
@@ -217,16 +220,18 @@ def parse_scenario(text: str) -> Scenario:
     filled = [k for k in _DEFAULTS if k not in kv]
     merged = dict(_DEFAULTS)
     merged.update(kv)
-    for key in _FLOAT_KEYS:
+    for key in _FLOAT_KEYS + _INT_KEYS:
         try:
-            merged[key] = float(merged[key])
+            val = float(merged[key])
         except ValueError as exc:
             raise ScenarioError(f"key {key!r}: not a number ({merged[key]!r})") from exc
-    for key in _INT_KEYS:
-        try:
-            merged[key] = int(float(merged[key]))
-        except ValueError as exc:
-            raise ScenarioError(f"key {key!r}: not an integer ({merged[key]!r})") from exc
+        if not math.isfinite(val):
+            raise ScenarioError(f"key {key!r}: not finite ({merged[key]!r})")
+        if key in _INT_KEYS:
+            if not val.is_integer():
+                raise ScenarioError(f"key {key!r}: not an integer ({merged[key]!r})")
+            val = int(val)
+        merged[key] = val
     if isinstance(merged["alpha"], str):
         try:
             merged["alpha"] = complex(merged["alpha"].replace("i", "j"))

@@ -2,7 +2,9 @@
 
 The defining object is the quadrature; the error-function closed form must
 reproduce it after the branch audit.  The Fresnel-integral special case and
-the chirp-free elementary antiderivative serve as external oracles.
+the chirp-free elementary antiderivative serve as external oracles.  The
+Faddeeva wrapper is checked against stdlib erfc, a Simpson-rule Dawson
+integral and its large-|z| asymptote.
 """
 
 import cmath
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.integrate import simpson
 
 from gravjcm.analytic import (
     BRANCH_VARIANTS,
@@ -24,6 +27,7 @@ from gravjcm.analytic import (
     closed_form_variant,
     detuning0_of_p,
     detuning1,
+    faddeeva,
     phase_integral_closed,
     phase_integral_elementary,
     phase_integral_quadrature,
@@ -36,6 +40,74 @@ EPLUS_PIN_QG15E6 = -1.176472389836063e-08 + 1.1775373758395895e-08j
 C10_PIN = 0.01865987095329629 + 0.00035689132334910706j
 D10_PIN = 9.009086491880699e-08 + 3.402736371213537e-08j
 NORM_PIN = 0.9309992919027779
+
+
+def test_faddeeva_imaginary_axis_matches_stdlib_erfc():
+    # w(iy) = exp(y^2) erfc(y), both factors finite for moderate y; w(0) = 1
+    assert faddeeva(0.0) == pytest.approx(1.0, abs=1e-14)
+    for y in np.linspace(0.0, 5.0, 26):
+        expect = math.exp(y * y) * math.erfc(y)
+        assert faddeeva(1j * y).real == pytest.approx(expect, rel=1e-11)
+        assert abs(faddeeva(1j * y).imag) < 1e-14
+
+
+def test_faddeeva_real_axis_real_part_is_gaussian():
+    # Re w(x) = exp(-x^2); accuracy is relative to |w|, so the bound loosens
+    # once the Gaussian drops far below the O(1/x) imaginary part
+    for x in np.linspace(-6.0, 6.0, 41):
+        err = abs(faddeeva(x).real - math.exp(-x * x))
+        assert err < 1e-11 * abs(faddeeva(x))
+
+
+def test_faddeeva_reflection_identity():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        z = complex(rng.uniform(-4, 4), rng.uniform(0.1, 4))
+        lhs = faddeeva(-z)
+        rhs = 2.0 * cmath.exp(-z * z) - faddeeva(z)
+        assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-11
+
+
+def test_faddeeva_of_two_against_dawson_integral():
+    # w(2) = e^{-4} + (2i/sqrt(pi)) e^{-4} int_0^2 e^{t^2} dt
+    xs = np.linspace(0.0, 2.0, 20001)
+    daw = simpson(np.exp(xs**2), x=xs)
+    expect = math.exp(-4.0) + 2j / math.sqrt(math.pi) * math.exp(-4.0) * daw
+    got = faddeeva(2.0)
+    assert got.real == pytest.approx(expect.real, rel=1e-12)
+    assert got.imag == pytest.approx(expect.imag, rel=1e-10)
+
+
+def test_faddeeva_large_argument_ray():
+    # the 3pi/4 ray is the production hot path; asymptotic series
+    # w(z) ~ i/(sqrt(pi) z) sum_k (2k-1)!! / (2 z^2)^k, six terms ample at |z| >= 100
+    for r in (1e2, 1e4, 1e6):
+        z = r * cmath.exp(3j * math.pi / 4)
+        series = sum(math.prod(range(1, 2 * k, 2)) / (2 * z * z) ** k for k in range(6))
+        expect = 1j / (math.sqrt(math.pi) * z) * series
+        assert abs(faddeeva(z) - expect) / abs(expect) < 1e-12
+
+
+def test_faddeeva_elementwise_on_arrays():
+    z = np.array([[0.0, 2.0], [3j, 1e4 * cmath.exp(3j * math.pi / 4)]])
+    got = faddeeva(z)
+    assert got.shape == z.shape
+    for zi, wi in zip(z.ravel(), got.ravel()):
+        assert wi == faddeeva(complex(zi))
+
+
+def test_faddeeva_nonfinite_rejected():
+    with pytest.raises(ValueError):
+        faddeeva(complex(math.nan, 0.0))
+    with pytest.raises(ValueError):
+        faddeeva(np.array([1.0, complex(math.inf, 1.0)]))
+
+
+def test_faddeeva_lower_half_plane_overflow_reported():
+    with pytest.raises(OverflowError):
+        faddeeva(complex(0.1, -27.0))
+    with pytest.raises(OverflowError):
+        faddeeva(np.array([1.0, complex(0.1, -27.0)]))
 
 
 def test_detuning0_values():
@@ -125,6 +197,15 @@ def test_closed_matches_quadrature_paper_regime():
             q = phase_integral_quadrature(pp, t, p)
             c = phase_integral_closed(pp, t, p)
             assert abs(c.e_plus - q.e_plus) < 1e-8 * abs(q.e_plus)
+    # one call over the whole node array matches node-by-node quadrature
+    nodes = build_momentum_grid(1.0, 32).nodes
+    t = 7.0 * math.pi / (2.0 * p.lam)
+    c = phase_integral_closed(nodes, t, p)
+    assert c.e_plus.shape == nodes.shape
+    for pp, ep, em in zip(nodes, c.e_plus, c.e_minus):
+        q = phase_integral_quadrature(pp, t, p)
+        assert abs(ep - q.e_plus) < 1e-8 * abs(q.e_plus)
+        assert abs(em - q.e_minus) < 1e-8 * abs(q.e_minus)
 
 
 def test_closed_matches_quadrature_through_chirp_resonance():

@@ -2,7 +2,8 @@
 
 Oracles: the detuned Rabi closed form at zero gravity, and an in-test
 piecewise-constant 2x2 eigen-propagator for the chirped case.  The literal
-and rotating frames must agree (gauge invariance).
+and rotating frames must agree (gauge invariance).  Single blocks are read
+off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.
 """
 
 import math
@@ -11,12 +12,21 @@ import numpy as np
 import pytest
 
 from gravjcm.analytic import detuning0_of_p
-from gravjcm.core import build_momentum_grid, coherent_amplitudes, paper_defaults
-from gravjcm.ode import (
-    branch_states_ode,
-    branch_states_ode_sweep,
-    evolve_block,
-)
+from gravjcm.core import MomentumGrid, build_momentum_grid, coherent_amplitudes, paper_defaults
+from gravjcm.ode import branch_states_ode, branch_states_ode_sweep
+
+FIELD = coherent_amplitudes(5.0, 100)
+
+
+def node_grid(p):
+    return MomentumGrid(nodes=np.array([p]), weights=np.array([1.0]))
+
+
+def evolve(n, p, t, params, **kw):
+    """(c_e, c_g) of block n at momentum node p, from c_e = 1, c_g = 0."""
+    st = branch_states_ode(t, params, FIELD, node_grid(p), **kw)
+    w = FIELD.w[n]
+    return complex(st.c[0, n] / w), complex(st.d[0, n + 1] / w)
 
 
 def rabi_excited_population(n, p, t, params):
@@ -65,20 +75,20 @@ def test_block_matches_detuned_rabi_formula():
         n = int(rng.integers(0, 40))
         pp = rng.uniform(-3, 3)
         t = rng.uniform(1e-7, 1e-5)
-        blk = evolve_block(n, pp, t, p)
-        assert abs(blk.c_e) ** 2 == pytest.approx(
+        ce, cg = evolve(n, pp, t, p)
+        assert abs(ce) ** 2 == pytest.approx(
             rabi_excited_population(n, pp, t, p), abs=1e-9
         )
-        assert abs(blk.c_e) ** 2 + abs(blk.c_g) ** 2 == pytest.approx(1.0, abs=1e-9)
+        assert abs(ce) ** 2 + abs(cg) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_block_matches_stepped_propagator_with_gravity():
     p = paper_defaults(qg=1.5e7)
     for n, pp, t in ((0, 0.0, 5e-6), (8, 1.2, 3e-6), (24, -0.7, 7e-6)):
-        blk = evolve_block(n, pp, t, p)
-        ce, cg = stepped_propagator(n, pp, t, p)
-        assert abs(blk.c_e - ce) < 1e-6
-        assert abs(blk.c_g - cg) < 1e-6
+        ce, cg = evolve(n, pp, t, p)
+        ce_ref, cg_ref = stepped_propagator(n, pp, t, p)
+        assert abs(ce - ce_ref) < 1e-6
+        assert abs(cg - cg_ref) < 1e-6
 
 
 def test_frames_are_gauge_equivalent():
@@ -88,31 +98,31 @@ def test_frames_are_gauge_equivalent():
         n = int(rng.integers(0, 30))
         pp = rng.uniform(-2, 2)
         t = rng.uniform(1e-7, 1e-5)
-        a = evolve_block(n, pp, t, p, frame="literal")
-        b = evolve_block(n, pp, t, p, frame="rotating")
-        assert abs(a.c_e - b.c_e) < 1e-8
-        assert abs(a.c_g - b.c_g) < 1e-8
+        a = evolve(n, pp, t, p, frame="literal")
+        b = evolve(n, pp, t, p, frame="rotating")
+        assert abs(a[0] - b[0]) < 1e-8
+        assert abs(a[1] - b[1]) < 1e-8
 
 
 def test_argument_validation():
     p = paper_defaults()
+    grid = node_grid(0.0)
     with pytest.raises(ValueError):
-        evolve_block(-1, 0.0, 1e-6, p)
+        branch_states_ode(-1e-6, p, FIELD, grid)
     with pytest.raises(ValueError):
-        evolve_block(0, 0.0, -1e-6, p)
+        branch_states_ode(1e-6, p, FIELD, grid, tol=1e-4)
     with pytest.raises(ValueError):
-        evolve_block(0, 0.0, 1e-6, p, tol=1e-4)
+        branch_states_ode(1e-6, p, FIELD, grid, tol=1e-13)
     with pytest.raises(ValueError):
-        evolve_block(0, 0.0, 1e-6, p, tol=1e-13)
-    with pytest.raises(ValueError):
-        evolve_block(0, 0.0, 1e-6, p, frame="interaction")
+        branch_states_ode(1e-6, p, FIELD, grid, frame="interaction")
 
 
 def test_zero_time_is_identity():
+    # every block stays at c_e = 1, c_g = 0, so C = w and D = 0 exactly
     p = paper_defaults(qg=0.5e7)
-    blk = evolve_block(3, 0.5, 0.0, p)
-    assert blk.c_e == 1.0
-    assert blk.c_g == 0.0
+    st = branch_states_ode(0.0, p, FIELD, node_grid(0.5))
+    assert np.array_equal(st.c[0, :101], FIELD.w)
+    assert not np.any(st.d)
 
 
 @pytest.fixture(scope="module")

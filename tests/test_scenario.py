@@ -66,10 +66,15 @@ def test_malformed_line_reports_location():
 
 
 def test_bad_number_rejected():
-    with pytest.raises(ScenarioError):
-        parse_scenario("delta0 = eight\n")
-    with pytest.raises(ScenarioError):
-        parse_scenario("literal_paper_mode = maybe\n")
+    for text in ("delta0 = eight\n", "literal_paper_mode = maybe\n",
+                 "t_end = nan\n", "lam = inf\n", "delta0 = nan\n",
+                 "sigma0 = inf\n", "ode_tol = nan\n", "nmax = inf\n",
+                 "n_samples = 2.7\n", "qgrid.n = 201.5\n",
+                 "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n"):
+        with pytest.raises(ScenarioError):
+            parse_scenario(text)
+    # an integral count may still be written in float notation
+    assert parse_scenario("n_samples = 2e3\n").time_spec.n_samples == 2000
 
 
 def test_time_spec_invariants():
