@@ -42,9 +42,12 @@ D10_PIN = 9.009086491880699e-08 + 3.402736371213537e-08j
 NORM_PIN = 0.9309992919027779
 
 
-def test_faddeeva_imaginary_axis_matches_stdlib_erfc():
-    # w(iy) = exp(y^2) erfc(y), both factors finite for moderate y; w(0) = 1
+def test_faddeeva_at_zero():
     assert faddeeva(0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_faddeeva_imaginary_axis_matches_stdlib_erfc():
+    # w(iy) = exp(y^2) erfc(y), both factors finite for moderate y
     for y in np.linspace(0.0, 5.0, 26):
         expect = math.exp(y * y) * math.erfc(y)
         assert faddeeva(1j * y).real == pytest.approx(expect, rel=1e-11)
