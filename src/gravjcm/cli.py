@@ -131,6 +131,15 @@ def _cmd_run(args) -> int:
         )
         return EXIT_SCENARIO
 
+    tags = [_qg_token(v) for v in sc.qg_list]
+    if len(set(sc.qg_list)) < len(tags) or len(set(tags)) < len(tags):
+        print(
+            "scenario error: qg values must be distinct and give distinct "
+            f"file tags, got {', '.join(map(repr, sc.qg_list))} -> {', '.join(tags)}",
+            file=sys.stderr,
+        )
+        return EXIT_SCENARIO
+
     backends = ("ode", "analytic") if sc.backend == "both" else (sc.backend,)
     lam_t = sc.times_scaled()
     meta = [("scenario." + k, v) for k, v in
@@ -292,7 +301,9 @@ def main(argv=None) -> int:
                           help="compare the analytic and time-ordered backends")
     p_cc.add_argument("--qg", type=float, default=0.0, help="gravity knob, rad/s^2")
     p_cc.add_argument("--tmax", type=float, default=25.0, help="sweep end, scaled time")
-    p_cc.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
+    p_cc.add_argument("--tol", type=float, default=1e-10,
+                      help="target for the Magnus propagator's step-doubling "
+                           "error estimate (1e-12..1e-6)")
     p_cc.add_argument("--samples", type=int, default=256, help="sweep sample count")
     p_cc.add_argument("--report", default=None, help="append summary to this file")
     p_cc.set_defaults(func=_cmd_crosscheck)

@@ -111,6 +111,17 @@ def test_run_qgrid_needs_single_instant(tmp_path, capsys):
     assert "single-instant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qgs", ["0, 0", "1.5e7, 1.5000001e7"])
+def test_run_colliding_qg_tags_exits_1(tmp_path, capsys, qgs):
+    # equal values, or values equal at %g precision, would share file names
+    scn = write_scenario(tmp_path, SMALL_SWEEP.replace("qg = 0", f"qg = {qgs}"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_run_deterministic_bytes(tmp_path):
     scn = write_scenario(tmp_path, SMALL_SWEEP)
     outs = []

@@ -1,9 +1,10 @@
 """Tests for the time-ordered integration backend.
 
-Oracles: the detuned Rabi closed form at zero gravity, and an in-test
-piecewise-constant 2x2 eigen-propagator for the chirped case.  The literal
-and rotating frames must agree (gauge invariance).  Single blocks are read
-off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.
+Oracles: the detuned Rabi closed form at zero gravity, an in-test
+piecewise-constant 2x2 eigen-propagator for the chirped case, and the DOP853
+integrator ``_integrate`` in both its literal and rotating frames, which the
+Magnus propagator must match at tight tolerance.  Single blocks are read off
+a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.
 """
 
 import math
@@ -12,8 +13,15 @@ import numpy as np
 import pytest
 
 from gravjcm.analytic import detuning0_of_p
-from gravjcm.core import MomentumGrid, build_momentum_grid, coherent_amplitudes, paper_defaults
-from gravjcm.ode import branch_states_ode, branch_states_ode_sweep
+from gravjcm import ode
+from gravjcm.core import (
+    CoherentField,
+    MomentumGrid,
+    build_momentum_grid,
+    coherent_amplitudes,
+    paper_defaults,
+)
+from gravjcm.ode import IntegrationError, branch_states_ode, branch_states_ode_sweep
 
 FIELD = coherent_amplitudes(5.0, 100)
 
@@ -92,16 +100,21 @@ def test_block_matches_stepped_propagator_with_gravity():
 
 
 def test_frames_are_gauge_equivalent():
+    # the literal- and rotating-frame DOP853 oracles both reproduce the
+    # Magnus propagator block by block
     p = paper_defaults(qg=1.5e7)
     rng = np.random.default_rng(42)
     for _ in range(6):
         n = int(rng.integers(0, 30))
         pp = rng.uniform(-2, 2)
         t = rng.uniform(1e-7, 1e-5)
-        a = evolve(n, pp, t, p, frame="literal")
-        b = evolve(n, pp, t, p, frame="rotating")
-        assert abs(a[0] - b[0]) < 1e-8
-        assert abs(a[1] - b[1]) < 1e-8
+        got = evolve(n, pp, t, p)
+        d0 = np.array([detuning0_of_p(pp, p)])
+        omega = np.array([p.lam * math.sqrt(n + 1.0)])
+        for frame in ("literal", "rotating"):
+            res = ode._integrate(d0, omega, p.qg, np.array([t]), 1e-10, frame)
+            assert abs(got[0] - res[0, 0, 0, 0]) < 1e-8, frame
+            assert abs(got[1] - res[0, 1, 0, 0]) < 1e-8, frame
 
 
 def test_argument_validation():
@@ -113,8 +126,6 @@ def test_argument_validation():
         branch_states_ode(1e-6, p, FIELD, grid, tol=1e-4)
     with pytest.raises(ValueError):
         branch_states_ode(1e-6, p, FIELD, grid, tol=1e-13)
-    with pytest.raises(ValueError):
-        branch_states_ode(1e-6, p, FIELD, grid, frame="interaction")
 
 
 def test_zero_time_is_identity():
@@ -138,10 +149,16 @@ def test_sweep_initial_state_and_norm(sweep_setup):
     times = np.linspace(0.0, 1e-5, 6)
     states = branch_states_ode_sweep(times, p, field, grid)
     assert len(states) == 6
-    np.testing.assert_allclose(states[0].c[0, :101], field.w, atol=1e-12)
+    # the t = 0 sample is the initial state exactly, on every node
+    assert np.array_equal(states[0].c[:, :101], np.tile(field.w, (grid.nodes.size, 1)))
+    assert not np.any(states[0].d)
     for st in states:
         assert st.norm() == pytest.approx(1.0, abs=1e-8)
         assert st.meta["backend"] == "ode"
+        assert st.meta["method"] == "magnus4"
+        assert st.meta["tol"] == 1e-10
+        assert st.meta["steps"] == 5 * st.meta["substeps"] >= 5
+        assert 0.0 <= st.meta["error_estimate"] <= 1e-10
 
 
 def test_sweep_consistent_with_single_shot(sweep_setup):
@@ -172,3 +189,58 @@ def test_ground_branch_alignment(sweep_setup):
     st = branch_states_ode(2e-6, p, field, grid)
     assert float(np.max(np.abs(st.d[:, 0]))) == 0.0
     assert st.nfock == field.nmax + 2
+
+
+# Oracle cases: a fig1-style sweep without and with the published gravity, a
+# chirp whose detuning delta0(p) - qg t changes sign inside the sweep, and the
+# strongly chirped resonant case of criterion 7 as a single instant.  A unit
+# "field" (w_n = 1) makes C and D the block amplitudes themselves.
+ORACLE_CASES = {
+    "qg0": (dict(qg=0.0), np.linspace(0.0, 5.0, 401), 4),
+    "qg1.5e7": (dict(qg=1.5e7), np.linspace(0.0, 5.0, 401), 4),
+    "chirp_through_resonance": (dict(qg=1e12, delta0=2e6), np.linspace(0.0, 10.0, 101), 4),
+    "resonant_qg3e13_instant": (dict(qg=3e13, delta0=0.0), np.array([5.0 * math.pi]), 1),
+}
+ORACLE_NMAX = 40
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_magnus_matches_dop853_oracle(case):
+    overrides, lam_t, n_nodes = ORACLE_CASES[case]
+    p = paper_defaults(**overrides)
+    grid = build_momentum_grid(p.sigma0, n_nodes)
+    unit = CoherentField(nmax=ORACLE_NMAX, w=np.ones(ORACLE_NMAX + 1, dtype=complex))
+    times = lam_t / p.lam
+    states = branch_states_ode_sweep(times, p, unit, grid, tol=1e-12)
+    ce = np.array([st.c[:, :-1] for st in states])
+    cg = np.array([st.d[:, 1:] for st in states])
+    omega = p.lam * np.sqrt(np.arange(ORACLE_NMAX + 1) + 1.0)
+    d0 = detuning0_of_p(grid.nodes, p)
+    res = ode._integrate(d0, omega, p.qg, times, 1e-12, "rotating")
+    if case == "chirp_through_resonance":
+        assert np.all(d0 > 0) and np.all(d0 - p.qg * times[-1] < 0)
+    assert float(np.max(np.abs(ce - res[:, 0]))) <= 1e-8
+    assert float(np.max(np.abs(cg - res[:, 1]))) <= 1e-8
+    # every block stays on the unit sphere
+    assert float(np.max(np.abs(np.abs(ce) ** 2 + np.abs(cg) ** 2 - 1.0))) <= 1e-12
+
+
+def test_tighter_tol_never_fewer_substeps():
+    for overrides, lam_t in ((dict(qg=1.5e7), np.linspace(0.0, 5.0, 401)),
+                             (dict(qg=1e12, delta0=2e6), np.linspace(0.0, 10.0, 101))):
+        p = paper_defaults(**overrides)
+        grid = build_momentum_grid(p.sigma0, 4)
+        substeps = [
+            branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid, tol=tol)[0].meta["substeps"]
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12)
+        ]
+        assert substeps == sorted(substeps)
+        assert substeps[-1] > 1
+
+
+def test_substep_cap_raises(monkeypatch):
+    # the resonant 3e13 instant needs 2^17 substeps at tol 1e-12
+    monkeypatch.setattr(ode, "MAX_SUBSTEPS", 2**10)
+    p = paper_defaults(qg=3e13, delta0=0.0)
+    with pytest.raises(IntegrationError, match="substeps"):
+        branch_states_ode(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0), tol=1e-12)
