@@ -23,12 +23,11 @@ from .analytic import (
     branch_coeffs,
     branch_states_analytic,
     detuning0_of_p,
-    detuning1,
     phase_integral_closed,
     phase_integral_elementary,
     phase_integral_quadrature,
 )
-from .ode import IntegrationError, branch_states_ode, branch_states_ode_sweep
+from .ode import IntegrationError, branch_states_ode_sweep
 from .observables import (
     EntropyPair,
     OverlapTriple,

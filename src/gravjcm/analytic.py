@@ -106,11 +106,6 @@ def detuning0_of_p(p, params: PhysicalParams):
     return params.delta0 - params.q * p * params.p_unit / (2.0 * params.mass)
 
 
-def detuning1(p, t: float, params: PhysicalParams):
-    """Time-dependent detuning including the gravitational chirp."""
-    return detuning0_of_p(p, params) - params.qg * t / 2.0
-
-
 # --- phase integrals --------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

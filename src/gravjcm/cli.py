@@ -37,7 +37,8 @@ from .observables import (
     q_peak_analysis,
 )
 from .ode import IntegrationError, branch_states_ode_sweep
-from .scenario import Scenario, ScenarioError, builtin_scenario, parse_scenario, serialize_scenario
+from .scenario import (BUILTINS, SNAPSHOT_OUTPUTS, Scenario, ScenarioError, builtin_scenario,
+                       parse_scenario, qg_token, serialize_scenario)
 
 EXIT_OK = 0
 EXIT_SCENARIO = 1
@@ -54,10 +55,6 @@ def _version() -> str:
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _qg_token(qg: float) -> str:
-    return ("qg%g" % qg).replace("+", "").replace("-", "m").replace(".", "p")
 
 
 def _progress(msg: str) -> None:
@@ -105,6 +102,48 @@ def _write_kv(path: Path, pairs: list) -> None:
             fh.write(f"{k} = {v}\n")
 
 
+def _write_outputs(sc: Scenario, backend: str, qg: float, out: Path, prefix: str) -> list:
+    """Write one (backend, qg) sweep's files; its states die on return."""
+    states = _states_for(sc, backend, qg)
+    lam_t = sc.times_scaled()
+    written = []
+    if {"inversion", "entropy"} & set(sc.outputs):
+        ovs = [overlaps(st) for st in states]
+        if "inversion" in sc.outputs:
+            path = out / f"{prefix}_inversion.csv"
+            _write_scalar_csv(path, lam_t, np.array([inversion(o) for o in ovs]))
+            written.append(path)
+        if "entropy" in sc.outputs:
+            path = out / f"{prefix}_entropy.csv"
+            _write_scalar_csv(path, lam_t, np.array([entropy(o).s_f for o in ovs]))
+            written.append(path)
+    if set(SNAPSHOT_OUTPUTS) & set(sc.outputs):
+        st = states[-1]
+        e = sc.qgrid_extent
+        spec = QGridSpec(-e, e, -e, e, sc.qgrid_n, sc.qgrid_n)
+        qg_data = q_function(st, spec, sc.params_for(qg))
+        if "qgrid" in sc.outputs:
+            base = out / f"{prefix}_qgrid"
+            _write_qgrid(base, qg_data)
+            written.append(base.with_suffix(".csv"))
+            written.append(base.with_suffix(".matrix.txt"))
+        if "cat_report" in sc.outputs:
+            rep = q_peak_analysis(qg_data)
+            fid = cat_fidelity(st, st.t, sc.params_for(qg))
+            path = out / f"{prefix}_cat_report.txt"
+            _write_kv(path, [
+                ("peaks", rep.count),
+                ("bimodal", str(rep.bimodal).lower()),
+                ("separation", _fmt(rep.separation)),
+                ("height_ratio", _fmt(rep.height_ratio)),
+                ("locations", "; ".join(
+                    f"{_fmt(z.real)}{z.imag:+.17g}j" for z in rep.locations)),
+                ("ansatz_fidelity", _fmt(fid)),
+            ])
+            written.append(path)
+    return written
+
+
 def _cmd_run(args) -> int:
     try:
         if args.builtin:
@@ -124,24 +163,7 @@ def _cmd_run(args) -> int:
         print(f"i/o error: output directory {out} does not exist", file=sys.stderr)
         return EXIT_IO
 
-    if "qgrid" in sc.outputs and sc.time_spec.n_samples != 1:
-        print(
-            "scenario error: qgrid output requires a single-instant time spec",
-            file=sys.stderr,
-        )
-        return EXIT_SCENARIO
-
-    tags = [_qg_token(v) for v in sc.qg_list]
-    if len(set(sc.qg_list)) < len(tags) or len(set(tags)) < len(tags):
-        print(
-            "scenario error: qg values must be distinct and give distinct "
-            f"file tags, got {', '.join(map(repr, sc.qg_list))} -> {', '.join(tags)}",
-            file=sys.stderr,
-        )
-        return EXIT_SCENARIO
-
     backends = ("ode", "analytic") if sc.backend == "both" else (sc.backend,)
-    lam_t = sc.times_scaled()
     meta = [("scenario." + k, v) for k, v in
             (line.split(" = ", 1) for line in serialize_scenario(sc).splitlines())]
     meta += [
@@ -162,46 +184,9 @@ def _cmd_run(args) -> int:
         for backend in backends:
             for qg_val in sc.qg_list:
                 _progress(f"running {sc.name}: backend={backend} qg={qg_val:g}")
-                states = _states_for(sc, backend, qg_val)
-                tag = _qg_token(qg_val)
-                prefix = f"{sc.name}_{backend}_{tag}" if len(backends) > 1 \
-                    else f"{sc.name}_{tag}"
-                need_scalars = {"inversion", "entropy"} & set(sc.outputs)
-                if need_scalars:
-                    ovs = [overlaps(st) for st in states]
-                    if "inversion" in sc.outputs:
-                        path = out / f"{prefix}_inversion.csv"
-                        _write_scalar_csv(path, lam_t, np.array([inversion(o) for o in ovs]))
-                        written.append(path)
-                    if "entropy" in sc.outputs:
-                        path = out / f"{prefix}_entropy.csv"
-                        _write_scalar_csv(path, lam_t,
-                                          np.array([entropy(o).s_f for o in ovs]))
-                        written.append(path)
-                if "qgrid" in sc.outputs or "cat_report" in sc.outputs:
-                    st = states[-1]
-                    e = sc.qgrid_extent
-                    spec = QGridSpec(-e, e, -e, e, sc.qgrid_n, sc.qgrid_n)
-                    qg_data = q_function(st, spec, sc.params_for(qg_val))
-                    if "qgrid" in sc.outputs:
-                        base = out / f"{prefix}_qgrid"
-                        _write_qgrid(base, qg_data)
-                        written.append(base.with_suffix(".csv"))
-                        written.append(base.with_suffix(".matrix.txt"))
-                    if "cat_report" in sc.outputs:
-                        rep = q_peak_analysis(qg_data)
-                        fid = cat_fidelity(st, st.t, sc.params_for(qg_val))
-                        path = out / f"{prefix}_cat_report.txt"
-                        _write_kv(path, [
-                            ("peaks", rep.count),
-                            ("bimodal", str(rep.bimodal).lower()),
-                            ("separation", _fmt(rep.separation)),
-                            ("height_ratio", _fmt(rep.height_ratio)),
-                            ("locations", "; ".join(
-                                f"{_fmt(z.real)}{z.imag:+.17g}j" for z in rep.locations)),
-                            ("ansatz_fidelity", _fmt(fid)),
-                        ])
-                        written.append(path)
+                tag = qg_token(qg_val)
+                prefix = f"{sc.name}_{backend}_{tag}" if len(backends) > 1 else f"{sc.name}_{tag}"
+                written += _write_outputs(sc, backend, qg_val, out, prefix)
     except (IntegrationError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -292,7 +277,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario and write CSV outputs")
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("scenario", nargs="?", help="path to a scenario file")
-    src.add_argument("--builtin", choices=("fig1", "fig2", "fig3"),
+    src.add_argument("--builtin", choices=tuple(BUILTINS),
                      help="use a canonical figure scenario")
     p_run.add_argument("--out", required=True, help="existing output directory")
     p_run.set_defaults(func=_cmd_run)
@@ -303,7 +288,7 @@ def main(argv=None) -> int:
     p_cc.add_argument("--tmax", type=float, default=25.0, help="sweep end, scaled time")
     p_cc.add_argument("--tol", type=float, default=1e-10,
                       help="target for the Magnus propagator's step-doubling "
-                           "error estimate (1e-12..1e-6)")
+                           "error estimate (1e-12..1e-6; outside it exits 1)")
     p_cc.add_argument("--samples", type=int, default=256, help="sweep sample count")
     p_cc.add_argument("--report", default=None, help="append summary to this file")
     p_cc.set_defaults(func=_cmd_crosscheck)

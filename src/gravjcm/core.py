@@ -52,6 +52,8 @@ class PhysicalParams:
     p_unit: float = 0.0
 
     def __post_init__(self):
+        if self.q <= 0 or self.omega_rec <= 0:
+            raise ValueError("wavenumber q and recoil frequency omega_rec must be positive")
         if self.lam <= 0:
             raise ValueError("coupling lam must be positive")
         if self.sigma0 <= 0:
@@ -60,7 +62,7 @@ class PhysicalParams:
             raise ValueError("qg must be nonnegative")
         if not np.isfinite(abs(self.alpha) ** 2):
             raise ValueError("|alpha|^2 must be finite")
-        if self.q > 0 and self.mass > 0:
+        if self.mass > 0:
             derived = HBAR * self.q**2 / (2.0 * self.mass)
             if abs(derived - self.omega_rec) > 1e-12 * abs(self.omega_rec):
                 raise ValueError(

@@ -135,6 +135,15 @@ def entropy(o: OverlapTriple) -> EntropyPair:
     return EntropyPair(pi_plus=pi_plus, pi_minus=pi_minus, s_f=s)
 
 
+def check_q_window(half_width: float, alpha: complex) -> None:
+    """Reject a Q window whose half-width misses the coherent disk |alpha| + 4."""
+    need = abs(alpha) + 4.0
+    if half_width < need:
+        raise ValueError(
+            f"Q window half-width {half_width:g} must reach |alpha| + 4 = {need:.1f}"
+        )
+
+
 def q_function(state: BranchState, spec: QGridSpec, params: PhysicalParams) -> QGrid:
     """Husimi Q(beta) = (1/pi) sum_k w_k (|<beta|C_k>|^2 + |<beta|D_k>|^2).
 
@@ -142,13 +151,8 @@ def q_function(state: BranchState, spec: QGridSpec, params: PhysicalParams) -> Q
     so the quasiprobability mass is captured; significant weight on the
     boundary ring triggers a warning.
     """
-    half_x = max(abs(spec.xmin), abs(spec.xmax))
-    half_y = max(abs(spec.ymin), abs(spec.ymax))
-    need = abs(params.alpha) + 4.0
-    if half_x < need or half_y < need:
-        raise ValueError(
-            f"grid half-width must reach |alpha| + 4 = {need:.1f} on both axes"
-        )
+    check_q_window(min(max(abs(spec.xmin), abs(spec.xmax)),
+                       max(abs(spec.ymin), abs(spec.ymax))), params.alpha)
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
     nfock = state.nfock

@@ -53,7 +53,8 @@ class IntegrationError(RuntimeError):
     """The integrator could not reach the requested accuracy or time."""
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Reject a step-control target outside [1e-12, 1e-6]."""
     if not (1e-12 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
 
@@ -206,7 +207,7 @@ def branch_states_ode_sweep(
         raise ValueError("times must be a nonempty 1-d array")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be nonnegative and strictly increasing")
-    _check_tol(tol)
+    check_tol(tol)
     nmax = field.nmax
     qg = params.qg
     d0 = detuning0_of_p(grid.nodes, params)
@@ -233,16 +234,3 @@ def branch_states_ode_sweep(
         np.multiply(field.w, b * np.exp(-1j * half_phi), out=d[:, 1:])
         states.append(BranchState(t=t, c=c, d=d, grid=grid, meta=dict(meta)))
     return states
-
-
-def branch_states_ode(
-    t: float,
-    params: PhysicalParams,
-    field: CoherentField,
-    grid: MomentumGrid,
-    tol: float = 1e-10,
-) -> BranchState:
-    """Single-time convenience wrapper around branch_states_ode_sweep."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return branch_states_ode_sweep(np.array([t]), params, field, grid, tol)[0]

@@ -9,6 +9,12 @@ figures' horizontal axis); conversion to seconds happens exactly once, in
 The text format is flat ``key = value`` lines, UTF-8, with ``#`` comments.
 Unknown keys are hard errors.  Keys left out take the canonical defaults of
 the reference experiment; each default fill is echoed in the provenance log.
+The builtin figures are override documents that go through the same parser.
+
+Validation is complete here: every input rule is checked when a Scenario is
+built, so a run that starts never fails on its input.  Rules whose bound
+belongs to a numerical layer (the ode tolerance range, the Q window, the
+Fock cutoff) call that layer's own check, so each bound is written once.
 """
 
 from __future__ import annotations
@@ -18,17 +24,33 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PhysicalParams, paper_defaults
+from .core import PhysicalParams, coherent_amplitudes, paper_defaults
+from .observables import check_q_window
+from .ode import check_tol
 
 VALID_BACKENDS = ("ode", "analytic", "both")
 VALID_OUTPUTS = ("inversion", "entropy", "qgrid", "cat_report")
+# outputs taken from one state, so they need a single-instant time spec
+SNAPSHOT_OUTPUTS = ("qgrid", "cat_report")
 
-PAPER_QG_LIST = (0.0, 0.5e7, 1.5e7)
 HALF_REVIVAL_LAMT = 7.0 * math.pi / 2.0
 
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
+
+
+def qg_token(qg: float) -> str:
+    """File tag of a gravity value (``qg0``, ``qg5e06``, ``qg1p5e07``)."""
+    return ("qg%g" % qg).replace("+", "").replace("-", "m").replace(".", "p")
+
+
+def _layer_check(key: str, check, *args) -> None:
+    """Run a numerical layer's own argument check as a scenario rule."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"key {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -66,19 +88,33 @@ class Scenario:
     n_nodes: int
     nmax: int           # 0 means: choose adaptively from alpha
     ode_tol: float
-    quad_tol: float
     literal_paper_mode: bool
     provenance: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not self.name or self.name.startswith(".") or set("/\\") & set(self.name):
+            raise ScenarioError(
+                "name must be a plain file-name stem (no path separator, "
+                f"no leading '.'), got {self.name!r}"
+            )
         if self.backend not in VALID_BACKENDS:
             raise ScenarioError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
+            )
+        if self.literal_paper_mode and self.backend != "analytic":
+            raise ScenarioError(
+                f"literal_paper_mode = true needs backend = analytic, got {self.backend!r}"
             )
         if not self.qg_list:
             raise ScenarioError("qg_list must be non-empty")
         if not all(0 <= v < math.inf for v in self.qg_list):
             raise ScenarioError("qg values must be finite and >= 0")
+        tags = [qg_token(v) for v in self.qg_list]
+        if len(set(self.qg_list)) < len(tags) or len(set(tags)) < len(tags):
+            raise ScenarioError(
+                "qg values must be distinct and give distinct file tags, got "
+                f"{', '.join(map(repr, self.qg_list))} -> {', '.join(tags)}"
+            )
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")
@@ -86,10 +122,20 @@ class Scenario:
             raise ScenarioError("outputs must be non-empty")
         if self.qgrid_extent <= 0 or self.qgrid_n < 3:
             raise ScenarioError("qgrid needs positive extent and n >= 3")
+        if set(SNAPSHOT_OUTPUTS) & set(self.outputs):
+            if self.time_spec.n_samples != 1:
+                raise ScenarioError(
+                    "qgrid and cat_report outputs require a single-instant time spec"
+                )
+            _layer_check("qgrid.extent", check_q_window, self.qgrid_extent,
+                         self.params.alpha)
         if self.n_nodes < 1:
             raise ScenarioError("n_nodes must be >= 1")
         if self.nmax < 0:
             raise ScenarioError("nmax must be >= 0 (0 selects adaptively)")
+        if self.nmax > 0:
+            _layer_check("nmax", coherent_amplitudes, self.params.alpha, self.nmax)
+        _layer_check("ode_tol", check_tol, self.ode_tol)
 
     def times_scaled(self) -> np.ndarray:
         ts = self.time_spec
@@ -107,84 +153,87 @@ class Scenario:
 
 _DEFAULTS = {
     "name": "custom",
-    "q": 1e7,
-    "omega_rec": 0.5e6,
-    "lam": 1e6,
-    "delta0": 8.5e7,
-    "sigma0": 1.0,
-    "alpha": 5.0,
+    "q": "1e7",
+    "omega_rec": "0.5e6",
+    "lam": "1e6",
+    "delta0": "8.5e7",
+    "sigma0": "1.0",
+    "alpha": "5.0",
     "qg": "0, 0.5e7, 1.5e7",
-    "t_start": 0.0,
-    "t_end": 25.0,
-    "n_samples": 2000,
+    "t_start": "0.0",
+    "t_end": "25.0",
+    "n_samples": "2000",
     "backend": "ode",
     "outputs": "inversion, entropy",
-    "qgrid.extent": 9.0,
-    "qgrid.n": 201,
-    "n_nodes": 32,
-    "nmax": 0,
-    "ode_tol": 1e-10,
-    "quad_tol": 1e-12,
-    "literal_paper_mode": False,
+    "qgrid.extent": "9.0",
+    "qgrid.n": "201",
+    "n_nodes": "32",
+    "nmax": "0",
+    "ode_tol": "1e-10",
+    "literal_paper_mode": "false",
 }
 
-_FLOAT_KEYS = ("q", "omega_rec", "lam", "delta0", "sigma0",
-               "t_start", "t_end", "qgrid.extent", "ode_tol", "quad_tol")
-_INT_KEYS = ("n_samples", "qgrid.n", "n_nodes", "nmax")
-_BOOL_KEYS = ("literal_paper_mode",)
+
+def _number(kv: dict, key: str) -> float:
+    try:
+        val = float(kv[key])
+    except ValueError as exc:
+        raise ScenarioError(f"key {key!r}: not a number ({kv[key]!r})") from exc
+    if not math.isfinite(val):
+        raise ScenarioError(f"key {key!r}: not finite ({kv[key]!r})")
+    return val
 
 
-def _parse_bool(raw: str, key: str, line_no: int) -> bool:
-    low = raw.strip().lower()
+def _count(kv: dict, key: str) -> int:
+    val = _number(kv, key)
+    if not val.is_integer():
+        raise ScenarioError(f"key {key!r}: not an integer ({kv[key]!r})")
+    return int(val)
+
+
+def _flag(kv: dict, key: str) -> bool:
+    low = kv[key].lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ScenarioError(f"line {line_no}: {key} expects a boolean, got {raw!r}")
+    raise ScenarioError(f"key {key!r}: expects a boolean, got {kv[key]!r}")
 
 
 def _build(kv: dict, filled_defaults: list) -> Scenario:
+    """Convert the merged key -> text map into a validated Scenario."""
     try:
-        qg_list = tuple(
-            float(tok) for tok in str(kv["qg"]).split(",") if tok.strip()
-        )
+        qg_list = tuple(float(tok) for tok in kv["qg"].split(",") if tok.strip())
     except ValueError as exc:
         raise ScenarioError(f"key 'qg': not a list of numbers ({kv['qg']!r})") from exc
-    outputs = tuple(
-        dict.fromkeys(tok.strip() for tok in str(kv["outputs"]).split(",") if tok.strip())
-    )
-    alpha = complex(kv["alpha"]) if isinstance(kv["alpha"], str) else complex(kv["alpha"])
     try:
-        params = paper_defaults(
-            qg=qg_list[0] if qg_list else 0.0,
-            q=float(kv["q"]),
-            omega_rec=float(kv["omega_rec"]),
-            lam=float(kv["lam"]),
-            delta0=float(kv["delta0"]),
-            sigma0=float(kv["sigma0"]),
-            alpha=alpha,
-        )
+        alpha = complex(kv["alpha"].replace("i", "j"))
     except ValueError as exc:
+        raise ScenarioError(f"key 'alpha': not a number ({kv['alpha']!r})") from exc
+    rates = {k: _number(kv, k) for k in ("q", "omega_rec", "lam", "delta0", "sigma0")}
+    try:
+        params = paper_defaults(qg=qg_list[0] if qg_list else 0.0, alpha=alpha, **rates)
+    except (ValueError, ArithmeticError) as exc:
         raise ScenarioError(str(exc)) from exc
     return Scenario(
-        name=str(kv["name"]),
+        name=kv["name"],
         params=params,
         qg_list=qg_list,
         time_spec=TimeSpec(
-            t_start=float(kv["t_start"]),
-            t_end=float(kv["t_end"]),
-            n_samples=int(kv["n_samples"]),
+            t_start=_number(kv, "t_start"),
+            t_end=_number(kv, "t_end"),
+            n_samples=_count(kv, "n_samples"),
         ),
-        backend=str(kv["backend"]),
-        outputs=outputs,
-        qgrid_extent=float(kv["qgrid.extent"]),
-        qgrid_n=int(kv["qgrid.n"]),
-        n_nodes=int(kv["n_nodes"]),
-        nmax=int(kv["nmax"]),
-        ode_tol=float(kv["ode_tol"]),
-        quad_tol=float(kv["quad_tol"]),
-        literal_paper_mode=_parse_bool(str(kv["literal_paper_mode"]), "literal_paper_mode", 0)
-        if isinstance(kv["literal_paper_mode"], str) else bool(kv["literal_paper_mode"]),
+        backend=kv["backend"],
+        outputs=tuple(dict.fromkeys(
+            tok.strip() for tok in kv["outputs"].split(",") if tok.strip()
+        )),
+        qgrid_extent=_number(kv, "qgrid.extent"),
+        qgrid_n=_count(kv, "qgrid.n"),
+        n_nodes=_count(kv, "n_nodes"),
+        nmax=_count(kv, "nmax"),
+        ode_tol=_number(kv, "ode_tol"),
+        literal_paper_mode=_flag(kv, "literal_paper_mode"),
         provenance=tuple(sorted(filled_defaults)),
     )
 
@@ -218,30 +267,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {line_no}: empty value for {key!r}")
         kv[key] = val
     filled = [k for k in _DEFAULTS if k not in kv]
-    merged = dict(_DEFAULTS)
-    merged.update(kv)
-    for key in _FLOAT_KEYS + _INT_KEYS:
-        try:
-            val = float(merged[key])
-        except ValueError as exc:
-            raise ScenarioError(f"key {key!r}: not a number ({merged[key]!r})") from exc
-        if not math.isfinite(val):
-            raise ScenarioError(f"key {key!r}: not finite ({merged[key]!r})")
-        if key in _INT_KEYS:
-            if not val.is_integer():
-                raise ScenarioError(f"key {key!r}: not an integer ({merged[key]!r})")
-            val = int(val)
-        merged[key] = val
-    if isinstance(merged["alpha"], str):
-        try:
-            merged["alpha"] = complex(merged["alpha"].replace("i", "j"))
-        except ValueError as exc:
-            raise ScenarioError(f"key 'alpha': not a number ({merged['alpha']!r})") from exc
-    if isinstance(merged["literal_paper_mode"], str):
-        merged["literal_paper_mode"] = _parse_bool(
-            merged["literal_paper_mode"], "literal_paper_mode", 0
-        )
-    return _build(merged, filled)
+    return _build({**_DEFAULTS, **kv}, filled)
 
 
 def serialize_scenario(sc: Scenario) -> str:
@@ -267,14 +293,25 @@ def serialize_scenario(sc: Scenario) -> str:
         f"n_nodes = {sc.n_nodes}",
         f"nmax = {sc.nmax}",
         f"ode_tol = {sc.ode_tol!r}",
-        f"quad_tol = {sc.quad_tol!r}",
         f"literal_paper_mode = {str(sc.literal_paper_mode).lower()}",
     ]
     return "\n".join(lines) + "\n"
 
 
+# override documents of the canonical figure scenarios
+BUILTINS = {
+    "fig1": "name = fig1\noutputs = inversion\n",
+    "fig2": "name = fig2\noutputs = entropy\n",
+    "fig3": (
+        "name = fig3\noutputs = qgrid, cat_report\n"
+        f"t_start = {HALF_REVIVAL_LAMT!r}\nt_end = {HALF_REVIVAL_LAMT!r}\n"
+        "n_samples = 1\n"
+    ),
+}
+
+
 def builtin_scenario(name: str) -> Scenario:
-    """Canonical figure scenarios of the reference experiment.
+    """Canonical figure scenario, parsed from its override document.
 
     fig1: inversion sweep, lam*t in [0, 25], 2000 samples, all three qg.
     fig2: same sweep, entropy output.
@@ -284,22 +321,8 @@ def builtin_scenario(name: str) -> Scenario:
     pi * Omega_R(nbar) / lam, which is 5 pi for alpha = 5 on resonance and
     later with detuning.
     """
-    base = {
-        "fig1": {"name": "fig1", "outputs": "inversion"},
-        "fig2": {"name": "fig2", "outputs": "entropy"},
-        "fig3": {
-            "name": "fig3",
-            "outputs": "qgrid, cat_report",
-            "t_start": HALF_REVIVAL_LAMT,
-            "t_end": HALF_REVIVAL_LAMT,
-            "n_samples": 1,
-        },
-    }
-    if name not in base:
+    if name not in BUILTINS:
         raise ScenarioError(
-            f"unknown builtin {name!r}; valid names: {', '.join(sorted(base))}"
+            f"unknown builtin {name!r}; valid names: {', '.join(sorted(BUILTINS))}"
         )
-    merged = dict(_DEFAULTS)
-    merged.update(base[name])
-    filled = [k for k in _DEFAULTS if k not in base[name]]
-    return _build(merged, filled)
+    return parse_scenario(BUILTINS[name])

@@ -38,7 +38,7 @@ from gravjcm.observables import (
     q_function,
     q_peak_analysis,
 )
-from gravjcm.ode import branch_states_ode, branch_states_ode_sweep
+from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import builtin_scenario
 
 QG_VALUES = (0.0, 0.5e7, 1.5e7)
@@ -87,7 +87,7 @@ def snapshot(lam_t, params, qgrid_n):
     """Branch state, fig3-window Q grid and entropy at one scaled time."""
     field = coherent_amplitudes(params.alpha, NMAX)
     grid = build_momentum_grid(params.sigma0, N_NODES)
-    st = branch_states_ode(lam_t / params.lam, params, field, grid)
+    st = branch_states_ode_sweep(np.array([lam_t / params.lam]), params, field, grid)[0]
     qgrid = q_function(
         st, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), params
     )

@@ -26,7 +26,6 @@ from gravjcm.analytic import (
     branch_states_analytic,
     closed_form_variant,
     detuning0_of_p,
-    detuning1,
     faddeeva,
     phase_integral_closed,
     phase_integral_elementary,
@@ -119,13 +118,6 @@ def test_detuning0_values():
     # one recoil unit of momentum shifts the detuning by one omega_rec
     assert detuning0_of_p(1.0, p) == pytest.approx(8.45e7, rel=1e-12)
     assert detuning0_of_p(-2.0, p) == pytest.approx(8.6e7, rel=1e-12)
-
-
-def test_detuning1_chirp():
-    p = paper_defaults(qg=1.5e7)
-    t = 4e-6
-    assert detuning1(0.0, t, p) == pytest.approx(8.5e7 - 1.5e7 * t / 2.0, rel=1e-12)
-    assert detuning1(0.0, 0.0, p) == detuning0_of_p(0.0, p)
 
 
 def test_quadrature_small_time_linear():

@@ -122,6 +122,42 @@ def test_run_colliding_qg_tags_exits_1(tmp_path, capsys, qgs):
     assert not any(out.iterdir())
 
 
+# Inputs that used to fail only after the audit and set-up (exit 2), run
+# silently with a setting ignored, or write outside --out; each is now a
+# scenario error found before any work or write.
+REJECTED_UP_FRONT = {
+    "ode_tol_out_of_range": "t_end = 1\nn_samples = 5\node_tol = 1e-4\n",
+    "q_window_misses_disk": "alpha = 5\nt_end = 0\nn_samples = 1\n"
+                            "outputs = qgrid\nqgrid.extent = 5\n",
+    "nmax_truncates_field": "alpha = 5\nt_end = 1\nn_samples = 5\nnmax = 10\n",
+    "literal_mode_on_ode": "t_end = 1\nn_samples = 5\n"
+                           "literal_paper_mode = true\nbackend = ode\n",
+    "cat_report_on_sweep": "t_end = 1\nn_samples = 5\noutputs = cat_report\n",
+    "name_escapes_out": "t_end = 1\nn_samples = 5\nname = ../escaped\n",
+}
+
+
+@pytest.mark.parametrize("text", REJECTED_UP_FRONT.values(), ids=REJECTED_UP_FRONT)
+def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
+    scn = write_scenario(tmp_path, "qg = 0\nn_nodes = 2\n" + text)
+    out = tmp_path / "out"
+    out.mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", str(scn), "--out", str(out)]) == 1
+    assert "scenario error" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert not any(out.iterdir())
+
+
+def test_crosscheck_tol_out_of_range_exits_1(tmp_path, capsys):
+    report = tmp_path / "cc.txt"
+    rc = main(["crosscheck", "--tol", "1e-4", "--tmax", "2", "--samples", "16",
+               "--report", str(report)])
+    assert rc == 1
+    assert "scenario error" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_run_deterministic_bytes(tmp_path):
     scn = write_scenario(tmp_path, SMALL_SWEEP)
     outs = []

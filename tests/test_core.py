@@ -64,6 +64,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         paper_defaults(qg=-5.0)
     with pytest.raises(ValueError):
+        paper_defaults(q=0.0)
+    with pytest.raises(ValueError):
+        paper_defaults(omega_rec=-0.5e6)
+    with pytest.raises(ValueError):
         # recoil frequency inconsistent with (q, mass)
         PhysicalParams(q=1e7, mass=1e-26, qg=0.0, lam=1e6, omega_rec=0.5e6,
                        delta0=8.5e7, sigma0=1.0, alpha=5.0)

@@ -21,9 +21,14 @@ from gravjcm.core import (
     coherent_amplitudes,
     paper_defaults,
 )
-from gravjcm.ode import IntegrationError, branch_states_ode, branch_states_ode_sweep
+from gravjcm.ode import IntegrationError, branch_states_ode_sweep
 
 FIELD = coherent_amplitudes(5.0, 100)
+
+
+def state_at(t, params, field, grid, **kw):
+    """Branch state at one time: a one-sample sweep."""
+    return branch_states_ode_sweep(np.array([t]), params, field, grid, **kw)[0]
 
 
 def node_grid(p):
@@ -32,7 +37,7 @@ def node_grid(p):
 
 def evolve(n, p, t, params, **kw):
     """(c_e, c_g) of block n at momentum node p, from c_e = 1, c_g = 0."""
-    st = branch_states_ode(t, params, FIELD, node_grid(p), **kw)
+    st = state_at(t, params, FIELD, node_grid(p), **kw)
     w = FIELD.w[n]
     return complex(st.c[0, n] / w), complex(st.d[0, n + 1] / w)
 
@@ -121,17 +126,17 @@ def test_argument_validation():
     p = paper_defaults()
     grid = node_grid(0.0)
     with pytest.raises(ValueError):
-        branch_states_ode(-1e-6, p, FIELD, grid)
+        state_at(-1e-6, p, FIELD, grid)
     with pytest.raises(ValueError):
-        branch_states_ode(1e-6, p, FIELD, grid, tol=1e-4)
+        state_at(1e-6, p, FIELD, grid, tol=1e-4)
     with pytest.raises(ValueError):
-        branch_states_ode(1e-6, p, FIELD, grid, tol=1e-13)
+        state_at(1e-6, p, FIELD, grid, tol=1e-13)
 
 
 def test_zero_time_is_identity():
     # every block stays at c_e = 1, c_g = 0, so C = w and D = 0 exactly
     p = paper_defaults(qg=0.5e7)
-    st = branch_states_ode(0.0, p, FIELD, node_grid(0.5))
+    st = state_at(0.0, p, FIELD, node_grid(0.5))
     assert np.array_equal(st.c[0, :101], FIELD.w)
     assert not np.any(st.d)
 
@@ -166,7 +171,7 @@ def test_sweep_consistent_with_single_shot(sweep_setup):
     p = paper_defaults(qg=0.5e7)
     t = 6e-6
     sweep = branch_states_ode_sweep(np.array([2e-6, t]), p, field, grid)
-    single = branch_states_ode(t, p, field, grid)
+    single = state_at(t, p, field, grid)
     assert float(np.max(np.abs(sweep[1].c - single.c))) < 1e-8
     assert float(np.max(np.abs(sweep[1].d - single.d))) < 1e-8
 
@@ -186,7 +191,7 @@ def test_ground_branch_alignment(sweep_setup):
     # D lives one Fock level above its block: D[k, 0] must stay empty
     field, grid = sweep_setup
     p = paper_defaults(qg=0.0, delta0=0.0)
-    st = branch_states_ode(2e-6, p, field, grid)
+    st = state_at(2e-6, p, field, grid)
     assert float(np.max(np.abs(st.d[:, 0]))) == 0.0
     assert st.nfock == field.nmax + 2
 
@@ -243,4 +248,4 @@ def test_substep_cap_raises(monkeypatch):
     monkeypatch.setattr(ode, "MAX_SUBSTEPS", 2**10)
     p = paper_defaults(qg=3e13, delta0=0.0)
     with pytest.raises(IntegrationError, match="substeps"):
-        branch_states_ode(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0), tol=1e-12)
+        state_at(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0), tol=1e-12)

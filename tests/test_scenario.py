@@ -4,14 +4,21 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gravjcm.core import adaptive_nmax, paper_defaults
 from gravjcm.scenario import (
     HALF_REVIVAL_LAMT,
+    SNAPSHOT_OUTPUTS,
+    VALID_BACKENDS,
+    VALID_OUTPUTS,
     Scenario,
     ScenarioError,
     TimeSpec,
     builtin_scenario,
     parse_scenario,
+    qg_token,
     serialize_scenario,
 )
 
@@ -70,7 +77,9 @@ def test_bad_number_rejected():
                  "t_end = nan\n", "lam = inf\n", "delta0 = nan\n",
                  "sigma0 = inf\n", "ode_tol = nan\n", "nmax = inf\n",
                  "n_samples = 2.7\n", "qgrid.n = 201.5\n",
-                 "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n"):
+                 "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n",
+                 "q = 0\n", "omega_rec = 0\n", "omega_rec = -5e5\n",
+                 "alpha = 1e200\n"):
         with pytest.raises(ScenarioError):
             parse_scenario(text)
     # an integral count may still be written in float notation
@@ -149,3 +158,112 @@ def test_params_for_swaps_gravity_only():
     p = sc.params_for(1.5e7)
     assert p.qg == 1.5e7
     assert p.delta0 == sc.params.delta0
+
+
+def finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+STEM = st.text("abcXYZ019_-.", min_size=1, max_size=12).filter(
+    lambda s: not s.startswith(".")
+)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios that satisfy every rule, with nothing left to defaults."""
+    alpha = complex(draw(finite(-6, 6)), draw(finite(-6, 6)))
+    qg_list = tuple(draw(st.lists(finite(0, 1e14), min_size=1, max_size=4,
+                                  unique_by=qg_token)))
+    outputs = tuple(draw(st.lists(st.sampled_from(VALID_OUTPUTS), min_size=1,
+                                  unique=True)))
+    snapshot = bool(set(SNAPSHOT_OUTPUTS) & set(outputs))
+    t_start = draw(finite(0, 100))
+    if snapshot or draw(st.booleans()):
+        time_spec = TimeSpec(t_start, t_start, 1)
+    else:
+        time_spec = TimeSpec(t_start, t_start + draw(finite(1e-3, 100)),
+                             draw(st.integers(2, 5000)))
+    backend = draw(st.sampled_from(VALID_BACKENDS))
+    floor = adaptive_nmax(alpha) + 1
+    return Scenario(
+        name=draw(STEM),
+        params=paper_defaults(
+            qg=qg_list[0], alpha=alpha, q=draw(finite(1e3, 1e9)),
+            omega_rec=draw(finite(1e3, 1e9)), lam=draw(finite(1e3, 1e9)),
+            delta0=draw(finite(-1e9, 1e9)), sigma0=draw(finite(1e-3, 10)),
+        ),
+        qg_list=qg_list,
+        time_spec=time_spec,
+        backend=backend,
+        outputs=outputs,
+        qgrid_extent=abs(alpha) + 4.0 + draw(finite(0, 20)),
+        qgrid_n=draw(st.integers(3, 1000)),
+        n_nodes=draw(st.integers(1, 200)),
+        nmax=draw(st.one_of(st.just(0), st.integers(floor, floor + 50))),
+        ode_tol=draw(finite(1e-12, 1e-6)),
+        literal_paper_mode=backend == "analytic" and draw(st.booleans()),
+    )
+
+
+@settings(deadline=None)
+@given(valid_scenarios())
+def test_round_trip_generated_scenarios(sc):
+    # a serialized document sets every key, so provenance is empty on both sides
+    assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+ALPHA_AND_SMALL_EXTENT = finite(0, 6).flatmap(
+    lambda a: st.tuples(st.just(a), finite(0, a + 4.0, exclude_min=True,
+                                           exclude_max=True))
+)
+
+# rule -> (generator of a document that breaks only that rule, error pattern)
+INVALID = {
+    "ode_tol_range": (
+        st.one_of(finite(-1.0, 1e-12, exclude_max=True),
+                  finite(1e-6, 1e3, exclude_min=True)).map("ode_tol = {!r}\n".format),
+        "ode_tol",
+    ),
+    "q_window": (
+        st.tuples(ALPHA_AND_SMALL_EXTENT,
+                  st.sampled_from(["qgrid", "cat_report", "qgrid, cat_report"])).map(
+            lambda a: f"alpha = {a[0][0]!r}\nqgrid.extent = {a[0][1]!r}\n"
+                      f"outputs = {a[1]}\nt_end = 0\nn_samples = 1\n"),
+        "qgrid.extent",
+    ),
+    "single_instant": (
+        st.tuples(st.integers(2, 5000),
+                  st.sampled_from(["qgrid", "cat_report", "inversion, cat_report"])).map(
+            lambda a: f"n_samples = {a[0]}\noutputs = {a[1]}\n"),
+        "single-instant",
+    ),
+    "nmax_truncates": (
+        finite(2, 6).flatmap(lambda a: st.integers(1, int(a * a)).map(
+            lambda n: f"alpha = {a!r}\nnmax = {n}\n")),
+        "nmax",
+    ),
+    "literal_needs_analytic": (
+        st.sampled_from(["ode", "both"]).map(
+            "literal_paper_mode = true\nbackend = {}\n".format),
+        "literal_paper_mode",
+    ),
+    "name_is_stem": (
+        st.one_of(st.tuples(STEM, st.sampled_from("/\\"), STEM).map("".join),
+                  STEM.map(".{}".format)).map("name = {}\n".format),
+        "name",
+    ),
+    "qg_tags_distinct": (
+        finite(0, 1e14).map(lambda v: f"qg = {v!r}, {float('%g' % v)!r}\n"),
+        "distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(INVALID))
+@settings(deadline=None)
+@given(data=st.data())
+def test_each_rule_rejects_generated_invalid_values(rule, data):
+    strategy, pattern = INVALID[rule]
+    with pytest.raises(ScenarioError, match=pattern):
+        parse_scenario(data.draw(strategy))
