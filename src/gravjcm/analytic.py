@@ -1,7 +1,7 @@
 """Closed-form solution backend.
 
-Detunings, the chirped-phase integrals E+/E-, the branch coefficients a_n/b_n,
-the branch-state assembly, and the large-|alpha| approximate coefficients.
+Detunings, the chirped-phase integrals E+/E-, the branch coefficients a_n/b_n
+and the branch-state assembly.
 
 Two evaluation routes exist for the phase integrals: direct numerical
 quadrature (the defining object) and the error-function closed form.  The
@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +59,13 @@ class BranchCoeffs:
     """Excited/ground weights of one excitation block.
 
     ``eta`` carries the dimensional-restoration factor lam_scale^2 so that
-    a_n = 1 + (n+1) eta and b_n = -(n+1) eta stay dimensionless; ``xi`` is
-    1 + 1/eta (infinite at t = 0 where eta vanishes).  Each member is an
-    array when ``branch_coeffs`` is given arrays.
+    a_n = 1 + (n+1) eta and b_n = -(n+1) eta stay dimensionless.  Each
+    member is an array when ``branch_coeffs`` is given arrays.
     """
 
     a_n: complex
     b_n: complex
     eta: complex
-    xi: complex
 
 
 # --- complex error function kernels ----------------------------------------
@@ -99,11 +96,11 @@ def faddeeva(z):
 
 
 def detuning0_of_p(p, params: PhysicalParams):
-    """Static detuning seen at scaled momentum p: delta0 - q p_phys / (2 M).
+    """Static detuning seen at scaled momentum p: delta0 - p omega_rec.
 
     p may be a scalar or an array of momentum nodes.
     """
-    return params.delta0 - params.q * p * params.p_unit / (2.0 * params.mass)
+    return params.delta0 - p * params.omega_rec
 
 
 # --- phase integrals --------------------------------------------------------
@@ -188,6 +185,8 @@ BRANCH_VARIANTS = [
 ]
 SELECTED_VARIANT = (+1, 1j * ROOT_1_34, +1)
 SELECTED_VARIANT_ID = BRANCH_VARIANTS.index(SELECTED_VARIANT)
+# Largest quadrature residual the audit accepts for its winning variant.
+AUDIT_RESIDUAL_FLOOR = 1e-6
 
 
 def closed_form_variant(
@@ -247,28 +246,22 @@ def phase_integral_closed(p, t: float, params: PhysicalParams) -> PhaseIntegrals
     return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
 
 
-def audit_branch_variants(
-    params_template: PhysicalParams | None = None,
-    residual_floor: float = 1e-6,
-) -> dict:
+def audit_branch_variants() -> dict:
     """Rank every closed-form sign/branch variant against the quadrature.
 
     Evaluates the eight variants on a fixed lattice of (detuning, qg, t)
     triples with moderate erf arguments, where the literal expressions are
     well conditioned.  Returns the winner and all residuals; raises
-    BranchAuditError if even the best variant misses ``residual_floor``.
+    BranchAuditError if even the best variant misses AUDIT_RESIDUAL_FLOOR.
     """
     from .core import paper_defaults
 
-    base = params_template or paper_defaults()
-    lattice = []
-    for d0 in (2e5, 8e5, 3e6):
-        for qg in (5e9, 5e10, 5e11):
-            for lt in (0.3, 1.7, 6.0, 19.0):
-                lattice.append((d0, qg, lt / base.lam))
+    lattice = [(d0, qg, lt) for d0 in (2e5, 8e5, 3e6) for qg in (5e9, 5e10, 5e11)
+               for lt in (0.3, 1.7, 6.0, 19.0)]
     residuals = np.zeros(len(BRANCH_VARIANTS))
-    for d0, qg, t in lattice:
+    for d0, qg, lt in lattice:
         pars = paper_defaults(qg=qg, delta0=d0)
+        t = lt / pars.lam
         ref = phase_integral_quadrature(0.0, t, pars).e_plus
         scale = max(abs(ref), 1e-300)
         for i, var in enumerate(BRANCH_VARIANTS):
@@ -276,10 +269,10 @@ def audit_branch_variants(
             residuals[i] = max(residuals[i], err)
     order = np.argsort(residuals)
     best = int(order[0])
-    if residuals[best] > residual_floor:
+    if residuals[best] > AUDIT_RESIDUAL_FLOOR:
         raise BranchAuditError(
             f"best variant residual {residuals[best]:.3e} exceeds "
-            f"{residual_floor:.1e}; falling back to quadrature is required"
+            f"{AUDIT_RESIDUAL_FLOOR:.1e}; falling back to quadrature is required"
         )
     return {
         "winner": best,
@@ -311,30 +304,7 @@ def branch_coeffs(
     eta = np.asarray(-1j * lam_scale**2 * E.e_plus * E.e_minus**2)
     b = -(n + 1) * eta
     a = 1.0 - b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.where(eta != 0, 1.0 + 1.0 / eta, complex(math.inf))
-    return BranchCoeffs(a_n=a[()], b_n=b[()], eta=eta[()], xi=xi[()])
-
-
-def approx_sqrt_coeffs(
-    n: int,
-    E: PhaseIntegrals,
-    alpha: complex,
-    params: PhysicalParams,
-    lam_scale: float | None = None,
-) -> tuple[complex, complex]:
-    """Large-|alpha| expansion of (sqrt(a_n), sqrt(b_n)) about the Poisson mean."""
-    nbar = abs(alpha) ** 2
-    if nbar < 10.0:
-        warnings.warn(
-            f"approximate coefficients assume |alpha|^2 >> 1 (got {nbar:.2f})",
-            stacklevel=2,
-        )
-    bc = branch_coeffs(0, E, params, lam_scale)
-    eta, xi = bc.eta, bc.xi
-    sqrt_a = cmath.sqrt(eta * nbar) * (1.0 + (n + xi - nbar) / (2.0 * nbar))
-    sqrt_b = cmath.sqrt(-eta * nbar) * (1.0 + (n + 1.0 - nbar) / (2.0 * nbar))
-    return sqrt_a, sqrt_b
+    return BranchCoeffs(a_n=a[()], b_n=b[()], eta=eta[()])
 
 
 def _principal_sqrt_logged(a: np.ndarray) -> np.ndarray:
@@ -351,7 +321,6 @@ def branch_states_analytic(
     field: CoherentField,
     grid: MomentumGrid,
     literal: bool = False,
-    method: str = "auto",
 ) -> BranchState:
     """Assemble the closed-form branch amplitudes at time t.
 
@@ -359,30 +328,19 @@ def branch_states_analytic(
     D_n = w_{n-1} sqrt(b_n) exp(i/2 lam_scale E+ sqrt(n)), per momentum node.
     ``literal=True`` drops the dimensional-restoration factors and reads the
     time axis in units of 1/lam with the printed parameter values.  The
-    closed and elementary routes cover all nodes in one array evaluation;
-    the quadrature oracle integrates node by node.
+    phase integrals take the closed form when qg > 0 and the elementary
+    antiderivative when qg = 0, over all nodes in one array evaluation.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if method not in ("auto", "closed", "quadrature", "elementary"):
-        raise ValueError(f"unknown phase-integral method {method!r}")
     lam_scale = 1.0 if literal else params.lam
     tau = params.lam * t if literal else t
-    used = method
-    if used == "auto":
-        used = "closed" if params.qg > 0 else "elementary"
     nodes = grid.nodes[:, None]  # (K, 1) broadcasts against the Fock axis
-    if used == "closed":
+    if params.qg > 0:
+        used = "closed"
         E = phase_integral_closed(nodes, tau, params)
-    elif used == "quadrature":
-        per_node = [phase_integral_quadrature(p, tau, params) for p in grid.nodes]
-        E = PhaseIntegrals(
-            e_plus=np.array([e.e_plus for e in per_node])[:, None],
-            e_minus=np.array([e.e_minus for e in per_node])[:, None],
-        )
     else:
-        if params.qg != 0:
-            raise ValueError("elementary phase integral requires qg = 0")
+        used = "elementary"
         E = phase_integral_elementary(nodes, tau, params)
     nmax = field.nmax
     n_arr = np.arange(nmax + 2)

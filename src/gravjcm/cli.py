@@ -53,8 +53,11 @@ def _version() -> str:
         return "unknown"
 
 
+FMT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+    return FMT % v
 
 
 def _progress(msg: str) -> None:
@@ -76,24 +79,20 @@ def _states_for(sc: Scenario, backend: str, qg: float):
 
 
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("lambda_t,value\n")
-        for t, v in zip(lam_t, values):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+    np.savetxt(path, np.column_stack([lam_t, values]), fmt=FMT, delimiter=",",
+               header="lambda_t,value", comments="", encoding="utf-8")
 
 
 def _write_qgrid(base: Path, qg) -> None:
-    with base.with_suffix(".csv").open("w", encoding="utf-8") as fh:
-        fh.write("x,y,q\n")
-        for iy, y in enumerate(qg.y):
-            for ix, x in enumerate(qg.x):
-                fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(qg.values[iy, ix])}\n")
-    with base.with_suffix(".matrix.txt").open("w", encoding="utf-8") as fh:
-        fh.write("# rows: y ascending; columns: x ascending\n")
-        fh.write("# x " + " ".join(_fmt(v) for v in qg.x) + "\n")
-        fh.write("# y " + " ".join(_fmt(v) for v in qg.y) + "\n")
-        for row in qg.values:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    bx, by = np.meshgrid(qg.x, qg.y)  # rows y, columns x: y-major long form
+    np.savetxt(base.with_suffix(".csv"),
+               np.column_stack([bx.ravel(), by.ravel(), qg.values.ravel()]),
+               fmt=FMT, delimiter=",", header="x,y,q", comments="", encoding="utf-8")
+    header = ("rows: y ascending; columns: x ascending\n"
+              "x " + " ".join(_fmt(v) for v in qg.x) + "\n"
+              "y " + " ".join(_fmt(v) for v in qg.y))
+    np.savetxt(base.with_suffix(".matrix.txt"), qg.values, fmt=FMT, header=header,
+               encoding="utf-8")
 
 
 def _write_kv(path: Path, pairs: list) -> None:
@@ -129,7 +128,7 @@ def _write_outputs(sc: Scenario, backend: str, qg: float, out: Path, prefix: str
             written.append(base.with_suffix(".matrix.txt"))
         if "cat_report" in sc.outputs:
             rep = q_peak_analysis(qg_data)
-            fid = cat_fidelity(st, st.t, sc.params_for(qg))
+            fid = cat_fidelity(st, sc.params_for(qg))
             path = out / f"{prefix}_cat_report.txt"
             _write_kv(path, [
                 ("peaks", rep.count),
@@ -171,7 +170,7 @@ def _cmd_run(args) -> int:
         ("defaults_filled", ", ".join(sc.provenance) or "none"),
     ]
     try:
-        audit = audit_branch_variants(residual_floor=1e-6)
+        audit = audit_branch_variants()
         meta += [
             ("branch_audit.winner", audit["winner"]),
             ("branch_audit.residual", _fmt(audit["winner_residual"])),
@@ -253,7 +252,7 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_audit(args) -> int:
     try:
-        audit = audit_branch_variants(residual_floor=1e-6)
+        audit = audit_branch_variants()
     except BranchAuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -6,8 +6,10 @@ branch-amplitude container.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
-``p`` is dimensionless.  A physical momentum is recovered as ``p * p_unit``
-with ``p_unit`` defaulting to one photon recoil (hbar*q).
+``p`` is dimensionless, in units of one photon recoil hbar*q.  The
+wavenumber q and the atomic mass enter the model only through the recoil
+frequency omega_rec = hbar*q^2/(2*mass) and the gravity knob q.g, so both
+are given directly.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-HBAR = 1.054571817e-34  # J s
 
 TRUNCATION_EPS = 1e-12
 
@@ -30,30 +30,24 @@ class TruncationError(ValueError):
 class PhysicalParams:
     """Experiment constants for one run.
 
-    q          running-wave wavenumber, 1/m
-    mass       atomic mass, kg
     qg         gravity knob q.g, rad/s^2
     lam        atom-field coupling, rad/s
     omega_rec  recoil frequency hbar*q^2/(2*mass), rad/s
     delta0     static detuning, rad/s
     sigma0     momentum wavepacket width (dimensionless scaled momentum)
     alpha      coherent amplitude of the initial field
-    p_unit     momentum scale converting the dimensionless p label to kg m/s
     """
 
-    q: float
-    mass: float
     qg: float
     lam: float
     omega_rec: float
     delta0: float
     sigma0: float
     alpha: complex
-    p_unit: float = 0.0
 
     def __post_init__(self):
-        if self.q <= 0 or self.omega_rec <= 0:
-            raise ValueError("wavenumber q and recoil frequency omega_rec must be positive")
+        if self.omega_rec <= 0:
+            raise ValueError("recoil frequency omega_rec must be positive")
         if self.lam <= 0:
             raise ValueError("coupling lam must be positive")
         if self.sigma0 <= 0:
@@ -62,27 +56,16 @@ class PhysicalParams:
             raise ValueError("qg must be nonnegative")
         if not np.isfinite(abs(self.alpha) ** 2):
             raise ValueError("|alpha|^2 must be finite")
-        if self.mass > 0:
-            derived = HBAR * self.q**2 / (2.0 * self.mass)
-            if abs(derived - self.omega_rec) > 1e-12 * abs(self.omega_rec):
-                raise ValueError(
-                    "omega_rec inconsistent with hbar*q^2/(2*mass): "
-                    f"{self.omega_rec} vs {derived}"
-                )
-        if self.p_unit == 0.0:
-            object.__setattr__(self, "p_unit", HBAR * self.q)
 
 
 def paper_defaults(qg: float = 0.0, **overrides) -> PhysicalParams:
     """Canonical parameter set of the reference experiment.
 
-    q = 1e7 1/m, omega_rec = 0.5e6 rad/s, lam = 1e6 rad/s, sigma0 = 1,
-    delta0 = 8.5e7 rad/s, alpha = 5 (mean photon number 25).  The atomic mass
-    is derived from (q, omega_rec) so the recoil-consistency invariant holds
-    exactly; it lands at 1.05e-26 kg, the quoted 1e-26 kg rounded.
+    omega_rec = 0.5e6 rad/s, lam = 1e6 rad/s, sigma0 = 1, delta0 = 8.5e7 rad/s,
+    alpha = 5 (mean photon number 25).  The quoted q = 1e7 1/m and mass
+    1e-26 kg act only through omega_rec.
     """
     kw = dict(
-        q=1e7,
         omega_rec=0.5e6,
         qg=qg,
         lam=1e6,
@@ -91,8 +74,6 @@ def paper_defaults(qg: float = 0.0, **overrides) -> PhysicalParams:
         alpha=5.0 + 0.0j,
     )
     kw.update(overrides)
-    if "mass" not in kw:
-        kw["mass"] = HBAR * kw["q"] ** 2 / (2.0 * kw["omega_rec"])
     return PhysicalParams(**kw)
 
 
@@ -131,8 +112,8 @@ def coherent_amplitudes(alpha: complex, nmax: int) -> CoherentField:
     return CoherentField(nmax=nmax, w=w)
 
 
-def adaptive_nmax(alpha: complex, eps: float = TRUNCATION_EPS) -> int:
-    """Smallest cutoff with Poisson tail mass below eps, floored at 4|alpha|^2.
+def adaptive_nmax(alpha: complex) -> int:
+    """Smallest cutoff with Poisson tail below TRUNCATION_EPS, floored at 4|alpha|^2.
 
     The excitation number is conserved block by block, so no population can
     leak above the initially occupied subspace; the floor keeps a generous
@@ -145,7 +126,7 @@ def adaptive_nmax(alpha: complex, eps: float = TRUNCATION_EPS) -> int:
     logp = -nbar
     cum = math.exp(logp)
     n = 0
-    while 1.0 - cum >= eps and n < 100000:
+    while 1.0 - cum >= TRUNCATION_EPS and n < 100000:
         n += 1
         logp += math.log(nbar) - math.log(n)
         cum += math.exp(logp)

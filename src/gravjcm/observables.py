@@ -7,7 +7,6 @@ bimodality (cat) detection, and fidelity against the analytic cat ansatz.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +17,8 @@ from .core import BranchState, PhysicalParams, coherent_amplitudes
 
 NORM_SLACK = 1e-3
 DISC_SLACK = 1e-9
+# Local maxima of Q below this fraction of the global maximum are not peaks.
+PEAK_REL_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -213,15 +214,15 @@ def _refine_peak(q: QGrid, iy: int, ix: int) -> tuple[complex, float, float]:
     return loc, height, width
 
 
-def q_peak_analysis(q: QGrid, rel_threshold: float = 0.05) -> QPeakReport:
-    """Census of interior local maxima above rel_threshold * max(Q).
+def q_peak_analysis(q: QGrid) -> QPeakReport:
+    """Census of interior local maxima above PEAK_REL_THRESHOLD * max(Q).
 
     A grid point is a peak when it strictly exceeds all eight neighbours.
     Bimodality additionally needs a height ratio >= 0.5 and a separation of
     at least twice the mean refined width.
     """
     v = q.values
-    cut = rel_threshold * float(v.max())
+    cut = PEAK_REL_THRESHOLD * float(v.max())
     inner = v[1:-1, 1:-1]
     mask = inner > cut
     for sy in (-1, 0, 1):
@@ -261,27 +262,15 @@ def q_peak_analysis(q: QGrid, rel_threshold: float = 0.05) -> QPeakReport:
     )
 
 
-def cat_fidelity(
-    state: BranchState,
-    t: float,
-    params: PhysicalParams,
-    field_ansatz: str = "linear_n",
-) -> float:
+def cat_fidelity(state: BranchState, params: PhysicalParams) -> float:
     """Overlap with the separable cat-time ansatz (|e> + i|g>)/sqrt(2) x |psi_f>.
 
-    ``field_ansatz`` selects |psi_f>: "linear_n" weights the initial coherent
-    amplitudes by the photon number, n w_n (normalized); "coherent" keeps the
-    bare coherent tail w_n.  Fidelity is the momentum-weighted squared
+    |psi_f> weights the initial coherent amplitudes by the photon number,
+    n w_n, normalized.  Fidelity is the momentum-weighted squared
     projection, 1 exactly when the state equals the ansatz.
     """
     nfock = state.nfock
-    w = coherent_amplitudes(params.alpha, nfock - 1).w
-    if field_ansatz == "linear_n":
-        psi = np.arange(nfock) * w
-    elif field_ansatz == "coherent":
-        psi = w.copy()
-    else:
-        raise ValueError(f"unknown field ansatz {field_ansatz!r}")
+    psi = np.arange(nfock) * coherent_amplitudes(params.alpha, nfock - 1).w
     nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     if nrm == 0.0:
         raise ValueError("field ansatz has zero norm")

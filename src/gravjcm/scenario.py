@@ -153,7 +153,6 @@ class Scenario:
 
 _DEFAULTS = {
     "name": "custom",
-    "q": "1e7",
     "omega_rec": "0.5e6",
     "lam": "1e6",
     "delta0": "8.5e7",
@@ -210,7 +209,7 @@ def _build(kv: dict, filled_defaults: list) -> Scenario:
         alpha = complex(kv["alpha"].replace("i", "j"))
     except ValueError as exc:
         raise ScenarioError(f"key 'alpha': not a number ({kv['alpha']!r})") from exc
-    rates = {k: _number(kv, k) for k in ("q", "omega_rec", "lam", "delta0", "sigma0")}
+    rates = {k: _number(kv, k) for k in ("omega_rec", "lam", "delta0", "sigma0")}
     try:
         params = paper_defaults(qg=qg_list[0] if qg_list else 0.0, alpha=alpha, **rates)
     except (ValueError, ArithmeticError) as exc:
@@ -276,7 +275,6 @@ def serialize_scenario(sc: Scenario) -> str:
     alpha_txt = repr(alpha.real) if alpha.imag == 0 else repr(alpha).strip("()")
     lines = [
         f"name = {sc.name}",
-        f"q = {sc.params.q!r}",
         f"omega_rec = {sc.params.omega_rec!r}",
         f"lam = {sc.params.lam!r}",
         f"delta0 = {sc.params.delta0!r}",

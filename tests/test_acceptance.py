@@ -10,10 +10,11 @@ Omega_R = sqrt(lam^2 (nbar + 1) + delta0^2 / 4), so lam*t_R >= 2 pi sqrt(nbar)
 delta0 = 85 lam; criteria 1 and 2 pin exactly this law.  At the published
 parameters the inversion therefore collapses without reviving inside
 lam*t <= 25, and the field never splits into a cat.  Criterion 5 sweeps the
-resonant case delta0 = 0 over lam*t in [0, 40]; criterion 7 looks at the
-resonant half revival lam*t = pi sqrt(nbar) = 5 pi.  Both keep alpha = 5,
-sigma0 = 1, 32 momentum nodes and nmax = 100.  The measured numbers live in
-each test's pass/fail line.
+resonant case delta0 = 0 over lam*t in [0, 40], and criterion 6 compares
+that sweep's revival contrast with a strongly chirped one; criterion 7 looks
+at the resonant half revival lam*t = pi sqrt(nbar) = 5 pi.  All three keep
+alpha = 5, sigma0 = 1, 32 momentum nodes and nmax = 100.  The measured
+numbers live in each test's pass/fail line.
 """
 
 import math
@@ -51,6 +52,11 @@ SAMPLES_PER_LAMT = 80  # fig1's density: 2000 samples over lam*t in [0, 25]
 # published qg = 1.5e7 chirps the phase by only ~1.9e-3 rad by then and leaves
 # the cat untouched.
 CAT_BREAKING_QG = 3e13
+# From the same scan: at qg = 1e11 the resonant revival contrast over
+# lam*t in [0, 40] is well below the qg = 0 value, while at the published
+# 1.5e7 it matches qg = 0 to 7 digits.
+REVIVAL_BREAKING_QG = 1e11
+RESONANT_LAMT = np.linspace(0.0, 40.0, 40 * SAMPLES_PER_LAMT + 1)
 
 
 def report(num, desc, ok, detail=""):
@@ -81,6 +87,20 @@ def fig1_32():
 @pytest.fixture(scope="module")
 def fig1_64():
     return {qg: sweep_observables(qg, 2 * N_NODES) for qg in QG_VALUES}
+
+
+def resonant_inversion(qg):
+    """Inversion over RESONANT_LAMT at delta0 = 0."""
+    params = paper_defaults(qg=qg, delta0=0.0)
+    field = coherent_amplitudes(params.alpha, NMAX)
+    grid = build_momentum_grid(params.sigma0, N_NODES)
+    states = branch_states_ode_sweep(RESONANT_LAMT / params.lam, params, field, grid)
+    return np.array([inversion(overlaps(st)) for st in states])
+
+
+@pytest.fixture(scope="module")
+def resonant_qg0():
+    return resonant_inversion(0.0)
 
 
 def snapshot(lam_t, params, qgrid_n):
@@ -220,16 +240,10 @@ def test_criterion_4_entropy_machinery(fig1_32):
            f"sum err {worst_sum:.1e}, eig err {worst_eig:.1e}")
 
 
-def test_criterion_5_collapse_and_revival_structure():
-    params = paper_defaults(qg=0.0, delta0=0.0)
-    field = coherent_amplitudes(params.alpha, NMAX)
-    grid = build_momentum_grid(params.sigma0, N_NODES)
-    lam_t = np.linspace(0.0, 40.0, 40 * SAMPLES_PER_LAMT + 1)
-    states = branch_states_ode_sweep(lam_t / params.lam, params, field, grid)
-    w = np.array([inversion(overlaps(st)) for st in states])
-    env = moving_envelope(lam_t, w)
+def test_criterion_5_collapse_and_revival_structure(resonant_qg0):
+    env = moving_envelope(RESONANT_LAMT, resonant_qg0)
     env0 = env[0]
-    revival_lamt = 2.0 * math.pi * abs(params.alpha)
+    revival_lamt = 2.0 * math.pi * abs(paper_defaults().alpha)
     collapsed = np.nonzero(env < 0.25 * env0)[0]
     ok = False
     detail = f"env0 {env0:.3e}, min env {env.min():.3e}"
@@ -254,14 +268,23 @@ def test_criterion_5_collapse_and_revival_structure():
            ok, detail)
 
 
-def test_criterion_6_gravity_reduces_revival_contrast(fig1_32):
+def test_criterion_6_gravity_reduces_revival_contrast(fig1_32, resonant_qg0):
     contrasts = {}
     for qg in (0.0, 1.5e7):
         lam_t, _, w, _ = fig1_32[qg]
         contrasts[qg], _ = revival_contrast(lam_t, w)
-    report(6, "revival contrast at qg=1.5e7 strictly below qg=0",
-           contrasts[1.5e7] < contrasts[0.0],
-           f"qg=0: {contrasts[0.0]:.6e}, qg=1.5e7: {contrasts[1.5e7]:.6e}")
+    resonant = {
+        0.0: revival_contrast(RESONANT_LAMT, resonant_qg0)[0],
+        REVIVAL_BREAKING_QG: revival_contrast(
+            RESONANT_LAMT, resonant_inversion(REVIVAL_BREAKING_QG))[0],
+    }
+    report(6, "revival contrast at qg=1.5e7 strictly below qg=0; on resonance "
+              f"at qg={REVIVAL_BREAKING_QG:g} strictly below qg=0",
+           contrasts[1.5e7] < contrasts[0.0]
+           and resonant[REVIVAL_BREAKING_QG] < resonant[0.0],
+           f"qg=0: {contrasts[0.0]:.6e}, qg=1.5e7: {contrasts[1.5e7]:.6e}; "
+           f"resonant qg=0: {resonant[0.0]:.3f}, "
+           f"qg={REVIVAL_BREAKING_QG:g}: {resonant[REVIVAL_BREAKING_QG]:.3f}")
 
 
 def test_criterion_7_cat_bimodality():

