@@ -58,7 +58,7 @@ class PhaseIntegrals:
 class BranchCoeffs:
     """Excited/ground weights of one excitation block.
 
-    ``eta`` carries the dimensional-restoration factor lam_scale^2 so that
+    ``eta`` carries the dimensional-restoration factor lam^2 so that
     a_n = 1 + (n+1) eta and b_n = -(n+1) eta stay dimensionless.  Each
     member is an array when ``branch_coeffs`` is given arrays.
     """
@@ -106,7 +106,7 @@ def detuning0_of_p(p, params: PhysicalParams):
 # --- phase integrals --------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANEL_BUDGET = 1 << 22
+_PANEL_BUDGET = 1 << 16
 
 
 def _chirp_quadrature(d0: float, qg: float, t: float, abs_tol: float) -> tuple[complex, float]:
@@ -166,11 +166,12 @@ def phase_integral_quadrature(
 def phase_integral_elementary(p, t: float, params: PhysicalParams) -> PhaseIntegrals:
     """Chirp-free (qg = 0) antiderivative: (exp(i d0 t) - 1) / (i d0).
 
-    Broadcasts over an array of nodes p; nodes with d0 = 0 take the limit t.
+    Broadcasts over nodes p; a zero or subnormal d0 takes the limit t.
     """
     d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
-    safe = np.where(d0 == 0.0, 1.0, d0)
-    ep = np.where(d0 == 0.0, complex(t), (np.exp(1j * safe * t) - 1.0) / (1j * safe))[()]
+    zero = np.abs(d0) < np.finfo(float).tiny
+    safe = np.where(zero, 1.0, d0)
+    ep = np.where(zero, complex(t), (np.exp(1j * safe * t) - 1.0) / (1j * safe))[()]
     return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
 
 
@@ -287,21 +288,17 @@ def audit_branch_variants() -> dict:
 # --- branch coefficients and states ----------------------------------------
 
 
-def branch_coeffs(
-    n, E: PhaseIntegrals, params: PhysicalParams, lam_scale: float | None = None
-) -> BranchCoeffs:
+def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> BranchCoeffs:
     """Block weights a_n (excited) and b_n (ground); a_n + b_n = 1 exactly.
 
-    lam_scale^2 multiplies E+ E-^2 so the published expression becomes
-    dimensionless; pass lam_scale=1 for the literal-text reading.  n and the
-    members of E may be arrays and broadcast against each other.
+    lam^2 multiplies E+ E-^2 so the published expression becomes
+    dimensionless.  n and the members of E may be arrays and broadcast
+    against each other.
     """
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    if lam_scale is None:
-        lam_scale = params.lam
-    eta = np.asarray(-1j * lam_scale**2 * E.e_plus * E.e_minus**2)
+    eta = np.asarray(-1j * params.lam**2 * E.e_plus * E.e_minus**2)
     b = -(n + 1) * eta
     a = 1.0 - b
     return BranchCoeffs(a_n=a[()], b_n=b[()], eta=eta[()])
@@ -320,41 +317,39 @@ def branch_states_analytic(
     params: PhysicalParams,
     field: CoherentField,
     grid: MomentumGrid,
-    literal: bool = False,
 ) -> BranchState:
     """Assemble the closed-form branch amplitudes at time t.
 
-    C_n = w_n sqrt(a_n) exp(i/2 lam_scale E+ sqrt(n+1)) and
-    D_n = w_{n-1} sqrt(b_n) exp(i/2 lam_scale E+ sqrt(n)), per momentum node.
-    ``literal=True`` drops the dimensional-restoration factors and reads the
-    time axis in units of 1/lam with the printed parameter values.  The
+    C_n = w_n sqrt(a_n) exp(i/2 lam E+ sqrt(n+1)) and
+    D_n = w_{n-1} sqrt(b_n) exp(i/2 lam E+ sqrt(n)), per momentum node.  The
     phase integrals take the closed form when qg > 0 and the elementary
     antiderivative when qg = 0, over all nodes in one array evaluation.
+
+    The closed form is first order in eta, so its norm is not conserved: up
+    to rounding it stays at or below 1 at the published detuning, and it grows
+    without bound on resonance.  ``run`` rejects norms above 1 + NORM_SLACK.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    lam_scale = 1.0 if literal else params.lam
-    tau = params.lam * t if literal else t
     nodes = grid.nodes[:, None]  # (K, 1) broadcasts against the Fock axis
     if params.qg > 0:
         used = "closed"
-        E = phase_integral_closed(nodes, tau, params)
+        E = phase_integral_closed(nodes, t, params)
     else:
         used = "elementary"
-        E = phase_integral_elementary(nodes, tau, params)
+        E = phase_integral_elementary(nodes, t, params)
     nmax = field.nmax
     n_arr = np.arange(nmax + 2)
-    bc = branch_coeffs(n_arr, E, params, lam_scale)  # (K, nmax+2), n = 0 .. nmax+1
+    bc = branch_coeffs(n_arr, E, params)  # (K, nmax+2), n = 0 .. nmax+1
     c = np.zeros(bc.a_n.shape, dtype=np.complex128)
     d = np.zeros_like(c)
-    phase = np.exp(0.5j * lam_scale * E.e_plus * np.sqrt(n_arr + 1.0))
+    phase = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr + 1.0))
     c[:, : nmax + 1] = (field.w * _principal_sqrt_logged(bc.a_n[:, : nmax + 1])
                         * phase[:, : nmax + 1])
-    phase_d = np.exp(0.5j * lam_scale * E.e_plus * np.sqrt(n_arr[1:]))
+    phase_d = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr[1:]))
     d[:, 1:] = field.w * _principal_sqrt_logged(bc.b_n[:, 1:]) * phase_d
     meta = {
         "backend": "analytic",
-        "literal": literal,
         "phase_integral_method": used,
         "branch_variant": SELECTED_VARIANT_ID,
     }

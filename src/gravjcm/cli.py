@@ -27,6 +27,7 @@ from .analytic import (
 )
 from .core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from .observables import (
+    NORM_SLACK,
     OverlapTriple,
     QGridSpec,
     cat_fidelity,
@@ -72,10 +73,7 @@ def _states_for(sc: Scenario, backend: str, qg: float):
     times = sc.times_seconds()
     if backend == "ode":
         return branch_states_ode_sweep(times, params, fld, grid, tol=sc.ode_tol)
-    return [
-        branch_states_analytic(t, params, fld, grid, literal=sc.literal_paper_mode)
-        for t in times
-    ]
+    return [branch_states_analytic(t, params, fld, grid) for t in times]
 
 
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:
@@ -101,21 +99,26 @@ def _write_kv(path: Path, pairs: list) -> None:
             fh.write(f"{k} = {v}\n")
 
 
-def _write_outputs(sc: Scenario, backend: str, qg: float, out: Path, prefix: str) -> list:
-    """Write one (backend, qg) sweep's files; its states die on return."""
-    states = _states_for(sc, backend, qg)
+def _write_outputs(sc: Scenario, qg: float, out: Path, prefix: str) -> list:
+    """Write one qg sweep's files; its states die on return.
+
+    Raises ValueError, before any write, if a state's norm exceeds 1 + NORM_SLACK.
+    """
+    states = _states_for(sc, sc.backend, qg)
     lam_t = sc.times_scaled()
+    ovs = [overlaps(st) for st in states]
+    worst = max(o.cc + o.dd for o in ovs)
+    if worst > 1.0 + NORM_SLACK:
+        raise ValueError(f"branch norm {worst:.6g} exceeds 1 + {NORM_SLACK:g} at qg = {qg:g}")
     written = []
-    if {"inversion", "entropy"} & set(sc.outputs):
-        ovs = [overlaps(st) for st in states]
-        if "inversion" in sc.outputs:
-            path = out / f"{prefix}_inversion.csv"
-            _write_scalar_csv(path, lam_t, np.array([inversion(o) for o in ovs]))
-            written.append(path)
-        if "entropy" in sc.outputs:
-            path = out / f"{prefix}_entropy.csv"
-            _write_scalar_csv(path, lam_t, np.array([entropy(o).s_f for o in ovs]))
-            written.append(path)
+    if "inversion" in sc.outputs:
+        path = out / f"{prefix}_inversion.csv"
+        _write_scalar_csv(path, lam_t, np.array([inversion(o) for o in ovs]))
+        written.append(path)
+    if "entropy" in sc.outputs:
+        path = out / f"{prefix}_entropy.csv"
+        _write_scalar_csv(path, lam_t, np.array([entropy(o).s_f for o in ovs]))
+        written.append(path)
     if set(SNAPSHOT_OUTPUTS) & set(sc.outputs):
         st = states[-1]
         e = sc.qgrid_extent
@@ -162,7 +165,6 @@ def _cmd_run(args) -> int:
         print(f"i/o error: output directory {out} does not exist", file=sys.stderr)
         return EXIT_IO
 
-    backends = ("ode", "analytic") if sc.backend == "both" else (sc.backend,)
     meta = [("scenario." + k, v) for k, v in
             (line.split(" = ", 1) for line in serialize_scenario(sc).splitlines())]
     meta += [
@@ -180,12 +182,9 @@ def _cmd_run(args) -> int:
 
     written = []
     try:
-        for backend in backends:
-            for qg_val in sc.qg_list:
-                _progress(f"running {sc.name}: backend={backend} qg={qg_val:g}")
-                tag = qg_token(qg_val)
-                prefix = f"{sc.name}_{backend}_{tag}" if len(backends) > 1 else f"{sc.name}_{tag}"
-                written += _write_outputs(sc, backend, qg_val, out, prefix)
+        for qg_val in sc.qg_list:
+            _progress(f"running {sc.name}: backend={sc.backend} qg={qg_val:g}")
+            written += _write_outputs(sc, qg_val, out, f"{sc.name}_{qg_token(qg_val)}")
     except (IntegrationError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -70,6 +70,7 @@ def _magnus_step(h: float, t_mid: float, d0: np.ndarray, omega: np.ndarray,
     vy = -(h**3 / 12.0) * qg * omega
     vz = (0.5 * h * (d0 - qg * t_mid))[:, None]
     r = np.sqrt(vx * vx + vy * vy + vz * vz)
+    np.maximum(r, np.finfo(float).tiny, out=r)  # an underflowed r gets s = 1, its limit
     s = np.sin(r) / r
     u = np.empty(r.shape, dtype=np.complex128)
     u.real = np.cos(r)

@@ -28,12 +28,12 @@ from .core import PhysicalParams, coherent_amplitudes, paper_defaults
 from .observables import check_q_window
 from .ode import check_tol
 
-VALID_BACKENDS = ("ode", "analytic", "both")
+VALID_BACKENDS = ("ode", "analytic")
 VALID_OUTPUTS = ("inversion", "entropy", "qgrid", "cat_report")
 # outputs taken from one state, so they need a single-instant time spec
 SNAPSHOT_OUTPUTS = ("qgrid", "cat_report")
 
-HALF_REVIVAL_LAMT = 7.0 * math.pi / 2.0
+FIG3_LAMT = 7.0 * math.pi / 2.0
 
 
 class ScenarioError(ValueError):
@@ -88,7 +88,6 @@ class Scenario:
     n_nodes: int
     nmax: int           # 0 means: choose adaptively from alpha
     ode_tol: float
-    literal_paper_mode: bool
     provenance: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -100,10 +99,6 @@ class Scenario:
         if self.backend not in VALID_BACKENDS:
             raise ScenarioError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
-            )
-        if self.literal_paper_mode and self.backend != "analytic":
-            raise ScenarioError(
-                f"literal_paper_mode = true needs backend = analytic, got {self.backend!r}"
             )
         if not self.qg_list:
             raise ScenarioError("qg_list must be non-empty")
@@ -169,7 +164,6 @@ _DEFAULTS = {
     "n_nodes": "32",
     "nmax": "0",
     "ode_tol": "1e-10",
-    "literal_paper_mode": "false",
 }
 
 
@@ -188,15 +182,6 @@ def _count(kv: dict, key: str) -> int:
     if not val.is_integer():
         raise ScenarioError(f"key {key!r}: not an integer ({kv[key]!r})")
     return int(val)
-
-
-def _flag(kv: dict, key: str) -> bool:
-    low = kv[key].lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"key {key!r}: expects a boolean, got {kv[key]!r}")
 
 
 def _build(kv: dict, filled_defaults: list) -> Scenario:
@@ -232,7 +217,6 @@ def _build(kv: dict, filled_defaults: list) -> Scenario:
         n_nodes=_count(kv, "n_nodes"),
         nmax=_count(kv, "nmax"),
         ode_tol=_number(kv, "ode_tol"),
-        literal_paper_mode=_flag(kv, "literal_paper_mode"),
         provenance=tuple(sorted(filled_defaults)),
     )
 
@@ -291,7 +275,6 @@ def serialize_scenario(sc: Scenario) -> str:
         f"n_nodes = {sc.n_nodes}",
         f"nmax = {sc.nmax}",
         f"ode_tol = {sc.ode_tol!r}",
-        f"literal_paper_mode = {str(sc.literal_paper_mode).lower()}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -302,7 +285,7 @@ BUILTINS = {
     "fig2": "name = fig2\noutputs = entropy\n",
     "fig3": (
         "name = fig3\noutputs = qgrid, cat_report\n"
-        f"t_start = {HALF_REVIVAL_LAMT!r}\nt_end = {HALF_REVIVAL_LAMT!r}\n"
+        f"t_start = {FIG3_LAMT!r}\nt_end = {FIG3_LAMT!r}\n"
         "n_samples = 1\n"
     ),
 }
@@ -314,10 +297,7 @@ def builtin_scenario(name: str) -> Scenario:
     fig1: inversion sweep, lam*t in [0, 25], 2000 samples, all three qg.
     fig2: same sweep, entropy output.
     fig3: single instant lam*t = 7 pi / 2, the figure's snapshot time, Q grid
-    and cat report, all three qg.  Despite the constant's name
-    HALF_REVIVAL_LAMT this is not the model's half revival
-    pi * Omega_R(nbar) / lam, which is 5 pi for alpha = 5 on resonance and
-    later with detuning.
+    and cat report, all three qg.
     """
     if name not in BUILTINS:
         raise ScenarioError(

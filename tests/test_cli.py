@@ -146,9 +146,10 @@ def test_run_colliding_qg_tags_exits_1(tmp_path, capsys, qgs):
     assert not any(out.iterdir())
 
 
-# Inputs that used to fail only after the audit and set-up (exit 2), run
-# silently with a setting ignored, or write outside --out; each is now a
-# scenario error found before any work or write.
+# Inputs that would fail only after the audit and set-up (exit 2), run
+# silently with a setting ignored, write outside --out, or set the removed
+# literal_paper_mode key or backend = both; each is a scenario error found
+# before any work or write.
 REJECTED_UP_FRONT = {
     "ode_tol_out_of_range": "t_end = 1\nn_samples = 5\node_tol = 1e-4\n",
     "q_window_misses_disk": "alpha = 5\nt_end = 0\nn_samples = 1\n"
@@ -156,6 +157,9 @@ REJECTED_UP_FRONT = {
     "nmax_truncates_field": "alpha = 5\nt_end = 1\nn_samples = 5\nnmax = 10\n",
     "literal_mode_on_ode": "t_end = 1\nn_samples = 5\n"
                            "literal_paper_mode = true\nbackend = ode\n",
+    "literal_mode_on_analytic": "t_end = 1\nn_samples = 5\n"
+                                "literal_paper_mode = true\nbackend = analytic\n",
+    "backend_both": "t_end = 1\nn_samples = 5\nbackend = both\n",
     "cat_report_on_sweep": "t_end = 1\nn_samples = 5\noutputs = cat_report\n",
     "name_escapes_out": "t_end = 1\nn_samples = 5\nname = ../escaped\n",
 }
@@ -171,6 +175,25 @@ def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
     assert "scenario error" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("delta0, code", [(0.0, 2), (8.5e7, 0)],
+                         ids=["resonant", "published_detuning"])
+def test_run_analytic_norm_rule(tmp_path, capsys, delta0, code):
+    # on resonance the closed form's norm passes 1 + NORM_SLACK by lam*t ~ 1;
+    # at the published detuning it stays below 1
+    text = SMALL_SWEEP.replace("delta0 = 0", f"delta0 = {delta0!r}").replace(
+        "outputs = inversion, entropy", "outputs = inversion")
+    scn = write_scenario(tmp_path, text + "backend = analytic\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == code
+    if code:
+        assert "branch norm" in capsys.readouterr().err
+        assert not any(out.iterdir())
+    else:
+        w = np.loadtxt(out / "custom_qg0_inversion.csv", delimiter=",", skiprows=1)[:, 1]
+        assert float(np.max(np.abs(w))) <= 1.0
 
 
 def test_crosscheck_tol_out_of_range_exits_1(tmp_path, capsys):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravjcm.core import (
     BranchState,
     MomentumGrid,
+    adaptive_nmax,
+    build_momentum_grid,
     coherent_amplitudes,
     paper_defaults,
 )
@@ -22,6 +26,7 @@ from gravjcm.observables import (
     q_function,
     q_peak_analysis,
 )
+from gravjcm.ode import branch_states_ode_sweep
 
 SINGLE_NODE = MomentumGrid(nodes=np.zeros(1), weights=np.ones(1))
 
@@ -114,6 +119,20 @@ def test_q_function_pure_coherent_peak():
     assert float(q.values.max()) == pytest.approx(1.0 / math.pi, rel=1e-3)
     dx = q.x[1] - q.x[0]
     assert float(q.values.sum()) * dx * dx == pytest.approx(1.0, abs=0.02)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.5, 2.0), n_nodes=st.integers(1, 4), qg=st.floats(0.0, 1e11),
+       delta0=st.floats(-1e8, 1e8), lam_t=st.floats(0.0, 25.0))
+def test_q_riemann_sum_matches_ode_norm(alpha, n_nodes, qg, delta0, lam_t):
+    p = paper_defaults(qg=qg, delta0=delta0, alpha=alpha)
+    field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
+    grid = build_momentum_grid(1.0, n_nodes)
+    state = branch_states_ode_sweep(np.array([lam_t / p.lam]), p, field, grid)[0]
+    e = alpha + 5.0
+    q = q_function(state, QGridSpec(-e, e, -e, e, 61, 61), p)
+    dx = q.x[1] - q.x[0]
+    assert float(q.values.sum()) * dx * dx == pytest.approx(state.norm(), rel=0.02)
 
 
 def test_q_function_window_must_cover_state():

@@ -11,12 +11,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravjcm.analytic import detuning0_of_p
 from gravjcm import ode
 from gravjcm.core import (
     CoherentField,
     MomentumGrid,
+    adaptive_nmax,
     build_momentum_grid,
     coherent_amplitudes,
     paper_defaults,
@@ -139,6 +142,10 @@ def test_zero_time_is_identity():
     st = state_at(0.0, p, FIELD, node_grid(0.5))
     assert np.array_equal(st.c[0, :101], FIELD.w)
     assert not np.any(st.d)
+    # a subnormal step must not turn sin(r) / r into nan
+    st = state_at(1e-314, p, FIELD, node_grid(0.5))
+    assert float(np.max(np.abs(st.c[0, :101] - FIELD.w))) < 1e-300
+    assert float(np.max(np.abs(st.d))) < 1e-300
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +171,20 @@ def test_sweep_initial_state_and_norm(sweep_setup):
         assert st.meta["tol"] == 1e-10
         assert st.meta["steps"] == 5 * st.meta["substeps"] >= 5
         assert 0.0 <= st.meta["error_estimate"] <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.1, 2.0), n_nodes=st.integers(1, 4), qg=st.floats(0.0, 1e11),
+       delta0=st.floats(-1e8, 1e8), lam_t=st.floats(0.1, 25.0))
+def test_sweep_block_norm_property(alpha, n_nodes, qg, delta0, lam_t):
+    # each 2x2 block is unitary: |C_n|^2 + |D_{n+1}|^2 stays |w_n|^2 per node
+    p = paper_defaults(qg=qg, delta0=delta0, alpha=alpha)
+    field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
+    grid = build_momentum_grid(1.0, n_nodes)
+    nb = field.nmax + 1
+    for state in branch_states_ode_sweep(np.linspace(0.0, lam_t / p.lam, 3), p, field, grid):
+        blocks = np.abs(state.c[:, :nb]) ** 2 + np.abs(state.d[:, 1 : nb + 1]) ** 2
+        assert float(np.max(np.abs(blocks - field.w**2))) <= 1e-12
 
 
 def test_sweep_consistent_with_single_shot(sweep_setup):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from gravjcm.core import adaptive_nmax, paper_defaults
 from gravjcm.scenario import (
-    HALF_REVIVAL_LAMT,
+    _DEFAULTS,
+    FIG3_LAMT,
     SNAPSHOT_OUTPUTS,
     VALID_BACKENDS,
     VALID_OUTPUTS,
@@ -73,8 +76,7 @@ def test_malformed_line_reports_location():
 
 
 def test_bad_number_rejected():
-    for text in ("delta0 = eight\n", "literal_paper_mode = maybe\n",
-                 "t_end = nan\n", "lam = inf\n", "delta0 = nan\n",
+    for text in ("delta0 = eight\n", "t_end = nan\n", "lam = inf\n", "delta0 = nan\n",
                  "sigma0 = inf\n", "ode_tol = nan\n", "nmax = inf\n",
                  "n_samples = 2.7\n", "qgrid.n = 201.5\n",
                  "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n",
@@ -145,7 +147,7 @@ def test_builtin_fig2():
 def test_builtin_fig3():
     sc = builtin_scenario("fig3")
     assert sc.outputs == ("qgrid", "cat_report")
-    assert sc.time_spec.t_start == pytest.approx(HALF_REVIVAL_LAMT)
+    assert sc.time_spec.t_start == pytest.approx(FIG3_LAMT)
     assert sc.time_spec.n_samples == 1
     assert sc.qgrid_n == 201
     assert sc.qgrid_extent == 9.0
@@ -187,7 +189,6 @@ def valid_scenarios(draw):
     else:
         time_spec = TimeSpec(t_start, t_start + draw(finite(1e-3, 100)),
                              draw(st.integers(2, 5000)))
-    backend = draw(st.sampled_from(VALID_BACKENDS))
     floor = adaptive_nmax(alpha) + 1
     return Scenario(
         name=draw(STEM),
@@ -198,14 +199,13 @@ def valid_scenarios(draw):
         ),
         qg_list=qg_list,
         time_spec=time_spec,
-        backend=backend,
+        backend=draw(st.sampled_from(VALID_BACKENDS)),
         outputs=outputs,
         qgrid_extent=abs(alpha) + 4.0 + draw(finite(0, 20)),
         qgrid_n=draw(st.integers(3, 1000)),
         n_nodes=draw(st.integers(1, 200)),
         nmax=draw(st.one_of(st.just(0), st.integers(floor, floor + 50))),
         ode_tol=draw(finite(1e-12, 1e-6)),
-        literal_paper_mode=backend == "analytic" and draw(st.booleans()),
     )
 
 
@@ -246,11 +246,6 @@ INVALID = {
             lambda n: f"alpha = {a!r}\nnmax = {n}\n")),
         "nmax",
     ),
-    "literal_needs_analytic": (
-        st.sampled_from(["ode", "both"]).map(
-            "literal_paper_mode = true\nbackend = {}\n".format),
-        "literal_paper_mode",
-    ),
     "name_is_stem": (
         st.one_of(st.tuples(STEM, st.sampled_from("/\\"), STEM).map("".join),
                   STEM.map(".{}".format)).map("name = {}\n".format),
@@ -270,3 +265,12 @@ def test_each_rule_rejects_generated_invalid_values(rule, data):
     strategy, pattern = INVALID[rule]
     with pytest.raises(ScenarioError, match=pattern):
         parse_scenario(data.draw(strategy))
+
+
+def test_readme_key_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    keys = set()
+    for row in table.splitlines()[2:]:
+        keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert keys == set(_DEFAULTS)
