@@ -166,12 +166,11 @@ def phase_integral_quadrature(
 def phase_integral_elementary(p, t: float, params: PhysicalParams) -> PhaseIntegrals:
     """Chirp-free (qg = 0) antiderivative: (exp(i d0 t) - 1) / (i d0).
 
-    Broadcasts over nodes p; a zero or subnormal d0 takes the limit t.
+    Evaluated as t sinc(d0 t / 2 pi) exp(i d0 t / 2), which does not cancel
+    at small d0 t and takes the limit t at d0 = 0.  Broadcasts over nodes p.
     """
     d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
-    zero = np.abs(d0) < np.finfo(float).tiny
-    safe = np.where(zero, 1.0, d0)
-    ep = np.where(zero, complex(t), (np.exp(1j * safe * t) - 1.0) / (1j * safe))[()]
+    ep = (t * np.sinc(d0 * t / (2.0 * np.pi)) * np.exp(0.5j * d0 * t))[()]
     return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
 
 

@@ -2,9 +2,10 @@
 
 Three subcommands: ``run`` executes a scenario and writes CSV/grid files plus
 a run_metadata document, ``crosscheck`` compares the two backends over a
-sweep and reports (never asserts) their deviation, and ``audit-branches``
-ranks the sign/branch variants of the closed-form phase integral against the
-quadrature.
+scenario's sweeps and reports (never asserts) their deviation, and
+``audit-branches`` ranks the sign/branch variants of the closed-form phase
+integral against the quadrature.  ``run`` and ``crosscheck`` take their input
+the same way: a scenario file or ``--builtin NAME``.
 
 Standard output carries machine-readable summaries only; progress chatter
 goes to standard error.  Floating-point values are serialized with 17
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from importlib import metadata as _im
 from pathlib import Path
 
@@ -67,8 +69,7 @@ def _progress(msg: str) -> None:
 
 def _states_for(sc: Scenario, backend: str, qg: float):
     params = sc.params_for(qg)
-    nmax = sc.nmax if sc.nmax > 0 else adaptive_nmax(params.alpha)
-    fld = coherent_amplitudes(params.alpha, nmax)
+    fld = coherent_amplitudes(params.alpha, adaptive_nmax(params.alpha))
     grid = build_momentum_grid(params.sigma0, sc.n_nodes)
     times = sc.times_seconds()
     if backend == "ode":
@@ -146,19 +147,24 @@ def _write_outputs(sc: Scenario, qg: float, out: Path, prefix: str) -> list:
     return written
 
 
-def _cmd_run(args) -> int:
+def _load_scenario(args):
+    """(scenario, EXIT_OK) from SCENARIO or --builtin, or (None, exit code)."""
     try:
         if args.builtin:
-            sc = builtin_scenario(args.builtin)
-        else:
-            text = Path(args.scenario).read_text(encoding="utf-8")
-            sc = parse_scenario(text)
+            return builtin_scenario(args.builtin), EXIT_OK
+        return parse_scenario(Path(args.scenario).read_text(encoding="utf-8")), EXIT_OK
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+        return None, EXIT_SCENARIO
     except OSError as exc:
         print(f"i/o error reading scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return None, EXIT_IO
+
+
+def _cmd_run(args) -> int:
+    sc, code = _load_scenario(args)
+    if sc is None:
+        return code
 
     out = Path(args.out)
     if not out.is_dir():
@@ -171,30 +177,24 @@ def _cmd_run(args) -> int:
         ("version", _version()),
         ("defaults_filled", ", ".join(sc.provenance) or "none"),
     ]
-    try:
-        audit = audit_branch_variants()
-        meta += [
-            ("branch_audit.winner", audit["winner"]),
-            ("branch_audit.residual", _fmt(audit["winner_residual"])),
-        ]
-    except BranchAuditError as exc:
-        meta += [("branch_audit.error", str(exc))]
 
-    written = []
+    # every file is staged and moved into --out only once all of them exist,
+    # so a failed run leaves --out as it found it
     try:
-        for qg_val in sc.qg_list:
-            _progress(f"running {sc.name}: backend={sc.backend} qg={qg_val:g}")
-            written += _write_outputs(sc, qg_val, out, f"{sc.name}_{qg_token(qg_val)}")
+        with tempfile.TemporaryDirectory(dir=out, ignore_cleanup_errors=True) as tmp:
+            stage = Path(tmp)
+            written = []
+            for qg_val in sc.qg_list:
+                _progress(f"running {sc.name}: backend={sc.backend} qg={qg_val:g}")
+                written += _write_outputs(sc, qg_val, stage,
+                                          f"{sc.name}_{qg_token(qg_val)}")
+            meta_path = stage / f"{sc.name}_run_metadata.txt"
+            _write_kv(meta_path, meta + [("files", ", ".join(p.name for p in written))])
+            for path in written + [meta_path]:
+                path.replace(out / path.name)
     except (IntegrationError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    meta_path = out / f"{sc.name}_run_metadata.txt"
-    try:
-        _write_kv(meta_path, meta + [("files", ", ".join(p.name for p in written))])
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -203,49 +203,34 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    try:
-        sc = parse_scenario(
-            f"qg = {args.qg!r}\n"
-            f"t_end = {args.tmax!r}\n"
-            f"n_samples = {args.samples}\n"
-            f"ode_tol = {args.tol!r}\n"
-            "outputs = inversion, entropy\n"
-        )
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    try:
-        _progress(f"crosscheck: qg={args.qg:g} tmax={args.tmax:g} tol={args.tol:g}")
-        states_o = _states_for(sc, "ode", args.qg)
-        states_a = _states_for(sc, "analytic", args.qg)
-        dev_w = 0.0
-        dev_s = 0.0
-        dev_norm = 0.0
-        for so, sa in zip(states_o, states_a):
-            oo, oa = overlaps(so), overlaps(sa)
-            # the closed form does not conserve the norm exactly; entropy is
-            # compared on renormalized overlaps and the drift reported
-            dev_norm = max(dev_norm, abs(oa.cc + oa.dd - 1.0))
-            ta = oa.cc + oa.dd
-            oa_n = OverlapTriple(cc=oa.cc / ta, dd=oa.dd / ta, cd=oa.cd / ta)
-            dev_w = max(dev_w, abs(inversion(oo) - inversion(oa)))
-            dev_s = max(dev_s, abs(entropy(oo).s_f - entropy(oa_n).s_f))
-    except (IntegrationError, ValueError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    summary = (
-        f"crosscheck qg={_fmt(args.qg)} tmax={_fmt(args.tmax)} "
-        f"tol={_fmt(args.tol)} max_dW={_fmt(dev_w)} max_dS={_fmt(dev_s)} "
-        f"max_dnorm={_fmt(dev_norm)}"
-    )
-    print(summary)
-    if args.report:
+    sc, code = _load_scenario(args)
+    if sc is None:
+        return code
+    for qg_val in sc.qg_list:
+        _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:
-            with Path(args.report).open("a", encoding="utf-8") as fh:
-                fh.write(summary + "\n")
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
+            # only one sweep's states are alive at a time
+            ovs_o = [overlaps(st) for st in _states_for(sc, "ode", qg_val)]
+            ovs_a = [overlaps(st) for st in _states_for(sc, "analytic", qg_val)]
+            dev_w = 0.0
+            dev_s = 0.0
+            dev_norm = 0.0
+            for oo, oa in zip(ovs_o, ovs_a):
+                # the closed form does not conserve the norm exactly; entropy is
+                # compared on renormalized overlaps and the drift reported
+                ta = oa.cc + oa.dd
+                dev_norm = max(dev_norm, abs(ta - 1.0))
+                oa_n = OverlapTriple(cc=oa.cc / ta, dd=oa.dd / ta, cd=oa.cd / ta)
+                dev_w = max(dev_w, abs(inversion(oo) - inversion(oa)))
+                dev_s = max(dev_s, abs(entropy(oo).s_f - entropy(oa_n).s_f))
+        except (IntegrationError, ValueError, OverflowError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        print(
+            f"crosscheck qg={_fmt(qg_val)} tmax={_fmt(sc.time_spec.t_end)} "
+            f"tol={_fmt(sc.ode_tol)} max_dW={_fmt(dev_w)} max_dS={_fmt(dev_s)} "
+            f"max_dnorm={_fmt(dev_norm)}"
+        )
     return EXIT_OK
 
 
@@ -272,24 +257,20 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a scenario and write CSV outputs")
-    src = p_run.add_mutually_exclusive_group(required=True)
-    src.add_argument("scenario", nargs="?", help="path to a scenario file")
-    src.add_argument("--builtin", choices=tuple(BUILTINS),
-                     help="use a canonical figure scenario")
-    p_run.add_argument("--out", required=True, help="existing output directory")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cc = sub.add_parser("crosscheck",
-                          help="compare the analytic and time-ordered backends")
-    p_cc.add_argument("--qg", type=float, default=0.0, help="gravity knob, rad/s^2")
-    p_cc.add_argument("--tmax", type=float, default=25.0, help="sweep end, scaled time")
-    p_cc.add_argument("--tol", type=float, default=1e-10,
-                      help="target for the Magnus propagator's step-doubling "
-                           "error estimate (1e-12..1e-6; outside it exits 1)")
-    p_cc.add_argument("--samples", type=int, default=256, help="sweep sample count")
-    p_cc.add_argument("--report", default=None, help="append summary to this file")
-    p_cc.set_defaults(func=_cmd_crosscheck)
+    for name, func, help_text in (
+        ("run", _cmd_run, "execute a scenario and write CSV outputs"),
+        ("crosscheck", _cmd_crosscheck,
+         "compare the analytic and time-ordered backends over a scenario's "
+         "sweeps; one summary line per qg on stdout"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("scenario", nargs="?", help="path to a scenario file")
+        src.add_argument("--builtin", choices=tuple(BUILTINS),
+                         help="use a canonical figure scenario")
+        if name == "run":
+            p.add_argument("--out", required=True, help="existing output directory")
+        p.set_defaults(func=func)
 
     p_audit = sub.add_parser("audit-branches",
                              help="rank closed-form branch variants against quadrature")

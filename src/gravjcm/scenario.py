@@ -13,8 +13,9 @@ The builtin figures are override documents that go through the same parser.
 
 Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
-belongs to a numerical layer (the ode tolerance range, the Q window, the
-Fock cutoff) call that layer's own check, so each bound is written once.
+belongs to a numerical layer (the ode tolerance range, the Q window) call
+that layer's own check, so each bound is written once.  The Fock cutoff is
+not an input: the run always derives it from alpha with ``adaptive_nmax``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PhysicalParams, coherent_amplitudes, paper_defaults
+from .core import PhysicalParams, paper_defaults
 from .observables import check_q_window
 from .ode import check_tol
 
@@ -86,7 +87,6 @@ class Scenario:
     qgrid_extent: float
     qgrid_n: int
     n_nodes: int
-    nmax: int           # 0 means: choose adaptively from alpha
     ode_tol: float
     provenance: tuple = field(default_factory=tuple)
 
@@ -126,10 +126,6 @@ class Scenario:
                          self.params.alpha)
         if self.n_nodes < 1:
             raise ScenarioError("n_nodes must be >= 1")
-        if self.nmax < 0:
-            raise ScenarioError("nmax must be >= 0 (0 selects adaptively)")
-        if self.nmax > 0:
-            _layer_check("nmax", coherent_amplitudes, self.params.alpha, self.nmax)
         _layer_check("ode_tol", check_tol, self.ode_tol)
 
     def times_scaled(self) -> np.ndarray:
@@ -162,7 +158,6 @@ _DEFAULTS = {
     "qgrid.extent": "9.0",
     "qgrid.n": "201",
     "n_nodes": "32",
-    "nmax": "0",
     "ode_tol": "1e-10",
 }
 
@@ -215,7 +210,6 @@ def _build(kv: dict, filled_defaults: list) -> Scenario:
         qgrid_extent=_number(kv, "qgrid.extent"),
         qgrid_n=_count(kv, "qgrid.n"),
         n_nodes=_count(kv, "n_nodes"),
-        nmax=_count(kv, "nmax"),
         ode_tol=_number(kv, "ode_tol"),
         provenance=tuple(sorted(filled_defaults)),
     )
@@ -273,7 +267,6 @@ def serialize_scenario(sc: Scenario) -> str:
         f"qgrid.extent = {sc.qgrid_extent!r}",
         f"qgrid.n = {sc.qgrid_n}",
         f"n_nodes = {sc.n_nodes}",
-        f"nmax = {sc.nmax}",
         f"ode_tol = {sc.ode_tol!r}",
     ]
     return "\n".join(lines) + "\n"

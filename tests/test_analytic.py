@@ -163,11 +163,23 @@ def test_quadrature_matches_elementary_at_zero_gravity():
 
 
 def test_elementary_resonant_limit():
-    # a subnormal detuning must not overflow the division into nan
+    # a zero or subnormal detuning gives the limit t, not nan
     for delta0 in (0.0, 5e-324):
         p0 = paper_defaults(qg=0.0, delta0=delta0)
         E = phase_integral_elementary(0.0, 3e-6, p0)
         assert E.e_plus == pytest.approx(3e-6, rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4])
+def test_elementary_small_phase_no_cancellation(x):
+    # E+/t = (exp(ix) - 1)/(ix); its Taylor series to x^3 is exact to double
+    # precision here, where the difference form loses up to 8 digits
+    t = 1e-6
+    d0 = x / t
+    x = d0 * t
+    E = phase_integral_elementary(0.0, t, paper_defaults(qg=0.0, delta0=d0))
+    taylor = complex(1.0 - x * x / 6.0, x / 2.0 - x**3 / 24.0)
+    assert abs(E.e_plus / t - taylor) <= 4e-16
 
 
 def test_quadrature_against_fresnel_integrals():

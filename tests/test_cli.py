@@ -5,6 +5,8 @@ the full builtin figures are exercised by the acceptance suite.
 """
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,9 @@ def test_run_sweep_outputs(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-8)
     meta_text = meta.read_text()
     assert "scenario.backend = ode" in meta_text
-    assert "branch_audit.winner = 2" in meta_text
+    # the branch audit depends only on the code version; audit-branches reports it
+    assert "branch_audit" not in meta_text
+    assert "nmax" not in meta_text
 
 
 def test_run_qgrid_outputs(tmp_path):
@@ -146,8 +150,8 @@ def test_run_colliding_qg_tags_exits_1(tmp_path, capsys, qgs):
     assert not any(out.iterdir())
 
 
-# Inputs that would fail only after the audit and set-up (exit 2), run
-# silently with a setting ignored, write outside --out, or set the removed
+# Inputs that would fail only after set-up (exit 2), run silently with a
+# setting ignored, write outside --out, or set the removed nmax or
 # literal_paper_mode key or backend = both; each is a scenario error found
 # before any work or write.
 REJECTED_UP_FRONT = {
@@ -197,12 +201,11 @@ def test_run_analytic_norm_rule(tmp_path, capsys, delta0, code):
 
 
 def test_crosscheck_tol_out_of_range_exits_1(tmp_path, capsys):
-    report = tmp_path / "cc.txt"
-    rc = main(["crosscheck", "--tol", "1e-4", "--tmax", "2", "--samples", "16",
-               "--report", str(report)])
-    assert rc == 1
-    assert "scenario error" in capsys.readouterr().err
-    assert not report.exists()
+    scn = write_scenario(tmp_path, SMALL_SWEEP + "ode_tol = 1e-4\n")
+    assert main(["crosscheck", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert "scenario error" in captured.err
+    assert captured.out == ""
 
 
 def test_run_deterministic_bytes(tmp_path):
@@ -217,17 +220,18 @@ def test_run_deterministic_bytes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_crosscheck_reports_and_appends(tmp_path, capsys):
-    report = tmp_path / "cc.txt"
-    rc = main(["crosscheck", "--qg", "0", "--tmax", "2", "--samples", "16",
-               "--report", str(report)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "max_dW=" in out and "max_dS=" in out
-    assert report.read_text().strip() in out.strip()
-    # disagreement between the backends is a finding, not a failure
-    dw = float(out.split("max_dW=")[1].split()[0])
-    assert dw >= 0.0
+def test_crosscheck_reports_each_qg(tmp_path, capsys):
+    # resonant, where the closed form's norm grows fastest
+    scn = write_scenario(tmp_path, SMALL_SWEEP.replace("qg = 0", "qg = 0, 1.5e7"))
+    assert main(["crosscheck", str(scn)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["qg=0", "qg=15000000"]
+    for line in lines:
+        fields = dict(tok.split("=") for tok in line.split()[1:])
+        assert float(fields["tmax"]) == 6.0 and float(fields["tol"]) == 1e-10
+        # disagreement between the backends is a finding, not a failure
+        for key in ("max_dW", "max_dS", "max_dnorm"):
+            assert 0.0 <= float(fields[key]) < math.inf
 
 
 def test_audit_branches_reports_winner(capsys):
@@ -237,3 +241,29 @@ def test_audit_branches_reports_winner(capsys):
     assert "matches_pinned = true" in out
     residual = float(out.split("winner_residual = ")[1].splitlines()[0])
     assert residual < 1e-8
+
+
+def test_failed_run_leaves_out_untouched(tmp_path, capsys):
+    # qg = 0 writes its inversion before the entropy norm rule (norm 0.9967
+    # at alpha = 2 and the published detuning) fails the run
+    text = SMALL_SWEEP.replace("delta0 = 0\n", "").replace("qg = 0", "qg = 0, 1.5e7")
+    scn = write_scenario(tmp_path, text + "backend = analytic\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert "branch norms" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_readme_commands_parse(monkeypatch):
+    # every command line in the README's command block is accepted by main
+    for name in ("_cmd_run", "_cmd_crosscheck", "_cmd_audit"):
+        monkeypatch.setattr(cli, name, lambda args: 0)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("gravjcm ")]
+    assert commands
+    for line in commands:
+        # a shell redirection is not an argument
+        argv = shlex.split(line.split(">", 1)[0], comments=True)[1:]
+        assert main(argv) == 0, line

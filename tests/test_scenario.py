@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravjcm.core import adaptive_nmax, paper_defaults
+from gravjcm.core import paper_defaults
 from gravjcm.scenario import (
     _DEFAULTS,
     FIG3_LAMT,
@@ -77,7 +77,7 @@ def test_malformed_line_reports_location():
 
 def test_bad_number_rejected():
     for text in ("delta0 = eight\n", "t_end = nan\n", "lam = inf\n", "delta0 = nan\n",
-                 "sigma0 = inf\n", "ode_tol = nan\n", "nmax = inf\n",
+                 "sigma0 = inf\n", "ode_tol = nan\n",
                  "n_samples = 2.7\n", "qgrid.n = 201.5\n",
                  "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n",
                  "omega_rec = 0\n", "omega_rec = -5e5\n",
@@ -87,6 +87,9 @@ def test_bad_number_rejected():
     # the wavenumber acts only through omega_rec and qg; it is not a key
     with pytest.raises(ScenarioError, match="unknown key 'q'"):
         parse_scenario("q = 1e7\n")
+    # the Fock cutoff is always derived from alpha; it is not a key
+    with pytest.raises(ScenarioError, match="unknown key 'nmax'"):
+        parse_scenario("nmax = 100\n")
     # an integral count may still be written in float notation
     assert parse_scenario("n_samples = 2e3\n").time_spec.n_samples == 2000
 
@@ -189,7 +192,6 @@ def valid_scenarios(draw):
     else:
         time_spec = TimeSpec(t_start, t_start + draw(finite(1e-3, 100)),
                              draw(st.integers(2, 5000)))
-    floor = adaptive_nmax(alpha) + 1
     return Scenario(
         name=draw(STEM),
         params=paper_defaults(
@@ -204,7 +206,6 @@ def valid_scenarios(draw):
         qgrid_extent=abs(alpha) + 4.0 + draw(finite(0, 20)),
         qgrid_n=draw(st.integers(3, 1000)),
         n_nodes=draw(st.integers(1, 200)),
-        nmax=draw(st.one_of(st.just(0), st.integers(floor, floor + 50))),
         ode_tol=draw(finite(1e-12, 1e-6)),
     )
 
@@ -240,11 +241,6 @@ INVALID = {
                   st.sampled_from(["qgrid", "cat_report", "inversion, cat_report"])).map(
             lambda a: f"n_samples = {a[0]}\noutputs = {a[1]}\n"),
         "single-instant",
-    ),
-    "nmax_truncates": (
-        finite(2, 6).flatmap(lambda a: st.integers(1, int(a * a)).map(
-            lambda n: f"alpha = {a!r}\nnmax = {n}\n")),
-        "nmax",
     ),
     "name_is_stem": (
         st.one_of(st.tuples(STEM, st.sampled_from("/\\"), STEM).map("".join),
