@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import entr
 
 from .core import BranchState, PhysicalParams, coherent_amplitudes
 
@@ -23,20 +24,20 @@ PEAK_REL_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class OverlapTriple:
-    """Momentum-averaged branch overlaps: <C|C>, <D|D>, <C|D>."""
+    """Momentum-averaged branch overlaps per sample: <C|C>, <D|D>, <C|D>."""
 
-    cc: float
-    dd: float
-    cd: complex
+    cc: np.ndarray
+    dd: np.ndarray
+    cd: np.ndarray
 
 
 @dataclass(frozen=True)
 class EntropyPair:
-    """Eigenvalues of the reduced field density matrix and its entropy."""
+    """Per-sample eigenvalues of the reduced field density matrix and its entropy."""
 
-    pi_plus: float
-    pi_minus: float
-    s_f: float
+    pi_plus: np.ndarray
+    pi_minus: np.ndarray
+    s_f: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,27 +86,28 @@ class QPeakReport:
     bimodal: bool = False
 
 
-def overlaps(state: BranchState) -> OverlapTriple:
-    """Momentum-weighted overlaps of the two field branches.
+def overlaps(states: list[BranchState]) -> OverlapTriple:
+    """Momentum-weighted overlaps of the two field branches at every sample.
 
     The branch arrays share the Fock axis, so the cross term is the plain
     inner product; through the one-level ladder shift it pairs the n-th
-    excited amplitude with the (n+1)-th ground amplitude.
+    excited amplitude with the (n+1)-th ground amplitude.  Each state is
+    reduced on its own: stacking them would copy the whole sweep.
     """
-    wk = state.grid.weights
-    cc = float(np.dot(wk, np.sum(np.abs(state.c) ** 2, axis=1)))
-    dd = float(np.dot(wk, np.sum(np.abs(state.d) ** 2, axis=1)))
-    cd = complex(np.dot(wk, np.sum(np.conj(state.c) * state.d, axis=1)))
+    rows = [(np.dot(st.grid.weights, np.sum(np.abs(st.c) ** 2, axis=1)),
+             np.dot(st.grid.weights, np.sum(np.abs(st.d) ** 2, axis=1)),
+             np.dot(st.grid.weights, np.sum(np.conj(st.c) * st.d, axis=1))) for st in states]
+    cc, dd, cd = (np.array(col) for col in zip(*rows))
     return OverlapTriple(cc=cc, dd=dd, cd=cd)
 
 
-def inversion(o: OverlapTriple) -> float:
-    """Atomic population inversion W = <C|C> - <D|D>."""
+def inversion(o: OverlapTriple) -> np.ndarray:
+    """Atomic population inversion W = <C|C> - <D|D> per sample."""
     return o.cc - o.dd
 
 
 def entropy(o: OverlapTriple) -> EntropyPair:
-    """Two-branch entropy of the overlaps [[cc, cd], [conj(cd), dd]].
+    """Two-branch entropy of the overlaps [[cc, cd], [conj(cd), dd]] per sample.
 
     The eigenvalues are pi_pm = 1/2 (1 pm sqrt(1 - 4 (cc dd - |cd|^2))).  For
     a single momentum node this is the von Neumann entropy of the reduced
@@ -113,27 +115,26 @@ def entropy(o: OverlapTriple) -> EntropyPair:
     same formula is applied to the overlaps summed over the nodes; the
     reduced field state sum_k w_k (|C_k><C_k| + |D_k><D_k|) has rank up to 2K,
     and its von Neumann entropy generally differs.  Overlaps are
-    renormalized when the total strays from 1 by less than 1e-3 and rejected
+    renormalized when the total strays from 1 by at most 1e-3 and rejected
     beyond that; the discriminant may leave [0, 1] only by rounding noise.
+    A NaN fails both gates.  A rejection names the first failing sample.
     """
     total = o.cc + o.dd
-    if abs(total - 1.0) > NORM_SLACK:
-        raise ValueError(f"branch norms sum to {total}, too far from 1")
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= NORM_SLACK))
+    if bad.size:
+        raise ValueError(f"branch norms sum to {total[bad[0]]} at sample {bad[0]}")
     cc = o.cc / total
     dd = o.dd / total
-    cd2 = abs(o.cd) ** 2 / total**2
+    cd2 = np.hypot(o.cd.real, o.cd.imag) ** 2 / total**2
     disc = 1.0 - 4.0 * (cc * dd - cd2)
-    if disc < -DISC_SLACK or disc > 1.0 + DISC_SLACK:
-        raise ValueError(f"entropy discriminant {disc} outside [0, 1]")
-    disc = min(max(disc, 0.0), 1.0)
-    root = math.sqrt(disc)
+    bad = np.flatnonzero(~((disc >= -DISC_SLACK) & (disc <= 1.0 + DISC_SLACK)))
+    if bad.size:
+        raise ValueError(f"discriminant {disc[bad[0]]} outside [0, 1] at sample {bad[0]}")
+    root = np.sqrt(np.clip(disc, 0.0, 1.0))
     pi_plus = 0.5 * (1.0 + root)
     pi_minus = 0.5 * (1.0 - root)
-    s = 0.0
-    for lam in (pi_plus, pi_minus):
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    return EntropyPair(pi_plus=pi_plus, pi_minus=pi_minus, s_f=s)
+    return EntropyPair(pi_plus=pi_plus, pi_minus=pi_minus,
+                       s_f=entr(pi_plus) + entr(pi_minus))
 
 
 def check_q_window(half_width: float, alpha: complex) -> None:

@@ -201,7 +201,9 @@ def branch_states_ode_sweep(
     nonnegative and strictly increasing.  ``tol`` is the target for the
     step-doubling estimate of the global amplitude error; each state's
     ``meta`` records it with the substeps of the longest sample interval,
-    the total substep count and the estimate.
+    the total substep count and the estimate.  State i views row i of one
+    ``c`` and one ``d`` block of shape (T, K, nmax + 2), so keeping one state
+    of a long sweep keeps its whole block alive.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -220,18 +222,18 @@ def branch_states_ode_sweep(
 
     a = np.ones((d0.size, nmax + 1), dtype=np.complex128)
     b = np.zeros_like(a)
+    c = np.zeros((times.size, d0.size, nmax + 2), dtype=np.complex128)
+    d = np.zeros_like(c)
     states = []
     t = 0.0
-    for t_next, m in zip(times, counts):
+    for i, (t_next, m) in enumerate(zip(times, counts)):
         h = (t_next - t) / m if m else 0.0
         for j in range(m):
             u, v = _magnus_step(h, t + (j + 0.5) * h, d0, omega, qg)
             a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
         t = float(t_next)
         half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[:, None]
-        c = np.zeros((d0.size, nmax + 2), dtype=np.complex128)
-        d = np.zeros_like(c)
-        np.multiply(field.w, a * np.exp(1j * half_phi), out=c[:, : nmax + 1])
-        np.multiply(field.w, b * np.exp(-1j * half_phi), out=d[:, 1:])
-        states.append(BranchState(t=t, c=c, d=d, grid=grid, meta=dict(meta)))
+        np.multiply(field.w, a * np.exp(1j * half_phi), out=c[i, :, : nmax + 1])
+        np.multiply(field.w, b * np.exp(-1j * half_phi), out=d[i, :, 1:])
+        states.append(BranchState(t=t, c=c[i], d=d[i], grid=grid, meta=dict(meta)))
     return states

@@ -72,11 +72,8 @@ def sweep_observables(qg, n_nodes):
     params = sc.params_for(qg)
     field = coherent_amplitudes(params.alpha, NMAX)
     grid = build_momentum_grid(params.sigma0, n_nodes)
-    states = branch_states_ode_sweep(sc.times_seconds(), params, field, grid)
-    ovs = [overlaps(st) for st in states]
-    w = np.array([inversion(o) for o in ovs])
-    s = np.array([entropy(o).s_f for o in ovs])
-    return sc.times_scaled(), ovs, w, s
+    ovs = overlaps(branch_states_ode_sweep(sc.times_seconds(), params, field, grid))
+    return sc.times_scaled(), ovs, inversion(ovs), entropy(ovs).s_f
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +91,8 @@ def resonant_inversion(qg):
     params = paper_defaults(qg=qg, delta0=0.0)
     field = coherent_amplitudes(params.alpha, NMAX)
     grid = build_momentum_grid(params.sigma0, N_NODES)
-    states = branch_states_ode_sweep(RESONANT_LAMT / params.lam, params, field, grid)
-    return np.array([inversion(overlaps(st)) for st in states])
+    return inversion(overlaps(
+        branch_states_ode_sweep(RESONANT_LAMT / params.lam, params, field, grid)))
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +108,7 @@ def snapshot(lam_t, params, qgrid_n):
     qgrid = q_function(
         st, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), params
     )
-    return st, qgrid, entropy(overlaps(st)).s_f
+    return st, qgrid, float(entropy(overlaps([st])).s_f[0])
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +148,7 @@ def test_criterion_1_resonant_textbook_limit():
     grid = build_momentum_grid(params.sigma0, 1)  # single node at p = 0
     lam_t = np.linspace(0.0, 25.0, 2000)
     start = time.perf_counter()
-    states = branch_states_ode_sweep(lam_t / params.lam, params, field, grid)
-    w = np.array([inversion(overlaps(st)) for st in states])
+    w = inversion(overlaps(branch_states_ode_sweep(lam_t / params.lam, params, field, grid)))
     elapsed = time.perf_counter() - start
     n = np.arange(NMAX + 1)
     probs = np.abs(field.w) ** 2
@@ -219,21 +215,21 @@ def test_criterion_4_entropy_machinery(fig1_32):
     s_ok = True
     ln2 = math.log(2.0)
     for qg in QG_VALUES:
-        _, ovs, _, s = fig1_32[qg]
+        _, o, _, s = fig1_32[qg]
         s_ok &= bool(np.all((s >= -1e-12) & (s <= ln2 + 1e-12)))
-        for o in ovs:
-            e = entropy(o)
-            worst_sum = max(worst_sum, abs(e.pi_plus + e.pi_minus - 1.0))
-            total = o.cc + o.dd
+        e = entropy(o)
+        worst_sum = max(worst_sum, float(np.max(np.abs(e.pi_plus + e.pi_minus - 1.0))))
+        for i in range(o.cc.size):
+            total = o.cc[i] + o.dd[i]
             rho = np.array(
-                [[o.cc / total, o.cd / total],
-                 [np.conj(o.cd) / total, o.dd / total]]
+                [[o.cc[i] / total, o.cd[i] / total],
+                 [np.conj(o.cd[i]) / total, o.dd[i] / total]]
             )
             lams = np.linalg.eigvalsh(rho)
             worst_eig = max(
                 worst_eig,
-                abs(e.pi_minus - lams[0]),
-                abs(e.pi_plus - lams[1]),
+                abs(e.pi_minus[i] - lams[0]),
+                abs(e.pi_plus[i] - lams[1]),
             )
     report(4, "entropy eigenvalues are a valid 2x2 spectral decomposition",
            worst_sum <= 1e-12 and worst_eig <= 1e-10 and s_ok,

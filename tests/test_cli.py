@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from gravjcm import cli
+from gravjcm.analytic import branch_states_analytic
 from gravjcm.cli import main
+from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from gravjcm.observables import QGrid
+from gravjcm.ode import branch_states_ode_sweep
+from gravjcm.scenario import parse_scenario
 
 SMALL_SWEEP = """\
 # reduced sweep for fast tests
@@ -108,6 +112,37 @@ def test_writers_match_per_value_formatting(tmp_path):
     for name, lines in (("g_qgrid.csv", long_form), ("g_qgrid.matrix.txt", matrix),
                         ("s.csv", scalar)):
         assert (tmp_path / name).read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["crosscheck"], ["run", "--builtin", "fig1"]],
+                         ids=["crosscheck_without_input", "run_without_out"])
+def test_usage_error_exits_1(capsys, argv):
+    # argparse's own status 2 would read as a numerical failure
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--out" in capsys.readouterr().out
+
+
+def test_run_nan_norm_fails_before_any_write(tmp_path, capsys, monkeypatch):
+    # NaN compares false with every bound, so the gate must test for the bound holding
+    real_overlaps = cli.overlaps
+
+    def nan_at_sample_3(states):
+        o = real_overlaps(states)
+        o.cc[3] = np.nan
+        return o
+
+    monkeypatch.setattr(cli, "overlaps", nan_at_sample_3)
+    text = SMALL_SWEEP.replace("outputs = inversion, entropy", "outputs = inversion")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 2
+    assert "branch norm nan" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_run_missing_output_dir_exits_3(tmp_path, capsys):
@@ -220,18 +255,50 @@ def test_run_deterministic_bytes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def sweep_overlaps(states):
+    """(cc, dd, cd) per sample, summed over the momentum nodes by hand."""
+    rows = [(np.sum(st.grid.weights[:, None] * np.abs(st.c) ** 2),
+             np.sum(st.grid.weights[:, None] * np.abs(st.d) ** 2),
+             np.sum(st.grid.weights[:, None] * np.conj(st.c) * st.d)) for st in states]
+    return [np.array(col) for col in zip(*rows)]
+
+
+def eig_entropy(cc, dd, cd):
+    """Entropy of each normalized 2x2 overlap matrix from a Hermitian eigensolver."""
+    out = []
+    for a, b, c in zip(cc, dd, cd):
+        lams = np.linalg.eigvalsh(np.array([[a, c], [np.conj(c), b]]) / (a + b))
+        out.append(-sum(lam * math.log(lam) for lam in lams if lam > 0.0))
+    return np.array(out)
+
+
 def test_crosscheck_reports_each_qg(tmp_path, capsys):
     # resonant, where the closed form's norm grows fastest
-    scn = write_scenario(tmp_path, SMALL_SWEEP.replace("qg = 0", "qg = 0, 1.5e7"))
+    text = SMALL_SWEEP.replace("qg = 0", "qg = 0, 1.5e7")
+    scn = write_scenario(tmp_path, text)
     assert main(["crosscheck", str(scn)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines] == ["qg=0", "qg=15000000"]
-    for line in lines:
+    sc = parse_scenario(text)
+    for qg, line in zip(sc.qg_list, lines):
         fields = dict(tok.split("=") for tok in line.split()[1:])
         assert float(fields["tmax"]) == 6.0 and float(fields["tol"]) == 1e-10
-        # disagreement between the backends is a finding, not a failure
-        for key in ("max_dW", "max_dS", "max_dnorm"):
-            assert 0.0 <= float(fields[key]) < math.inf
+        # disagreement between the backends is a finding, not a failure; the
+        # maxima are recomputed here from both backends' branch states
+        params = sc.params_for(qg)
+        fld = coherent_amplitudes(params.alpha, adaptive_nmax(params.alpha))
+        grid = build_momentum_grid(params.sigma0, sc.n_nodes)
+        times = sc.times_seconds()
+        cc_o, dd_o, cd_o = sweep_overlaps(branch_states_ode_sweep(times, params, fld, grid))
+        cc_a, dd_a, cd_a = sweep_overlaps(
+            [branch_states_analytic(t, params, fld, grid) for t in times])
+        d_w = np.abs((cc_o - dd_o) - (cc_a - dd_a))
+        d_s = np.abs(eig_entropy(cc_o, dd_o, cd_o) - eig_entropy(cc_a, dd_a, cd_a))
+        d_norm = np.abs(cc_a + dd_a - 1.0)
+        # dW and dnorm reach ~1e3 here
+        assert float(fields["max_dW"]) == pytest.approx(d_w.max(), rel=1e-12)
+        assert float(fields["max_dnorm"]) == pytest.approx(d_norm.max(), rel=1e-12)
+        assert float(fields["max_dS"]) == pytest.approx(d_s.max(), abs=1e-10)
 
 
 def test_audit_branches_reports_winner(capsys):

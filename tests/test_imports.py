@@ -1,8 +1,12 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name is used, and every public name of the package is read.
 
 No linter ships with the test dependencies, so this walks the syntax tree of
 each module: a name bound by an import must be read somewhere in the same
-file.  The package ``__init__.py`` only re-exports and is left out.
+file.  The package ``__init__.py`` only re-exports and is left out.  A public
+function, class or method of the package must be read by the package itself
+or by the benchmark (``perfbench/*.py``); the tests do not count, so no public
+API exists only for them.  A method counts as read when any attribute of
+that name is read, since the syntax tree carries no types.
 """
 
 import ast
@@ -11,11 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(
-    [p for p in (ROOT / "src" / "gravjcm").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
-    key=lambda p: p.relative_to(ROOT).as_posix(),
-)
+PACKAGE = sorted(p for p in (ROOT / "src" / "gravjcm").glob("*.py") if p.name != "__init__.py")
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +42,44 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_public_names(modules: dict, readers: list) -> list:
+    """(module, line, name) of each public definition in modules no reader reads.
+
+    ``modules`` maps a label to its source; ``readers`` holds sources.  Public
+    means top-level functions and classes, and the methods of those classes,
+    whose names do not start with an underscore.
+    """
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for label, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.lineno, node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(m.lineno, m.name, f"{node.name}.{m.name}") for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+            unread += [(label, line, full) for line, name, full in members
+                       if not name.startswith("_") and name not in read]
+    return unread
+
+
+def test_checker_flags_an_unread_public_name():
+    lib = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+           "class K:\n    def read(self):\n        pass\n    def unread(self):\n        pass\n")
+    assert unread_public_names({"lib": lib}, ["used()\nK().read()\n"]) == [
+        ("lib", 3, "unused"), ("lib", 10, "K.unread")]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    modules = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unread_public_names(modules, readers) == []

@@ -47,66 +47,118 @@ def coherent_branch_state(alpha, nmax=100):
     return pure_state(c, np.zeros_like(c))
 
 
+def triple(cc, dd, cd):
+    return OverlapTriple(cc=np.array(cc, dtype=float), dd=np.array(dd, dtype=float),
+                         cd=np.array(cd, dtype=np.complex128))
+
+
 def test_overlaps_hand_built():
     c = [math.sqrt(0.5), 0.0, 0.0]
     d = [0.0, 0.5, 0.5]
-    st = pure_state(c, d)
-    o = overlaps(st)
-    assert o.cc == pytest.approx(0.5, abs=1e-14)
-    assert o.dd == pytest.approx(0.5, abs=1e-14)
-    assert o.cd == pytest.approx(0.0, abs=1e-14)
-    assert inversion(o) == pytest.approx(0.0, abs=1e-14)
+    o = overlaps([pure_state(c, d)])
+    assert o.cc[0] == pytest.approx(0.5, abs=1e-14)
+    assert o.dd[0] == pytest.approx(0.5, abs=1e-14)
+    assert o.cd[0] == pytest.approx(0.0, abs=1e-14)
+    assert inversion(o)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_overlaps_cross_term_pairs_shifted_levels():
     c = [1.0 / math.sqrt(2.0), 0.0]
     d = [1.0 / math.sqrt(2.0), 0.0]
-    o = overlaps(pure_state(c, d))
-    assert o.cd == pytest.approx(0.5, abs=1e-14)
+    o = overlaps([pure_state(c, d)])
+    assert o.cd[0] == pytest.approx(0.5, abs=1e-14)
+
+
+def test_overlaps_reduce_each_state_of_a_sweep():
+    # one call over the sweep gives each state's own reduction, bit for bit
+    p = paper_defaults(qg=1.5e7, alpha=2.0)
+    field = coherent_amplitudes(2.0, adaptive_nmax(2.0))
+    grid = build_momentum_grid(1.0, 4)
+    states = branch_states_ode_sweep(np.linspace(0.0, 6e-6, 7), p, field, grid)
+    o = overlaps(states)
+    for i, st in enumerate(states):
+        wk = st.grid.weights
+        assert o.cc[i] == float(np.dot(wk, np.sum(np.abs(st.c) ** 2, axis=1)))
+        assert o.dd[i] == float(np.dot(wk, np.sum(np.abs(st.d) ** 2, axis=1)))
+        assert o.cd[i] == complex(np.dot(wk, np.sum(np.conj(st.c) * st.d, axis=1)))
 
 
 def test_entropy_pure_branch_is_zero():
-    st = coherent_branch_state(2.0, 40)
-    e = entropy(overlaps(st))
-    assert e.pi_plus == pytest.approx(1.0, abs=1e-12)
-    assert e.s_f == pytest.approx(0.0, abs=1e-12)
+    e = entropy(overlaps([coherent_branch_state(2.0, 40)]))
+    assert e.pi_plus[0] == pytest.approx(1.0, abs=1e-12)
+    assert e.s_f[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_balanced_orthogonal_branches_is_ln2():
     c = [math.sqrt(0.5), 0.0, 0.0]
     d = [0.0, 0.0, math.sqrt(0.5)]
-    e = entropy(overlaps(pure_state(c, d)))
-    assert e.s_f == pytest.approx(math.log(2.0), abs=1e-12)
-    assert e.pi_plus + e.pi_minus == pytest.approx(1.0, abs=1e-14)
+    e = entropy(overlaps([pure_state(c, d)]))
+    assert e.s_f[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert e.pi_plus[0] + e.pi_minus[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def random_pure_states(count, seed=51):
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        v = rng.normal(size=7) + 1j * rng.normal(size=7)
+        v /= np.linalg.norm(v)
+        states.append(pure_state(v[:4], np.concatenate([[0.0], v[4:7]])))
+    return states
 
 
 def test_entropy_matches_eigensolver_on_random_states():
-    rng = np.random.default_rng(51)
-    for _ in range(50):
-        v = rng.normal(size=7) + 1j * rng.normal(size=7)
-        v /= np.linalg.norm(v)
-        o = overlaps(pure_state(v[:4], np.concatenate([[0.0], v[4:7]])))
+    o = overlaps(random_pure_states(50))
+    e = entropy(o)
+    for i in range(50):
         # rebuild the 2x2 atomic reduced density matrix and diagonalize it
-        rho = np.array([[o.cc, o.cd], [np.conj(o.cd), o.dd]])
+        rho = np.array([[o.cc[i], o.cd[i]], [np.conj(o.cd[i]), o.dd[i]]])
         lams = np.linalg.eigvalsh(rho)
-        e = entropy(o)
-        assert e.pi_minus == pytest.approx(float(lams[0]), abs=1e-10)
-        assert e.pi_plus == pytest.approx(float(lams[1]), abs=1e-10)
-        assert 0.0 <= e.s_f <= math.log(2.0) + 1e-12
+        assert e.pi_minus[i] == pytest.approx(float(lams[0]), abs=1e-10)
+        assert e.pi_plus[i] == pytest.approx(float(lams[1]), abs=1e-10)
+        assert 0.0 <= e.s_f[i] <= math.log(2.0) + 1e-12
+
+
+def test_entropy_matches_scalar_formula_bit_for_bit():
+    # the per-sample loop the array form replaced, kept as its reference
+    o = overlaps(random_pure_states(200, seed=7))
+    s_f = entropy(o).s_f
+    for i in range(200):
+        total = float(o.cc[i] + o.dd[i])
+        cc, dd = float(o.cc[i]) / total, float(o.dd[i]) / total
+        disc = 1.0 - 4.0 * (cc * dd - abs(complex(o.cd[i])) ** 2 / total**2)
+        root = math.sqrt(min(max(disc, 0.0), 1.0))
+        s = 0.0
+        for lam in (0.5 * (1.0 + root), 0.5 * (1.0 - root)):
+            if lam > 0.0:
+                s -= lam * math.log(lam)
+        assert s_f[i] == s
 
 
 def test_entropy_norm_gate():
-    with pytest.raises(ValueError):
-        entropy(OverlapTriple(cc=0.7, dd=0.2, cd=0.0))
-    # small drift inside the 1e-3 window is renormalized away
-    e = entropy(OverlapTriple(cc=0.5004, dd=0.5001, cd=0.0))
-    assert e.s_f == pytest.approx(math.log(2.0), abs=1e-6)
+    # one sample of four outside the 1e-3 window fails the sweep, naming it
+    with pytest.raises(ValueError, match="sum to 0.875 at sample 2"):
+        entropy(triple([0.5, 0.5, 0.75, 0.5], [0.5, 0.5, 0.125, 0.5], [0, 0, 0, 0]))
+    # small drift inside the window, on every sample, is renormalized away
+    e = entropy(triple([0.5004, 0.4996, 0.5009, 0.5], [0.5001, 0.4997, 0.4999, 0.4991],
+                       [0, 0, 0, 0]))
+    assert np.allclose(e.s_f, math.log(2.0), rtol=0.0, atol=1e-6)
+    assert np.array_equal(e.pi_plus + e.pi_minus, np.ones(4))
 
 
 def test_entropy_discriminant_gate():
-    with pytest.raises(ValueError):
-        # |cd|^2 > cc*dd is impossible for a physical state
-        entropy(OverlapTriple(cc=0.5, dd=0.5, cd=0.8))
+    # |cd|^2 > cc*dd is impossible for a physical state
+    with pytest.raises(ValueError, match="at sample 1"):
+        entropy(triple([0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [0, 0.8, 0, 0]))
+
+
+@pytest.mark.parametrize("field_name", ["cc", "dd", "cd"])
+def test_entropy_rejects_nan_overlap(field_name):
+    # NaN compares false with every bound, so each gate tests for its bound holding
+    o = triple([0.5] * 4, [0.5] * 4, [0.0] * 4)
+    getattr(o, field_name)[3] = np.nan
+    with pytest.raises(ValueError, match="nan.* at sample 3"):
+        entropy(o)
 
 
 def test_q_function_pure_coherent_peak():

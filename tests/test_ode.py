@@ -197,6 +197,18 @@ def test_sweep_consistent_with_single_shot(sweep_setup):
     assert float(np.max(np.abs(sweep[1].d - single.d))) < 1e-8
 
 
+def test_sweep_states_view_one_block_per_branch(sweep_setup):
+    field, grid = sweep_setup
+    times = np.linspace(0.0, 3e-6, 5)
+    states = branch_states_ode_sweep(times, paper_defaults(qg=1.5e7), field, grid)
+    for name in ("c", "d"):
+        block = getattr(states[0], name).base
+        assert block is not None and block.shape == (times.size, grid.nodes.size, field.nmax + 2)
+        for i, st in enumerate(states):
+            assert getattr(st, name).base is block
+            assert np.shares_memory(getattr(st, name), block[i])
+
+
 def test_sweep_time_grid_validation(sweep_setup):
     field, grid = sweep_setup
     p = paper_defaults()
