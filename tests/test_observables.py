@@ -1,6 +1,8 @@
 """Tests for overlaps, entropy, Husimi Q, peak analysis, and cat fidelity."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +204,76 @@ def test_q_function_boundary_leak_warned():
     st = pure_state(c, np.zeros_like(c))
     with pytest.warns(UserWarning):
         q_function(st, QGridSpec(-6, 6, -6, 6, 61, 61), params)
+
+
+@pytest.mark.parametrize("extent", [300.0, 1000.0])
+def test_q_function_large_window_stays_finite(extent):
+    # far out the Fock ladder underflows to zero instead of overflowing
+    st = coherent_branch_state(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = q_function(st, QGridSpec(-extent, extent, -extent, extent, 61, 61),
+                       paper_defaults())
+    assert np.all(np.isfinite(q.values))
+    assert np.all(q.values >= 0.0)
+
+
+def test_q_function_coherent_state_exact():
+    # Q of a pure coherent state is exp(-|beta - alpha|^2) / pi; 97 rows is no
+    # multiple of the chunk size, so the last chunk is a partial one
+    alpha = 3.0 + 2.0j
+    st = coherent_branch_state(alpha)
+    q = q_function(st, QGridSpec(-8.0, 10.0, -7.0, 9.0, 181, 97), paper_defaults(alpha=alpha))
+    assert q.values.shape == (97, 181)
+    beta = q.x[None, :] + 1j * q.y[:, None]
+    exact = np.exp(-np.abs(beta - alpha) ** 2) / math.pi
+    assert np.max(np.abs(q.values - exact)) <= 1e-12 / math.pi
+
+
+def q_reference(state, spec):
+    """Per-node two-GEMV evaluation over the whole grid, kept as q_function's reference."""
+    x = np.linspace(spec.xmin, spec.xmax, spec.nx)
+    y = np.linspace(spec.ymin, spec.ymax, spec.ny)
+    bx, by = np.meshgrid(x, y)
+    beta = bx + 1j * by
+    conj_pow = np.ones(beta.shape + (state.nfock,), dtype=np.complex128)
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1, state.nfock))
+    for n in range(state.nfock - 1):
+        conj_pow[..., n + 1] = conj_pow[..., n] * np.conj(beta) * inv_sqrt[n]
+    vals = np.zeros(beta.shape)
+    for k, wk in enumerate(state.grid.weights):
+        vals += wk * (np.abs(conj_pow @ state.c[k]) ** 2 + np.abs(conj_pow @ state.d[k]) ** 2)
+    return vals * np.exp(-np.abs(beta) ** 2) / math.pi
+
+
+def test_q_function_matches_reference_on_mixed_state():
+    # three nodes with both branches populated check the stacking and sqrt(w_k) weights
+    rng = np.random.default_rng(11)
+    nfock = 40
+    envelope = np.exp(-np.arange(nfock) / 4.0)
+    c, d = ((rng.normal(size=(3, nfock)) + 1j * rng.normal(size=(3, nfock))) * envelope
+            for _ in range(2))
+    d[:, 0] = 0.0
+    grid = build_momentum_grid(1.0, 3)
+    norm = math.sqrt(float(np.dot(grid.weights, np.sum(np.abs(c) ** 2 + np.abs(d) ** 2, axis=1))))
+    st = BranchState(t=0.0, c=c / norm, d=d / norm, grid=grid)
+    spec = QGridSpec(-9.0, 9.0, -8.0, 8.0, 73, 61)
+    q = q_function(st, spec, paper_defaults(alpha=1.0))
+    ref = q_reference(st, spec)
+    assert np.max(np.abs(q.values - ref)) <= 1e-13 * float(ref.max())
+
+
+def test_q_function_working_set_is_a_few_mb():
+    # a 401^2 grid with 102 Fock levels; the whole-grid ladder alone is 262 MB
+    st = coherent_branch_state(5.0)
+    assert st.nfock == 102
+    tracemalloc.start()
+    try:
+        q_function(st, QGridSpec(-9, 9, -9, 9, 401, 401), paper_defaults())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def synthetic_two_gaussian_grid(sep=6.0, ratio=1.0, width=0.8, n=161):
