@@ -1,7 +1,7 @@
 """Closed-form solution backend.
 
 Detunings, the chirped-phase integrals E+/E-, the branch coefficients a_n/b_n
-and the branch-state assembly.
+and the per-sample block amplitudes of a sweep.
 
 Two evaluation routes exist for the phase integrals: direct numerical
 quadrature (the defining object) and the error-function closed form.  The
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, wofz
 
-from .core import CoherentField, MomentumGrid, BranchState, PhysicalParams
+from .core import (BranchState, CoherentField, MomentumGrid, PhysicalParams, branch_sweep,
+                   check_times)
 
 log = logging.getLogger(__name__)
 
@@ -52,20 +53,6 @@ class PhaseIntegrals:
 
     e_plus: complex
     e_minus: complex
-
-
-@dataclass(frozen=True)
-class BranchCoeffs:
-    """Excited/ground weights of one excitation block.
-
-    ``eta`` carries the dimensional-restoration factor lam^2 so that
-    a_n = 1 + (n+1) eta and b_n = -(n+1) eta stay dimensionless.  Each
-    member is an array when ``branch_coeffs`` is given arrays.
-    """
-
-    a_n: complex
-    b_n: complex
-    eta: complex
 
 
 # --- complex error function kernels ----------------------------------------
@@ -287,12 +274,12 @@ def audit_branch_variants() -> dict:
 # --- branch coefficients and states ----------------------------------------
 
 
-def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> BranchCoeffs:
-    """Block weights a_n (excited) and b_n (ground); a_n + b_n = 1 exactly.
+def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> tuple:
+    """Block weights (a_n, b_n), excited and ground; a_n + b_n = 1 exactly.
 
-    lam^2 multiplies E+ E-^2 so the published expression becomes
-    dimensionless.  n and the members of E may be arrays and broadcast
-    against each other.
+    a_n = 1 + (n+1) eta and b_n = -(n+1) eta with eta = -i lam^2 E+ E-^2,
+    where lam^2 makes the published expression dimensionless.  n and the
+    members of E may be arrays and broadcast against each other.
     """
     n = np.asarray(n)
     if np.any(n < 0):
@@ -300,7 +287,7 @@ def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> BranchCoeffs:
     eta = np.asarray(-1j * params.lam**2 * E.e_plus * E.e_minus**2)
     b = -(n + 1) * eta
     a = 1.0 - b
-    return BranchCoeffs(a_n=a[()], b_n=b[()], eta=eta[()])
+    return a[()], b[()]
 
 
 def _principal_sqrt_logged(a: np.ndarray) -> np.ndarray:
@@ -312,44 +299,36 @@ def _principal_sqrt_logged(a: np.ndarray) -> np.ndarray:
 
 
 def branch_states_analytic(
-    t: float,
+    times: np.ndarray,
     params: PhysicalParams,
     field: CoherentField,
     grid: MomentumGrid,
-) -> BranchState:
-    """Assemble the closed-form branch amplitudes at time t.
+) -> list[BranchState]:
+    """Closed-form branch amplitudes at every requested time.
 
-    C_n = w_n sqrt(a_n) exp(i/2 lam E+ sqrt(n+1)) and
-    D_n = w_{n-1} sqrt(b_n) exp(i/2 lam E+ sqrt(n)), per momentum node.  The
-    phase integrals take the closed form when qg > 0 and the elementary
-    antiderivative when qg = 0, over all nodes in one array evaluation.
+    Per sample and momentum node, block n's excited and ground amplitudes are
+    sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1));
+    ``core.branch_sweep`` makes them C_n and D_{n+1}.  The phase integrals take
+    the closed form when qg > 0 and the elementary antiderivative when qg = 0,
+    over all nodes in one array evaluation per sample.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
     without bound on resonance.  ``run`` rejects norms above 1 + NORM_SLACK.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    times = check_times(times)
     nodes = grid.nodes[:, None]  # (K, 1) broadcasts against the Fock axis
-    if params.qg > 0:
-        used = "closed"
-        E = phase_integral_closed(nodes, t, params)
-    else:
-        used = "elementary"
-        E = phase_integral_elementary(nodes, t, params)
-    nmax = field.nmax
-    n_arr = np.arange(nmax + 2)
-    bc = branch_coeffs(n_arr, E, params)  # (K, nmax+2), n = 0 .. nmax+1
-    c = np.zeros(bc.a_n.shape, dtype=np.complex128)
-    d = np.zeros_like(c)
-    phase = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr + 1.0))
-    c[:, : nmax + 1] = (field.w * _principal_sqrt_logged(bc.a_n[:, : nmax + 1])
-                        * phase[:, : nmax + 1])
-    phase_d = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr[1:]))
-    d[:, 1:] = field.w * _principal_sqrt_logged(bc.b_n[:, 1:]) * phase_d
-    meta = {
-        "backend": "analytic",
-        "phase_integral_method": used,
-        "branch_variant": SELECTED_VARIANT_ID,
-    }
-    return BranchState(t=t, c=c, d=d, grid=grid, meta=meta)
+    used = "closed" if params.qg > 0 else "elementary"
+    integrals = phase_integral_closed if params.qg > 0 else phase_integral_elementary
+    n_arr = np.arange(field.nmax + 2)
+    meta = {"backend": "analytic", "phase_integral_method": used}
+
+    def rows():
+        for t in times:
+            E = integrals(nodes, t, params)
+            a, b = branch_coeffs(n_arr, E, params)  # (K, nmax+2), n = 0 .. nmax+1
+            phase = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr[1:]))
+            yield (_principal_sqrt_logged(a[:, :-1]) * phase,
+                   _principal_sqrt_logged(b[:, 1:]) * phase)
+
+    return branch_sweep(times, rows(), field, grid, meta)

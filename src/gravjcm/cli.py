@@ -74,7 +74,7 @@ def _states_for(sc: Scenario, backend: str, qg: float):
     times = sc.times_seconds()
     if backend == "ode":
         return branch_states_ode_sweep(times, params, fld, grid, tol=sc.ode_tol)
-    return [branch_states_analytic(t, params, fld, grid) for t in times]
+    return branch_states_analytic(times, params, fld, grid)
 
 
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:

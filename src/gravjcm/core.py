@@ -1,8 +1,8 @@
 """Domain types shared by both solver backends.
 
 Physical parameters, the coherent-field initial amplitudes, the Gauss-Hermite
-discretization of the center-of-mass momentum wavepacket, and the per-node
-branch-amplitude container.
+discretization of the center-of-mass momentum wavepacket, the per-node
+branch-amplitude container and the sweep builder of both backends.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -15,9 +15,11 @@ are given directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import pdtrc
 
 TRUNCATION_EPS = 1e-12
 
@@ -93,8 +95,9 @@ def coherent_amplitudes(alpha: complex, nmax: int) -> CoherentField:
     """Coherent-state Fock amplitudes via the stable ratio recursion.
 
     w_{n+1} = w_n * alpha / sqrt(n+1), seeded with w_0 = e^{-|alpha|^2/2},
-    which avoids factorial overflow at large n.  Raises TruncationError when
-    the retained probability falls short of 1 - 1e-12.
+    which avoids factorial overflow at large n.  Raises TruncationError unless the
+    probabilities sum to 1 within TRUNCATION_EPS plus the recursion's rounding
+    (4 ulps per level); they do not once the seed is subnormal, from |alpha| ~ 37.6.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -104,33 +107,29 @@ def coherent_amplitudes(alpha: complex, nmax: int) -> CoherentField:
     for n in range(nmax):
         w[n + 1] = w[n] * alpha / math.sqrt(n + 1)
     total = float(np.sum(np.abs(w) ** 2))
-    if total < 1.0 - TRUNCATION_EPS:
-        raise TruncationError(
-            f"nmax={nmax} retains only {total:.15f} of the coherent state; "
-            "increase the cutoff"
-        )
+    tol = TRUNCATION_EPS + 4 * (nmax + 1) * np.finfo(float).eps
+    if not abs(total - 1.0) <= tol:
+        cause = (f"the seed e^(-|alpha|^2/2) = {w[0].real:.3g} underflowed"
+                 if w[0].real < np.finfo(float).tiny else f"nmax = {nmax} is too small")
+        raise TruncationError(f"coherent probabilities sum to {total:.15g}, not 1 "
+                              f"within {tol:.3g}: {cause}")
     return CoherentField(nmax=nmax, w=w)
 
 
 def adaptive_nmax(alpha: complex) -> int:
-    """Smallest cutoff with Poisson tail below TRUNCATION_EPS, floored at 4|alpha|^2.
+    """Smallest cutoff whose Poisson tail lies below TRUNCATION_EPS (at most 100000).
 
-    The excitation number is conserved block by block, so no population can
-    leak above the initially occupied subspace; the floor keeps a generous
-    margin for the n+1 ground-branch shift.
+    The tail is scipy's Poisson survival function: one minus a running sum of
+    the lower levels rounds by up to ~1% of the budget.  The excitation number
+    is conserved block by block, so no population leaves the initially
+    occupied levels; the ground branch's n+1 shift has its own slot on the
+    padded nmax + 2 Fock axis of ``BranchState``.
     """
     nbar = abs(alpha) ** 2
-    if nbar == 0.0:
-        return 0
-    # Complementary tail of the Poisson distribution, accumulated in log space.
-    logp = -nbar
-    cum = math.exp(logp)
     n = 0
-    while 1.0 - cum >= TRUNCATION_EPS and n < 100000:
+    while pdtrc(n, nbar) >= TRUNCATION_EPS and n < 100000:
         n += 1
-        logp += math.log(nbar) - math.log(n)
-        cum += math.exp(logp)
-    return max(n, math.ceil(4.0 * nbar))
+    return n
 
 
 @dataclass(frozen=True)
@@ -191,3 +190,30 @@ class BranchState:
         """Momentum-weighted total probability on both branches."""
         per_node = np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=1)
         return float(np.dot(self.grid.weights, per_node))
+
+
+def check_times(times) -> np.ndarray:
+    """A sweep's sample times as floats: 1-d, nonempty, nonnegative, strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a nonempty 1-d array, nonnegative and strictly increasing")
+    return times
+
+
+def branch_sweep(times: np.ndarray, rows: Iterable[tuple[np.ndarray, np.ndarray]],
+                 field: CoherentField, grid: MomentumGrid, meta: dict) -> list[BranchState]:
+    """Branch states of a sweep from the block amplitudes ``rows`` yields per time.
+
+    A row is the excited and ground amplitudes (x, y) of every block, each
+    (K, nmax + 1), stored as C_n = w_n x_n and D_{n+1} = w_n y_n.  State i views
+    row i of one ``c`` and one ``d`` of shape (T, K, nmax + 2), so one kept
+    state keeps the whole sweep alive; all states share ``meta``.
+    """
+    nmax = field.nmax
+    c = np.zeros((times.size, grid.nodes.size, nmax + 2), dtype=np.complex128)
+    d = np.zeros_like(c)
+    for i, (x, y) in enumerate(rows):
+        np.multiply(field.w, x, out=c[i, :, : nmax + 1])
+        np.multiply(field.w, y, out=d[i, :, 1:])
+    return [BranchState(t=float(t), c=c[i], d=d[i], grid=grid, meta=meta)
+            for i, t in enumerate(times)]

@@ -23,8 +23,8 @@ NORM_SLACK = 1e-3
 DISC_SLACK = 1e-9
 # Local maxima of Q below this fraction of the global maximum are not peaks.
 PEAK_REL_THRESHOLD = 0.05
-# Grid rows per Q chunk: 8 rows of a 401-point axis with 102 Fock levels make
-# a 5 MB ladder.
+# Grid rows per Q chunk: 8 rows of a 401-point axis with 70 Fock levels
+# (alpha = 5) make a 3.6 MB ladder.
 _Q_CHUNK_ROWS = 8
 
 

@@ -40,7 +40,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .analytic import detuning0_of_p
-from .core import BranchState, CoherentField, MomentumGrid, PhysicalParams
+from .core import (BranchState, CoherentField, MomentumGrid, PhysicalParams, branch_sweep,
+                   check_times)
 
 # Substeps of the longest sample interval above which the sweep gives up.
 MAX_SUBSTEPS = 2**20
@@ -197,43 +198,32 @@ def branch_states_ode_sweep(
 ) -> list[BranchState]:
     """Branch amplitudes at every requested time from one Magnus pass.
 
-    C_n(t) = w_n c_e,n(t) and D_{n+1}(t) = w_n c_g,n(t); times must be
-    nonnegative and strictly increasing.  ``tol`` is the target for the
-    step-doubling estimate of the global amplitude error; each state's
-    ``meta`` records it with the substeps of the longest sample interval,
-    the total substep count and the estimate.  State i views row i of one
-    ``c`` and one ``d`` block of shape (T, K, nmax + 2), so keeping one state
-    of a long sweep keeps its whole block alive.
+    The blocks' c_e and c_g at each sample go to ``core.branch_sweep``.
+    ``tol`` is the target for the step-doubling estimate of the global
+    amplitude error; ``meta`` records it with the substeps of the longest
+    sample interval, the total substep count and the estimate.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be nonnegative and strictly increasing")
+    times = check_times(times)
     check_tol(tol)
-    nmax = field.nmax
     qg = params.qg
     d0 = detuning0_of_p(grid.nodes, params)
-    omega = params.lam * np.sqrt(np.arange(nmax + 1) + 1.0)
+    omega = params.lam * np.sqrt(np.arange(field.nmax + 1) + 1.0)
     counts, estimate = _substeps(times, d0, omega, qg, tol)
     meta = {"backend": "ode", "method": "magnus4", "tol": tol,
             "substeps": int(counts.max()), "steps": int(counts.sum()),
             "error_estimate": estimate}
 
-    a = np.ones((d0.size, nmax + 1), dtype=np.complex128)
-    b = np.zeros_like(a)
-    c = np.zeros((times.size, d0.size, nmax + 2), dtype=np.complex128)
-    d = np.zeros_like(c)
-    states = []
-    t = 0.0
-    for i, (t_next, m) in enumerate(zip(times, counts)):
-        h = (t_next - t) / m if m else 0.0
-        for j in range(m):
-            u, v = _magnus_step(h, t + (j + 0.5) * h, d0, omega, qg)
-            a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
-        t = float(t_next)
-        half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[:, None]
-        np.multiply(field.w, a * np.exp(1j * half_phi), out=c[i, :, : nmax + 1])
-        np.multiply(field.w, b * np.exp(-1j * half_phi), out=d[i, :, 1:])
-        states.append(BranchState(t=t, c=c[i], d=d[i], grid=grid, meta=dict(meta)))
-    return states
+    def rows():
+        a = np.ones((d0.size, omega.size), dtype=np.complex128)
+        b = np.zeros_like(a)
+        t = 0.0
+        for t_next, m in zip(times, counts):
+            h = (t_next - t) / m if m else 0.0
+            for j in range(m):
+                u, v = _magnus_step(h, t + (j + 0.5) * h, d0, omega, qg)
+                a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
+            t = float(t_next)
+            half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[:, None]
+            yield a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)
+
+    return branch_sweep(times, rows(), field, grid, meta)

@@ -13,9 +13,9 @@ The builtin figures are override documents that go through the same parser.
 
 Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
-belongs to a numerical layer (the ode tolerance range, the Q window) call
-that layer's own check, so each bound is written once.  The Fock cutoff is
-not an input: the run always derives it from alpha with ``adaptive_nmax``.
+belongs to a numerical layer (the ode tolerance range, the Q window, the
+coherent amplitudes' sum) call that layer's own check, so each bound is
+written once.  The Fock cutoff is no input: ``adaptive_nmax`` derives it from alpha.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PhysicalParams, paper_defaults
+from .core import PhysicalParams, adaptive_nmax, coherent_amplitudes, paper_defaults
 from .observables import check_q_window
 from .ode import check_tol
 
@@ -126,6 +126,8 @@ class Scenario:
                          self.params.alpha)
         if self.n_nodes < 1:
             raise ScenarioError("n_nodes must be >= 1")
+        alpha = self.params.alpha
+        _layer_check("alpha", coherent_amplitudes, alpha, adaptive_nmax(alpha))
         _layer_check("ode_tol", check_tol, self.ode_tol)
 
     def times_scaled(self) -> np.ndarray:

@@ -284,16 +284,17 @@ def test_branch_coeffs_sum_to_one_exactly():
         t = rng.uniform(1e-8, 25e-6)
         E = phase_integral_closed(rng.uniform(-2, 2), t, p)
         for n in (0, 3, 40):
-            bc = branch_coeffs(n, E, p)
-            assert bc.a_n + bc.b_n == 1.0  # exact by construction
-            assert bc.b_n == -(n + 1) * bc.eta
+            a_n, b_n = branch_coeffs(n, E, p)
+            assert a_n + b_n == 1.0  # exact by construction
+            assert b_n == -(n + 1) * (-1j * p.lam**2 * E.e_plus * E.e_minus**2)
 
 
 def test_branch_coeffs_dimensional_scale():
     # lam^2 E+ E-^2 is dimensionless: lam in rad/s, E in seconds
     p = paper_defaults(qg=1.5e7)
     E = phase_integral_closed(0.0, 5e-6, p)
-    assert branch_coeffs(2, E, p).eta == -1j * p.lam**2 * E.e_plus * E.e_minus**2
+    eta = -1j * p.lam**2 * E.e_plus * E.e_minus**2
+    assert branch_coeffs(2, E, p)[1] == -3 * eta
     with pytest.raises(ValueError):
         branch_coeffs(-1, E, p)
 
@@ -308,7 +309,7 @@ def small_setup():
 def test_analytic_state_initial_condition(small_setup):
     field, grid = small_setup
     p = paper_defaults(qg=1.5e7)
-    st = branch_states_analytic(0.0, p, field, grid)
+    st = branch_states_analytic(np.array([0.0]), p, field, grid)[0]
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
     assert float(np.max(np.abs(st.d))) == 0.0
     np.testing.assert_allclose(st.c[0, :101], field.w, atol=1e-14)
@@ -318,7 +319,7 @@ def test_analytic_state_regression_pin():
     field = coherent_amplitudes(5.0, 100)
     grid = build_momentum_grid(1.0, 1)
     p0 = paper_defaults(qg=0.0)
-    st = branch_states_analytic(10.0 / 1e6, p0, field, grid)
+    st = branch_states_analytic(np.array([10.0 / 1e6]), p0, field, grid)[0]
     assert abs(complex(st.c[0, 10]) - C10_PIN) < 1e-12
     assert abs(complex(st.d[0, 10]) - D10_PIN) < 1e-12
     assert st.norm() == pytest.approx(NORM_PIN, abs=1e-10)

@@ -194,6 +194,9 @@ REJECTED_UP_FRONT = {
     "q_window_misses_disk": "alpha = 5\nt_end = 0\nn_samples = 1\n"
                             "outputs = qgrid\nqgrid.extent = 5\n",
     "nmax_truncates_field": "alpha = 5\nt_end = 1\nn_samples = 5\nnmax = 10\n",
+    # the seed e^(-|alpha|^2/2) is subnormal at 38.3 and zero at 39
+    "alpha_seed_subnormal": "alpha = 38.3\nt_end = 1\nn_samples = 5\n",
+    "alpha_seed_zero": "alpha = 39\nt_end = 1\nn_samples = 5\n",
     "literal_mode_on_ode": "t_end = 1\nn_samples = 5\n"
                            "literal_paper_mode = true\nbackend = ode\n",
     "literal_mode_on_analytic": "t_end = 1\nn_samples = 5\n"
@@ -290,8 +293,7 @@ def test_crosscheck_reports_each_qg(tmp_path, capsys):
         grid = build_momentum_grid(params.sigma0, sc.n_nodes)
         times = sc.times_seconds()
         cc_o, dd_o, cd_o = sweep_overlaps(branch_states_ode_sweep(times, params, fld, grid))
-        cc_a, dd_a, cd_a = sweep_overlaps(
-            [branch_states_analytic(t, params, fld, grid) for t in times])
+        cc_a, dd_a, cd_a = sweep_overlaps(branch_states_analytic(times, params, fld, grid))
         d_w = np.abs((cc_o - dd_o) - (cc_a - dd_a))
         d_s = np.abs(eig_entropy(cc_o, dd_o, cd_o) - eig_entropy(cc_a, dd_a, cd_a))
         d_norm = np.abs(cc_a + dd_a - 1.0)

@@ -1,9 +1,12 @@
 """Tests for the shared domain types: parameters, field, momentum grid."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravjcm.core import (
     BranchState,
@@ -39,19 +42,38 @@ def test_truncation_rejected():
         coherent_amplitudes(1.0, -1)
 
 
+@pytest.mark.parametrize("alpha", [38.3, 38.6])
+def test_subnormal_seed_rejected(alpha):
+    # e^(-|alpha|^2/2) is subnormal here and the probabilities sum above 1
+    with pytest.raises(TruncationError, match="underflowed"):
+        coherent_amplitudes(alpha, adaptive_nmax(alpha))
+
+
+def poisson_tail(nbar, nmax):
+    """Poisson probability above nmax, summed exactly over the levels above it."""
+    return math.fsum(math.exp(k * math.log(nbar) - nbar - math.lgamma(k + 1))
+                     for k in range(nmax + 1, nmax + 400))
+
+
 def test_adaptive_nmax_tail_bound_and_floor():
-    for alpha in (1.0, 3.0, 5.0):
+    # the tail bound is the only floor: nmax is the smallest cutoff meeting it
+    for alpha in (1.0, 3.0, 5.0, 8.029002996496242):
         nmax = adaptive_nmax(alpha)
-        assert nmax >= math.ceil(4.0 * abs(alpha) ** 2)
-        # Poisson tail above nmax must be below the truncation budget
         nbar = abs(alpha) ** 2
-        logp = -nbar
-        cum = math.exp(logp)
-        for n in range(1, nmax + 1):
-            logp += math.log(nbar) - math.log(n)
-            cum += math.exp(logp)
-        assert 1.0 - cum < 1e-12
+        assert poisson_tail(nbar, nmax) < 1e-12
+        assert poisson_tail(nbar, nmax - 1) >= 1e-12
+    assert adaptive_nmax(5.0) == 68
     assert adaptive_nmax(0.0) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.one_of(st.just(1e-6), st.floats(0.0, 37.5)), phase=st.floats(0.0, 2.0 * math.pi))
+def test_adaptive_cutoff_amplitudes_accepted(r, phase):
+    # below the seed underflow the adaptive cutoff passes the sum check (no
+    # TruncationError), also where its tail lies next to the budget
+    # (alpha = 1e-6: 1e-12 - 5e-25) and where the recursion rounds most
+    alpha = r * cmath.exp(1j * phase)
+    coherent_amplitudes(alpha, adaptive_nmax(alpha))
 
 
 def test_params_validation():

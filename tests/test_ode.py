@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravjcm.analytic import detuning0_of_p
+from gravjcm.analytic import branch_states_analytic, detuning0_of_p
 from gravjcm import ode
 from gravjcm.core import (
     CoherentField,
@@ -187,37 +187,50 @@ def test_sweep_block_norm_property(alpha, n_nodes, qg, delta0, lam_t):
         assert float(np.max(np.abs(blocks - field.w**2))) <= 1e-12
 
 
-def test_sweep_consistent_with_single_shot(sweep_setup):
+# both backends hand their blocks to the one sweep builder, core.branch_sweep
+SWEEPS = {"ode": branch_states_ode_sweep, "analytic": branch_states_analytic}
+
+
+@pytest.mark.parametrize("backend", sorted(SWEEPS))
+def test_sweep_consistent_with_single_shot(sweep_setup, backend):
     field, grid = sweep_setup
+    sweep_of = SWEEPS[backend]
     p = paper_defaults(qg=0.5e7)
     t = 6e-6
-    sweep = branch_states_ode_sweep(np.array([2e-6, t]), p, field, grid)
-    single = state_at(t, p, field, grid)
+    sweep = sweep_of(np.array([2e-6, t]), p, field, grid)
+    single = sweep_of(np.array([t]), p, field, grid)[0]
     assert float(np.max(np.abs(sweep[1].c - single.c))) < 1e-8
     assert float(np.max(np.abs(sweep[1].d - single.d))) < 1e-8
 
 
-def test_sweep_states_view_one_block_per_branch(sweep_setup):
+@pytest.mark.parametrize("backend", sorted(SWEEPS))
+def test_sweep_states_view_one_block_per_branch(sweep_setup, backend):
     field, grid = sweep_setup
     times = np.linspace(0.0, 3e-6, 5)
-    states = branch_states_ode_sweep(times, paper_defaults(qg=1.5e7), field, grid)
+    states = SWEEPS[backend](times, paper_defaults(qg=1.5e7), field, grid)
     for name in ("c", "d"):
         block = getattr(states[0], name).base
         assert block is not None and block.shape == (times.size, grid.nodes.size, field.nmax + 2)
         for i, st in enumerate(states):
             assert getattr(st, name).base is block
             assert np.shares_memory(getattr(st, name), block[i])
+    assert all(st.meta is states[0].meta for st in states)
+    assert [st.t for st in states] == times.tolist()
 
 
-def test_sweep_time_grid_validation(sweep_setup):
+@pytest.mark.parametrize("backend", sorted(SWEEPS))
+def test_sweep_time_grid_validation(sweep_setup, backend):
     field, grid = sweep_setup
+    sweep_of = SWEEPS[backend]
     p = paper_defaults()
     with pytest.raises(ValueError):
-        branch_states_ode_sweep(np.array([1e-6, 1e-6]), p, field, grid)
+        sweep_of(np.array([1e-6, 1e-6]), p, field, grid)
     with pytest.raises(ValueError):
-        branch_states_ode_sweep(np.array([-1e-6, 1e-6]), p, field, grid)
+        sweep_of(np.array([-1e-6, 1e-6]), p, field, grid)
     with pytest.raises(ValueError):
-        branch_states_ode_sweep(np.array([]), p, field, grid)
+        sweep_of(np.array([]), p, field, grid)
+    with pytest.raises(ValueError):
+        sweep_of(np.array([[1e-6]]), p, field, grid)
 
 
 def test_ground_branch_alignment(sweep_setup):
