@@ -1,7 +1,7 @@
 """Closed-form solution backend.
 
 Detunings, the chirped-phase integrals E+/E-, the branch coefficients a_n/b_n
-and the per-sample block amplitudes of a sweep.
+and the block amplitudes of a sweep.
 
 Two evaluation routes exist for the phase integrals: direct numerical
 quadrature (the defining object) and the error-function closed form.  The
@@ -11,15 +11,14 @@ variant that matches the quadrature, and the production evaluator hardwires
 that winner in a cancellation-free regrouping (see ``phase_integral_closed``).
 
 The detunings, the closed and elementary phase integrals and the branch
-coefficients broadcast over arrays of momentum nodes, so one call covers the
-whole grid.  The Faddeeva function is scipy's ``wofz`` (S. G. Johnson's
-Faddeeva Package) behind a finiteness check.
+coefficients broadcast over arrays of times and momentum nodes, so one call
+covers a chunk of a sweep on the whole grid.  The Faddeeva function is
+scipy's ``wofz`` (S. G. Johnson's Faddeeva Package) behind a finiteness check.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,10 +28,11 @@ from scipy.special import erf, wofz
 from .core import (BranchState, CoherentField, MomentumGrid, PhysicalParams, branch_sweep,
                    check_times)
 
-log = logging.getLogger(__name__)
-
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
 SQRT_PI = math.sqrt(math.pi)
+# Sample times per closed-form evaluation in a sweep: each chunk's arrays
+# hold CHUNK_TIMES x K x (nmax + 2) values.
+CHUNK_TIMES = 8
 
 
 class QuadratureError(RuntimeError):
@@ -150,11 +150,12 @@ def phase_integral_quadrature(
     return PhaseIntegrals(e_plus=ep, e_minus=em)
 
 
-def phase_integral_elementary(p, t: float, params: PhysicalParams) -> PhaseIntegrals:
+def phase_integral_elementary(p, t, params: PhysicalParams) -> PhaseIntegrals:
     """Chirp-free (qg = 0) antiderivative: (exp(i d0 t) - 1) / (i d0).
 
     Evaluated as t sinc(d0 t / 2 pi) exp(i d0 t / 2), which does not cancel
-    at small d0 t and takes the limit t at d0 = 0.  Broadcasts over nodes p.
+    at small d0 t and takes the limit t at d0 = 0.  Broadcasts over nodes p
+    and times t.
     """
     d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
     ep = (t * np.sinc(d0 * t / (2.0 * np.pi)) * np.exp(0.5j * d0 * t))[()]
@@ -196,7 +197,7 @@ def closed_form_variant(
     return pref * cmath.exp(1j * exp_sign * x * x) * bracket
 
 
-def phase_integral_closed(p, t: float, params: PhysicalParams) -> PhaseIntegrals:
+def phase_integral_closed(p, t, params: PhysicalParams) -> PhaseIntegrals:
     """Audited closed form of the phase integrals (qg > 0 only).
 
     The winning branch variant is algebraically regrouped so the huge
@@ -208,14 +209,14 @@ def phase_integral_closed(p, t: float, params: PhysicalParams) -> PhaseIntegrals
 
     with x = d0 / sqrt(2 qg), u2 = sqrt(qg/2) t - x.  In the usual regime
     (chirp not yet through resonance) the standalone e^{i x^2} term cancels
-    exactly and only well-conditioned phases survive.  Broadcasts over an
-    array of nodes p.
+    exactly and only well-conditioned phases survive.  Broadcasts over
+    nodes p and times t.
     """
     qg = params.qg
     if qg <= 0:
         raise ValueError("closed form is singular at qg = 0; "
                          "use the quadrature or the elementary antiderivative")
-    if t < 0:
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
     x = d0 / math.sqrt(2.0 * qg)
@@ -290,14 +291,6 @@ def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> tuple:
     return a[()], b[()]
 
 
-def _principal_sqrt_logged(a: np.ndarray) -> np.ndarray:
-    near_cut = (a.real < 0) & (np.abs(a.imag) < 1e-12 * np.abs(a))
-    if np.any(near_cut):
-        log.debug("principal sqrt taken next to the branch cut for %d values",
-                  int(np.sum(near_cut)))
-    return np.sqrt(a)
-
-
 def branch_states_analytic(
     times: np.ndarray,
     params: PhysicalParams,
@@ -307,10 +300,11 @@ def branch_states_analytic(
     """Closed-form branch amplitudes at every requested time.
 
     Per sample and momentum node, block n's excited and ground amplitudes are
-    sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1));
-    ``core.branch_sweep`` makes them C_n and D_{n+1}.  The phase integrals take
-    the closed form when qg > 0 and the elementary antiderivative when qg = 0,
-    over all nodes in one array evaluation per sample.
+    sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1))
+    and principal square roots; ``core.branch_sweep`` makes them C_n and
+    D_{n+1}.  The phase integrals take the closed form when qg > 0 and the
+    elementary antiderivative when qg = 0, in one array evaluation per chunk
+    of CHUNK_TIMES samples over all nodes.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
@@ -324,11 +318,10 @@ def branch_states_analytic(
     meta = {"backend": "analytic", "phase_integral_method": used}
 
     def rows():
-        for t in times:
-            E = integrals(nodes, t, params)
-            a, b = branch_coeffs(n_arr, E, params)  # (K, nmax+2), n = 0 .. nmax+1
+        for lo in range(0, times.size, CHUNK_TIMES):
+            E = integrals(nodes, times[lo : lo + CHUNK_TIMES, None, None], params)
+            a, b = branch_coeffs(n_arr, E, params)  # (R, K, nmax+2), n = 0 .. nmax+1
             phase = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr[1:]))
-            yield (_principal_sqrt_logged(a[:, :-1]) * phase,
-                   _principal_sqrt_logged(b[:, 1:]) * phase)
+            yield from zip(np.sqrt(a[..., :-1]) * phase, np.sqrt(b[..., 1:]) * phase)
 
     return branch_sweep(times, rows(), field, grid, meta)

@@ -71,10 +71,9 @@ def _states_for(sc: Scenario, backend: str, qg: float):
     params = sc.params_for(qg)
     fld = coherent_amplitudes(params.alpha, adaptive_nmax(params.alpha))
     grid = build_momentum_grid(params.sigma0, sc.n_nodes)
-    times = sc.times_seconds()
-    if backend == "ode":
-        return branch_states_ode_sweep(times, params, fld, grid, tol=sc.ode_tol)
-    return branch_states_analytic(times, params, fld, grid)
+    # looked up per call, so wrappers set on this module's names see every sweep
+    sweep = branch_states_ode_sweep if backend == "ode" else branch_states_analytic
+    return sweep(sc.times_seconds(), params, fld, grid)
 
 
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:
@@ -179,8 +178,8 @@ def _cmd_run(args) -> int:
         ("defaults_filled", ", ".join(sc.provenance) or "none"),
     ]
 
-    # every file is staged and moved into --out only once all of them exist,
-    # so a failed run leaves --out as it found it
+    # every file is staged and moved into --out only once all of them exist and
+    # none of their names is taken there, so a failed run leaves --out as it found it
     try:
         with tempfile.TemporaryDirectory(dir=out, ignore_cleanup_errors=True) as tmp:
             stage = Path(tmp)
@@ -191,7 +190,13 @@ def _cmd_run(args) -> int:
                                           f"{sc.name}_{qg_token(qg_val)}")
             meta_path = stage / f"{sc.name}_run_metadata.txt"
             _write_kv(meta_path, meta + [("files", ", ".join(p.name for p in written))])
-            for path in written + [meta_path]:
+            staged = written + [meta_path]
+            taken = [p.name for p in staged if (out / p.name).exists()]
+            if taken:
+                print(f"i/o error: {out} already holds {', '.join(taken)}; "
+                      "nothing was written", file=sys.stderr)
+                return EXIT_IO
+            for path in staged:
                 path.replace(out / path.name)
     except (IntegrationError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -226,8 +231,7 @@ def _cmd_crosscheck(args) -> int:
             return EXIT_NUMERICAL
         print(
             f"crosscheck qg={_fmt(qg_val)} tmax={_fmt(sc.time_spec.t_end)} "
-            f"tol={_fmt(sc.ode_tol)} max_dW={_fmt(dev_w)} max_dS={_fmt(dev_s)} "
-            f"max_dnorm={_fmt(dev_norm)}"
+            f"max_dW={_fmt(dev_w)} max_dS={_fmt(dev_s)} max_dnorm={_fmt(dev_norm)}"
         )
     return EXIT_OK
 

@@ -277,19 +277,26 @@ def q_peak_analysis(q: QGrid) -> QPeakReport:
     )
 
 
-def cat_fidelity(state: BranchState, params: PhysicalParams) -> float:
-    """Overlap with the separable cat-time ansatz (|e> + i|g>)/sqrt(2) x |psi_f>.
+def cat_ansatz(alpha: complex, nfock: int) -> np.ndarray:
+    """Field ansatz |psi_f> of ``cat_fidelity`` on nfock levels: n w_n, normalized.
 
-    |psi_f> weights the initial coherent amplitudes by the photon number,
-    n w_n, normalized.  Fidelity is the momentum-weighted squared
-    projection, 1 exactly when the state equals the ansatz.
+    Raises ValueError where it has no norm, as at alpha = 0.
     """
-    nfock = state.nfock
-    psi = np.arange(nfock) * coherent_amplitudes(params.alpha, nfock - 1).w
+    psi = np.arange(nfock) * coherent_amplitudes(alpha, nfock - 1).w
     nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     if nrm == 0.0:
         raise ValueError("field ansatz has zero norm")
-    psi = psi / nrm
+    return psi / nrm
+
+
+def cat_fidelity(state: BranchState, params: PhysicalParams) -> float:
+    """Overlap with the separable cat-time ansatz (|e> + i|g>)/sqrt(2) x |psi_f>.
+
+    |psi_f> is ``cat_ansatz``: the initial coherent amplitudes weighted by
+    the photon number, n w_n, normalized.  Fidelity is the momentum-weighted
+    squared projection, 1 exactly when the state equals the ansatz.
+    """
+    psi = cat_ansatz(params.alpha, state.nfock)
     proj_c = state.c @ np.conj(psi)
     proj_d = state.d @ np.conj(psi)
     amp = (proj_c - 1j * proj_d) / math.sqrt(2.0)

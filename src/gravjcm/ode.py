@@ -24,8 +24,8 @@ At qg = 0 the step is exact.
 
 Step control: every sample interval is cut into equal substeps no longer
 than a common step h, where h is the longest interval divided by the
-smallest power of two for which the step-doubling error estimate meets the
-tolerance.  The estimate compares one step of h with two of h/2 at both ends
+smallest power of two for which the step-doubling error estimate is at most
+``TOL``.  The estimate compares one step of h with two of h/2 at both ends
 of the sweep (where |delta| is extremal), takes the largest propagator
 difference over all blocks and multiplies it by the total number of
 substeps.
@@ -43,6 +43,8 @@ from .analytic import detuning0_of_p
 from .core import (BranchState, CoherentField, MomentumGrid, PhysicalParams, branch_sweep,
                    check_times)
 
+# Target for the step-doubling estimate of a sweep's global amplitude error.
+TOL = 1e-10
 # Substeps of the longest sample interval above which the sweep gives up.
 MAX_SUBSTEPS = 2**20
 # Step-doubling differences at or below this are float64 rounding in the
@@ -52,12 +54,6 @@ ROUNDING_FLOOR = 1e-14
 
 class IntegrationError(RuntimeError):
     """The integrator could not reach the requested accuracy or time."""
-
-
-def check_tol(tol: float) -> None:
-    """Reject a step-control target outside [1e-12, 1e-6]."""
-    if not (1e-12 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
 
 
 def _magnus_step(h: float, t_mid: float, d0: np.ndarray, omega: np.ndarray,
@@ -90,8 +86,8 @@ def _doubling_error(h: float, t0: float, d0: np.ndarray, omega: np.ndarray,
     return float(max(np.max(np.abs(u - uc)), np.max(np.abs(v - vc))))
 
 
-def _substeps(times: np.ndarray, d0: np.ndarray, omega: np.ndarray, qg: float,
-              tol: float) -> tuple[np.ndarray, float]:
+def _substeps(times: np.ndarray, d0: np.ndarray, omega: np.ndarray,
+              qg: float) -> tuple[np.ndarray, float]:
     """Substep count of each interval ending at a sample, and the estimate."""
     spans = np.diff(times, prepend=0.0)
     longest = float(spans.max())
@@ -105,11 +101,11 @@ def _substeps(times: np.ndarray, d0: np.ndarray, omega: np.ndarray, qg: float,
         local = max(_doubling_error(h, 0.0, d0, omega, qg),
                     _doubling_error(h, t_end - h, d0, omega, qg))
         estimate = int(counts.sum()) * local
-        if estimate <= tol or local <= ROUNDING_FLOOR:
+        if estimate <= TOL or local <= ROUNDING_FLOOR:
             return counts, estimate
         m *= 2
     raise IntegrationError(
-        f"step-doubling error {estimate:.3e} still above tol {tol:g} "
+        f"step-doubling error {estimate:.3e} still above TOL {TOL:g} "
         f"at {m // 2} substeps per interval"
     )
 
@@ -194,22 +190,19 @@ def branch_states_ode_sweep(
     params: PhysicalParams,
     field: CoherentField,
     grid: MomentumGrid,
-    tol: float = 1e-10,
 ) -> list[BranchState]:
     """Branch amplitudes at every requested time from one Magnus pass.
 
     The blocks' c_e and c_g at each sample go to ``core.branch_sweep``.
-    ``tol`` is the target for the step-doubling estimate of the global
-    amplitude error; ``meta`` records it with the substeps of the longest
-    sample interval, the total substep count and the estimate.
+    ``meta`` records the step-doubling target ``TOL`` with the substeps of
+    the longest sample interval, the total substep count and the estimate.
     """
     times = check_times(times)
-    check_tol(tol)
     qg = params.qg
     d0 = detuning0_of_p(grid.nodes, params)
     omega = params.lam * np.sqrt(np.arange(field.nmax + 1) + 1.0)
-    counts, estimate = _substeps(times, d0, omega, qg, tol)
-    meta = {"backend": "ode", "method": "magnus4", "tol": tol,
+    counts, estimate = _substeps(times, d0, omega, qg)
+    meta = {"backend": "ode", "method": "magnus4", "tol": TOL,
             "substeps": int(counts.max()), "steps": int(counts.sum()),
             "error_estimate": estimate}
 

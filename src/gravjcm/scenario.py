@@ -13,8 +13,8 @@ The builtin figures are override documents that go through the same parser.
 
 Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
-belongs to a numerical layer (the ode tolerance range, the Q window, the
-coherent amplitudes' sum) call that layer's own check, so each bound is
+belongs to a numerical layer (the Q window, the coherent amplitudes' sum,
+the cat ansatz's norm) call that layer's own check, so each bound is
 written once.  The Fock cutoff is no input: ``adaptive_nmax`` derives it from alpha.
 """
 
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import PhysicalParams, adaptive_nmax, coherent_amplitudes, paper_defaults
-from .observables import check_q_window
-from .ode import check_tol
+from .observables import cat_ansatz, check_q_window
 
 VALID_BACKENDS = ("ode", "analytic")
 VALID_OUTPUTS = ("inversion", "entropy", "qgrid", "cat_report")
@@ -87,7 +86,6 @@ class Scenario:
     qgrid_extent: float
     qgrid_n: int
     n_nodes: int
-    ode_tol: float
     provenance: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -127,8 +125,10 @@ class Scenario:
         if self.n_nodes < 1:
             raise ScenarioError("n_nodes must be >= 1")
         alpha = self.params.alpha
-        _layer_check("alpha", coherent_amplitudes, alpha, adaptive_nmax(alpha))
-        _layer_check("ode_tol", check_tol, self.ode_tol)
+        nmax = adaptive_nmax(alpha)
+        _layer_check("alpha", coherent_amplitudes, alpha, nmax)
+        if "cat_report" in self.outputs:
+            _layer_check("alpha", cat_ansatz, alpha, nmax + 2)  # a state's Fock levels
 
     def times_scaled(self) -> np.ndarray:
         ts = self.time_spec
@@ -160,7 +160,6 @@ _DEFAULTS = {
     "qgrid.extent": "9.0",
     "qgrid.n": "201",
     "n_nodes": "32",
-    "ode_tol": "1e-10",
 }
 
 
@@ -212,7 +211,6 @@ def _build(kv: dict, filled_defaults: list) -> Scenario:
         qgrid_extent=_number(kv, "qgrid.extent"),
         qgrid_n=_count(kv, "qgrid.n"),
         n_nodes=_count(kv, "n_nodes"),
-        ode_tol=_number(kv, "ode_tol"),
         provenance=tuple(sorted(filled_defaults)),
     )
 
@@ -269,7 +267,6 @@ def serialize_scenario(sc: Scenario) -> str:
         f"qgrid.extent = {sc.qgrid_extent!r}",
         f"qgrid.n = {sc.qgrid_n}",
         f"n_nodes = {sc.n_nodes}",
-        f"ode_tol = {sc.ode_tol!r}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -186,11 +186,14 @@ def test_run_colliding_qg_tags_exits_1(tmp_path, capsys, qgs):
 
 
 # Inputs that would fail only after set-up (exit 2), run silently with a
-# setting ignored, write outside --out, or set the removed nmax or
+# setting ignored, write outside --out, or set the removed nmax, ode_tol or
 # literal_paper_mode key or backend = both; each is a scenario error found
 # before any work or write.
 REJECTED_UP_FRONT = {
-    "ode_tol_out_of_range": "t_end = 1\nn_samples = 5\node_tol = 1e-4\n",
+    "ode_tol_removed_key": "t_end = 1\nn_samples = 5\node_tol = 1e-10\n",
+    # the cat ansatz n w_n has no norm at alpha = 0
+    "cat_report_alpha_zero": "alpha = 0\nt_end = 0\nn_samples = 1\n"
+                             "outputs = cat_report\nqgrid.extent = 5\n",
     "q_window_misses_disk": "alpha = 5\nt_end = 0\nn_samples = 1\n"
                             "outputs = qgrid\nqgrid.extent = 5\n",
     "nmax_truncates_field": "alpha = 5\nt_end = 1\nn_samples = 5\nnmax = 10\n",
@@ -238,12 +241,29 @@ def test_run_analytic_norm_rule(tmp_path, capsys, delta0, code):
         assert float(np.max(np.abs(w))) <= 1.0
 
 
-def test_crosscheck_tol_out_of_range_exits_1(tmp_path, capsys):
-    scn = write_scenario(tmp_path, SMALL_SWEEP + "ode_tol = 1e-4\n")
+def test_crosscheck_removed_key_exits_1(tmp_path, capsys):
+    # the ode step-control target is a constant, ode.TOL, not a key
+    scn = write_scenario(tmp_path, SMALL_SWEEP + "ode_tol = 1e-10\n")
     assert main(["crosscheck", str(scn)]) == 1
     captured = capsys.readouterr()
-    assert "scenario error" in captured.err
+    assert "unknown key 'ode_tol'" in captured.err
     assert captured.out == ""
+
+
+def test_run_never_overwrites(tmp_path, capsys):
+    scn = write_scenario(tmp_path, SMALL_SWEEP)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    edited = out / "custom_qg0_inversion.csv"
+    edited.write_text("lambda_t,value\nhand-edited\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # a rerun would replace every file it wrote; it names them and moves nothing
+    assert main(["run", str(scn), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert all(name in err for name in before)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_run_deterministic_bytes(tmp_path):
@@ -285,7 +305,8 @@ def test_crosscheck_reports_each_qg(tmp_path, capsys):
     sc = parse_scenario(text)
     for qg, line in zip(sc.qg_list, lines):
         fields = dict(tok.split("=") for tok in line.split()[1:])
-        assert float(fields["tmax"]) == 6.0 and float(fields["tol"]) == 1e-10
+        assert list(fields) == ["qg", "tmax", "max_dW", "max_dS", "max_dnorm"]
+        assert float(fields["tmax"]) == 6.0
         # disagreement between the backends is a finding, not a failure; the
         # maxima are recomputed here from both backends' branch states
         params = sc.params_for(qg)

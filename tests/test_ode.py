@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravjcm.analytic import branch_states_analytic, detuning0_of_p
+from gravjcm.analytic import CHUNK_TIMES, branch_states_analytic, detuning0_of_p
 from gravjcm import ode
 from gravjcm.core import (
     CoherentField,
@@ -29,18 +29,18 @@ from gravjcm.ode import IntegrationError, branch_states_ode_sweep
 FIELD = coherent_amplitudes(5.0, 100)
 
 
-def state_at(t, params, field, grid, **kw):
+def state_at(t, params, field, grid):
     """Branch state at one time: a one-sample sweep."""
-    return branch_states_ode_sweep(np.array([t]), params, field, grid, **kw)[0]
+    return branch_states_ode_sweep(np.array([t]), params, field, grid)[0]
 
 
 def node_grid(p):
     return MomentumGrid(nodes=np.array([p]), weights=np.array([1.0]))
 
 
-def evolve(n, p, t, params, **kw):
+def evolve(n, p, t, params):
     """(c_e, c_g) of block n at momentum node p, from c_e = 1, c_g = 0."""
-    st = state_at(t, params, FIELD, node_grid(p), **kw)
+    st = state_at(t, params, FIELD, node_grid(p))
     w = FIELD.w[n]
     return complex(st.c[0, n] / w), complex(st.d[0, n + 1] / w)
 
@@ -130,10 +130,6 @@ def test_argument_validation():
     grid = node_grid(0.0)
     with pytest.raises(ValueError):
         state_at(-1e-6, p, FIELD, grid)
-    with pytest.raises(ValueError):
-        state_at(1e-6, p, FIELD, grid, tol=1e-4)
-    with pytest.raises(ValueError):
-        state_at(1e-6, p, FIELD, grid, tol=1e-13)
 
 
 def test_zero_time_is_identity():
@@ -193,14 +189,20 @@ SWEEPS = {"ode": branch_states_ode_sweep, "analytic": branch_states_analytic}
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
 def test_sweep_consistent_with_single_shot(sweep_setup, backend):
+    # 2 R + 3 samples end mid-chunk of the analytic backend, whose rows do not
+    # depend on the chunking at all, on the elementary (qg = 0) and closed forms
     field, grid = sweep_setup
     sweep_of = SWEEPS[backend]
-    p = paper_defaults(qg=0.5e7)
-    t = 6e-6
-    sweep = sweep_of(np.array([2e-6, t]), p, field, grid)
-    single = sweep_of(np.array([t]), p, field, grid)[0]
-    assert float(np.max(np.abs(sweep[1].c - single.c))) < 1e-8
-    assert float(np.max(np.abs(sweep[1].d - single.d))) < 1e-8
+    times = np.linspace(2e-6, 6e-6, 2 * CHUNK_TIMES + 3)
+    for qg in (0.0, 0.5e7):
+        p = paper_defaults(qg=qg)
+        for t, st in zip(times, sweep_of(times, p, field, grid)):
+            single = sweep_of(np.array([t]), p, field, grid)[0]
+            if backend == "analytic":
+                assert np.array_equal(st.c, single.c) and np.array_equal(st.d, single.d)
+            else:
+                assert float(np.max(np.abs(st.c - single.c))) < 1e-8
+                assert float(np.max(np.abs(st.d - single.d))) < 1e-8
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
@@ -256,13 +258,14 @@ ORACLE_NMAX = 40
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_magnus_matches_dop853_oracle(case):
+def test_magnus_matches_dop853_oracle(case, monkeypatch):
+    monkeypatch.setattr(ode, "TOL", 1e-12)
     overrides, lam_t, n_nodes = ORACLE_CASES[case]
     p = paper_defaults(**overrides)
     grid = build_momentum_grid(p.sigma0, n_nodes)
     unit = CoherentField(nmax=ORACLE_NMAX, w=np.ones(ORACLE_NMAX + 1, dtype=complex))
     times = lam_t / p.lam
-    states = branch_states_ode_sweep(times, p, unit, grid, tol=1e-12)
+    states = branch_states_ode_sweep(times, p, unit, grid)
     ce = np.array([st.c[:, :-1] for st in states])
     cg = np.array([st.d[:, 1:] for st in states])
     omega = p.lam * np.sqrt(np.arange(ORACLE_NMAX + 1) + 1.0)
@@ -276,15 +279,17 @@ def test_magnus_matches_dop853_oracle(case):
     assert float(np.max(np.abs(np.abs(ce) ** 2 + np.abs(cg) ** 2 - 1.0))) <= 1e-12
 
 
-def test_tighter_tol_never_fewer_substeps():
+def test_tighter_tol_never_fewer_substeps(monkeypatch):
     for overrides, lam_t in ((dict(qg=1.5e7), np.linspace(0.0, 5.0, 401)),
                              (dict(qg=1e12, delta0=2e6), np.linspace(0.0, 10.0, 101))):
         p = paper_defaults(**overrides)
         grid = build_momentum_grid(p.sigma0, 4)
-        substeps = [
-            branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid, tol=tol)[0].meta["substeps"]
-            for tol in (1e-6, 1e-8, 1e-10, 1e-12)
-        ]
+        substeps = []
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+            monkeypatch.setattr(ode, "TOL", tol)
+            st = branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid)[0]
+            assert st.meta["tol"] == tol
+            substeps.append(st.meta["substeps"])
         assert substeps == sorted(substeps)
         assert substeps[-1] > 1
 
@@ -292,6 +297,7 @@ def test_tighter_tol_never_fewer_substeps():
 def test_substep_cap_raises(monkeypatch):
     # the resonant 3e13 instant needs 2^17 substeps at tol 1e-12
     monkeypatch.setattr(ode, "MAX_SUBSTEPS", 2**10)
+    monkeypatch.setattr(ode, "TOL", 1e-12)
     p = paper_defaults(qg=3e13, delta0=0.0)
     with pytest.raises(IntegrationError, match="substeps"):
-        state_at(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0), tol=1e-12)
+        state_at(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0))

@@ -17,3 +17,20 @@ def test_every_traced_name_resolves():
     spec.loader.exec_module(tracing)
     for mod, attr, _ in tracing.SPANS + tracing.LEAVES:
         assert callable(getattr(importlib.import_module(mod), attr, None)), (mod, attr)
+
+
+def test_states_for_calls_the_backends_by_name(monkeypatch):
+    # the tracer replaces gravjcm.cli.branch_states_*; a backend table built at
+    # import time would keep the originals and leave its sweep spans empty
+    from gravjcm import cli
+
+    calls = []
+    for name in ("branch_states_ode_sweep", "branch_states_analytic"):
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    sc = cli.parse_scenario("alpha = 1\nqg = 0\nt_end = 1\nn_samples = 3\nn_nodes = 2\n")
+    for backend in ("ode", "analytic"):
+        assert len(cli._states_for(sc, backend, 0.0)) == 3
+    assert calls == ["branch_states_ode_sweep", "branch_states_analytic"]
