@@ -81,16 +81,29 @@ def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None
                header="lambda_t,value", comments="", encoding="utf-8")
 
 
-def _write_qgrid(base: Path, qg) -> None:
-    bx, by = np.meshgrid(qg.x, qg.y)  # rows y, columns x: y-major long form
-    np.savetxt(base.with_suffix(".csv"),
-               np.column_stack([bx.ravel(), by.ravel(), qg.values.ravel()]),
-               fmt=FMT, delimiter=",", header="x,y,q", comments="", encoding="utf-8")
-    header = ("rows: y ascending; columns: x ascending\n"
-              "x " + " ".join(_fmt(v) for v in qg.x) + "\n"
-              "y " + " ".join(_fmt(v) for v in qg.y))
-    np.savetxt(base.with_suffix(".matrix.txt"), qg.values, fmt=FMT, header=header,
-               encoding="utf-8")
+QGRID_SUFFIXES = (".csv", ".matrix.txt")  # long form, matrix form
+
+
+def _write_qgrid(base: Path, grid) -> None:
+    """Write a Q grid as BASE.csv (``x,y,q`` lines, y-major) and BASE.matrix.txt.
+
+    Each distinct value is formatted once with FMT: the axis labels up front,
+    each row's Q values as that row is reached, and both files are streamed
+    row by row from the same strings.  The text is what ``np.savetxt`` with
+    FMT writes, byte for byte, without a whole-grid buffer.
+    """
+    xs = [_fmt(v) for v in grid.x.tolist()]
+    ys = [_fmt(v) for v in grid.y.tolist()]
+    long_path, matrix_path = (base.with_name(base.name + s) for s in QGRID_SUFFIXES)
+    with long_path.open("w", encoding="utf-8") as long_fh, \
+            matrix_path.open("w", encoding="utf-8") as matrix_fh:
+        long_fh.write("x,y,q\n")
+        matrix_fh.write("# rows: y ascending; columns: x ascending\n"
+                        f"# x {' '.join(xs)}\n# y {' '.join(ys)}\n")
+        for y, row in zip(ys, grid.values):
+            qs = [_fmt(v) for v in row.tolist()]
+            long_fh.write("".join(f"{x},{y},{q}\n" for x, q in zip(xs, qs)))
+            matrix_fh.write(" ".join(qs) + "\n")
 
 
 def _write_kv(path: Path, pairs: list) -> None:
@@ -99,8 +112,30 @@ def _write_kv(path: Path, pairs: list) -> None:
             fh.write(f"{k} = {v}\n")
 
 
-def _write_outputs(sc: Scenario, qg: float, out: Path, prefix: str) -> list:
-    """Write one qg sweep's files; its states die on return.
+def _sweep_files(sc: Scenario, qg: float) -> dict:
+    """Each of sc's outputs mapped to the names of the files one qg sweep writes for it.
+
+    Outputs and names are in writing order: NAME_TAG_inversion.csv,
+    NAME_TAG_entropy.csv, the Q grid's NAME_TAG_qgrid plus QGRID_SUFFIXES,
+    NAME_TAG_cat_report.txt.
+    """
+    prefix = f"{sc.name}_{qg_token(qg)}_"
+    files = {"inversion": ["inversion.csv"], "entropy": ["entropy.csv"],
+             "qgrid": ["qgrid" + s for s in QGRID_SUFFIXES], "cat_report": ["cat_report.txt"]}
+    return {o: [prefix + f for f in fs] for o, fs in files.items() if o in sc.outputs}
+
+
+def _refuse_taken(out: Path, names: list) -> bool:
+    """Report the names out already holds, if any; True if it holds one."""
+    taken = [n for n in names if (out / n).exists()]
+    if taken:
+        print(f"i/o error: {out} already holds {', '.join(taken)}; "
+              "nothing was written", file=sys.stderr)
+    return bool(taken)
+
+
+def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
+    """Write one qg sweep's files (named by _sweep_files) into out; its states die on return.
 
     Raises ValueError, before any write, if a state's norm is NaN or above 1 + NORM_SLACK.
     """
@@ -111,30 +146,23 @@ def _write_outputs(sc: Scenario, qg: float, out: Path, prefix: str) -> list:
     bad = norm[~(norm <= 1.0 + NORM_SLACK)]
     if bad.size:
         raise ValueError(f"branch norm {bad[0]:.6g} exceeds 1 + {NORM_SLACK:g} at qg = {qg:g}")
-    written = []
-    if "inversion" in sc.outputs:
-        path = out / f"{prefix}_inversion.csv"
-        _write_scalar_csv(path, lam_t, inversion(ovs))
-        written.append(path)
-    if "entropy" in sc.outputs:
-        path = out / f"{prefix}_entropy.csv"
-        _write_scalar_csv(path, lam_t, entropy(ovs).s_f)
-        written.append(path)
-    if set(SNAPSHOT_OUTPUTS) & set(sc.outputs):
+    # each output's first file; the Q grid's two files share its stem
+    files = {o: out / fs[0] for o, fs in _sweep_files(sc, qg).items()}
+    if "inversion" in files:
+        _write_scalar_csv(files["inversion"], lam_t, inversion(ovs))
+    if "entropy" in files:
+        _write_scalar_csv(files["entropy"], lam_t, entropy(ovs).s_f)
+    if set(SNAPSHOT_OUTPUTS) & set(files):
         st = states[-1]
         e = sc.qgrid_extent
         spec = QGridSpec(-e, e, -e, e, sc.qgrid_n, sc.qgrid_n)
         qg_data = q_function(st, spec, sc.params_for(qg))
-        if "qgrid" in sc.outputs:
-            base = out / f"{prefix}_qgrid"
-            _write_qgrid(base, qg_data)
-            written.append(base.with_suffix(".csv"))
-            written.append(base.with_suffix(".matrix.txt"))
-        if "cat_report" in sc.outputs:
+        if "qgrid" in files:
+            _write_qgrid(files["qgrid"].with_suffix(""), qg_data)
+        if "cat_report" in files:
             rep = q_peak_analysis(qg_data)
             fid = cat_fidelity(st, sc.params_for(qg))
-            path = out / f"{prefix}_cat_report.txt"
-            _write_kv(path, [
+            _write_kv(files["cat_report"], [
                 ("peaks", rep.count),
                 ("bimodal", str(rep.bimodal).lower()),
                 ("separation", _fmt(rep.separation)),
@@ -143,8 +171,6 @@ def _write_outputs(sc: Scenario, qg: float, out: Path, prefix: str) -> list:
                     f"{_fmt(z.real)}{z.imag:+.17g}j" for z in rep.locations)),
                 ("ansatz_fidelity", _fmt(fid)),
             ])
-            written.append(path)
-    return written
 
 
 def _load_scenario(args):
@@ -178,33 +204,30 @@ def _cmd_run(args) -> int:
         ("defaults_filled", ", ".join(sc.provenance) or "none"),
     ]
 
-    # every file is staged and moved into --out only once all of them exist and
-    # none of their names is taken there, so a failed run leaves --out as it found it
+    # a used --out is refused before any work; every file is staged and moved into
+    # --out only once all of them exist, so a failed run leaves --out as it found it
+    names = [f for qg in sc.qg_list for fs in _sweep_files(sc, qg).values() for f in fs]
+    names.append(f"{sc.name}_run_metadata.txt")
+    if _refuse_taken(out, names):
+        return EXIT_IO
     try:
         with tempfile.TemporaryDirectory(dir=out, ignore_cleanup_errors=True) as tmp:
             stage = Path(tmp)
-            written = []
             for qg_val in sc.qg_list:
                 _progress(f"running {sc.name}: backend={sc.backend} qg={qg_val:g}")
-                written += _write_outputs(sc, qg_val, stage,
-                                          f"{sc.name}_{qg_token(qg_val)}")
-            meta_path = stage / f"{sc.name}_run_metadata.txt"
-            _write_kv(meta_path, meta + [("files", ", ".join(p.name for p in written))])
-            staged = written + [meta_path]
-            taken = [p.name for p in staged if (out / p.name).exists()]
-            if taken:
-                print(f"i/o error: {out} already holds {', '.join(taken)}; "
-                      "nothing was written", file=sys.stderr)
+                _write_outputs(sc, qg_val, stage)
+            _write_kv(stage / names[-1], meta + [("files", ", ".join(names[:-1]))])
+            if _refuse_taken(out, names):  # a file that appeared during the run
                 return EXIT_IO
-            for path in staged:
-                path.replace(out / path.name)
+            for name in names:
+                (stage / name).replace(out / name)
     except (IntegrationError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(written) + 1} files to {out}")
+    print(f"wrote {len(names)} files to {out}")
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ the full builtin figures are exercised by the acceptance suite.
 
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from gravjcm import cli
 from gravjcm.analytic import branch_states_analytic
 from gravjcm.cli import main
 from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
-from gravjcm.observables import QGrid
+from gravjcm.observables import QGrid, QGridSpec, q_function
 from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import parse_scenario
 
@@ -112,6 +113,47 @@ def test_writers_match_per_value_formatting(tmp_path):
     for name, lines in (("g_qgrid.csv", long_form), ("g_qgrid.matrix.txt", matrix),
                         ("s.csv", scalar)):
         assert (tmp_path / name).read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def savetxt_qgrid(base, qg):
+    """Two-np.savetxt Q-grid writer, kept as _write_qgrid's byte reference."""
+    bx, by = np.meshgrid(qg.x, qg.y)  # rows y, columns x: y-major long form
+    np.savetxt(base.with_suffix(".csv"),
+               np.column_stack([bx.ravel(), by.ravel(), qg.values.ravel()]),
+               fmt="%.17g", delimiter=",", header="x,y,q", comments="", encoding="utf-8")
+    header = ("rows: y ascending; columns: x ascending\n"
+              "x " + " ".join("%.17g" % v for v in qg.x) + "\n"
+              "y " + " ".join("%.17g" % v for v in qg.y))
+    np.savetxt(base.with_suffix(".matrix.txt"), qg.values, fmt="%.17g", header=header,
+               encoding="utf-8")
+
+
+def test_qgrid_writer_matches_savetxt_reference(tmp_path):
+    # a run's last state on a non-square, off-centre window, so that an x/y swap shows
+    sc = parse_scenario(SMALL_GRID)
+    st = cli._states_for(sc, sc.backend, 1.5e7)[-1]
+    grid = q_function(st, QGridSpec(-7.0, 6.5, -6.5, 7.5, 29, 17), sc.params_for(1.5e7))
+    for sub in ("new", "ref"):
+        (tmp_path / sub).mkdir()
+    cli._write_qgrid(tmp_path / "new" / "g_qgrid", grid)
+    savetxt_qgrid(tmp_path / "ref" / "g_qgrid", grid)
+    for name in ("g_qgrid.csv", "g_qgrid.matrix.txt"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_qgrid_writer_streams_rows(tmp_path):
+    # a 401^2 grid's text is ~14 MB; rows streamed one at a time keep ~0.2 MB alive
+    x = np.linspace(-9.0, 9.0, 401)
+    beta = x[None, :] + 1j * x[:, None]
+    grid = QGrid(x=x, y=x.copy(), values=np.exp(-np.abs(beta - 5.0) ** 2) / math.pi)
+    tracemalloc.start()
+    try:
+        cli._write_qgrid(tmp_path / "g_qgrid", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert (tmp_path / "g_qgrid.matrix.txt").stat().st_size > 401 ** 2 * 17
 
 
 @pytest.mark.parametrize("argv", [["crosscheck"], ["run", "--builtin", "fig1"]],
@@ -250,7 +292,7 @@ def test_crosscheck_removed_key_exits_1(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_run_never_overwrites(tmp_path, capsys):
+def test_run_never_overwrites(tmp_path, capsys, monkeypatch):
     scn = write_scenario(tmp_path, SMALL_SWEEP)
     out = tmp_path / "out"
     out.mkdir()
@@ -259,23 +301,51 @@ def test_run_never_overwrites(tmp_path, capsys):
     edited.write_text("lambda_t,value\nhand-edited\n", encoding="utf-8")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    # a rerun would replace every file it wrote; it names them and moves nothing
+    calls = []
+
+    def counted(*args, _fn=cli.branch_states_ode_sweep):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(cli, "branch_states_ode_sweep", counted)
+    # a rerun would replace every file it wrote; it names them, computes nothing
+    # and moves nothing
     assert main(["run", str(scn), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert all(name in err for name in before)
+    assert calls == []
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_run_dotted_name_keeps_every_file(tmp_path):
+    # a '.' in the name is part of the stem: each qg keeps its own two Q-grid files
+    scn = write_scenario(tmp_path, SMALL_GRID.replace("cat_report", "qgrid") + "name = fig.3\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    meta = (out / "fig.3_run_metadata.txt").read_text(encoding="utf-8")
+    files = meta.split("files = ", 1)[1].splitlines()[0].split(", ")
+    assert files == [f"fig.3_{tag}_qgrid{ext}" for tag in ("qg0", "qg1p5e07")
+                     for ext in (".csv", ".matrix.txt")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["fig.3_run_metadata.txt"])
+
+
 def test_run_deterministic_bytes(tmp_path):
-    scn = write_scenario(tmp_path, SMALL_SWEEP)
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        out.mkdir()
-        assert main(["run", str(scn), "--out", str(out)]) == 0
-        outs.append(out)
-    for name in ("custom_qg0_inversion.csv", "custom_qg0_entropy.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # every file of a sweep run and of a Q-grid run, metadata included
+    for label, text, names in (
+        ("sweep", SMALL_SWEEP, {"custom_qg0_inversion.csv", "custom_qg0_entropy.csv"}),
+        ("grid", SMALL_GRID, {"custom_qg0_qgrid.csv", "custom_qg1p5e07_qgrid.matrix.txt",
+                              "custom_qg1p5e07_cat_report.txt"}),
+    ):
+        scn = write_scenario(tmp_path, text, name=f"{label}.txt")
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / f"{label}_{sub}"
+            out.mkdir()
+            assert main(["run", str(scn), "--out", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert names < set(outs[0])
+        assert outs[0] == outs[1]
 
 
 def sweep_overlaps(states):
