@@ -1,7 +1,8 @@
 """Closed-form solution backend.
 
-Detunings, the chirped-phase integrals E+/E-, the branch coefficients a_n/b_n
-and the block amplitudes of a sweep.
+The chirped-phase integral E+, the branch coefficients a_n/b_n and the block
+amplitudes of a sweep.  For real inputs the opposite-sign integral E- is
+conj(E+); only the quadrature oracle integrates it on its own.
 
 Two evaluation routes exist for the phase integrals: direct numerical
 quadrature (the defining object) and the error-function closed form.  The
@@ -10,9 +11,9 @@ branches; a one-time audit over the eight sign/branch variants selects the
 variant that matches the quadrature, and the production evaluator hardwires
 that winner in a cancellation-free regrouping (see ``phase_integral_closed``).
 
-The detunings, the closed and elementary phase integrals and the branch
-coefficients broadcast over arrays of times and momentum nodes, so one call
-covers a chunk of a sweep on the whole grid.  The Faddeeva function is
+The closed and elementary phase integrals and the branch coefficients
+broadcast over arrays of times and momentum nodes, so one call covers a
+chunk of a sweep on the whole grid.  The Faddeeva function is
 scipy's ``wofz`` (S. G. Johnson's Faddeeva Package) behind a finiteness check.
 """
 
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, wofz
 
-from .core import (BranchState, CoherentField, MomentumGrid, PhysicalParams, branch_sweep,
-                   check_times)
+from .core import (BranchState, MomentumGrid, PhysicalParams, branch_sweep, check_times,
+                   detuning0_of_p, paper_defaults)
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
 SQRT_PI = math.sqrt(math.pi)
@@ -45,14 +45,6 @@ class QuadratureError(RuntimeError):
 
 class BranchAuditError(RuntimeError):
     """No sign/branch variant of the closed form matches the quadrature."""
-
-
-@dataclass(frozen=True)
-class PhaseIntegrals:
-    """The pair of opposite-sign chirped phase integrals, units of seconds."""
-
-    e_plus: complex
-    e_minus: complex
 
 
 # --- complex error function kernels ----------------------------------------
@@ -77,17 +69,6 @@ def faddeeva(z):
     happens deep in the lower half-plane (w(0.1 - 27i) ~ exp(729)).
     """
     return _checked(wofz, z)
-
-
-# --- detunings --------------------------------------------------------------
-
-
-def detuning0_of_p(p, params: PhysicalParams):
-    """Static detuning seen at scaled momentum p: delta0 - p omega_rec.
-
-    p may be a scalar or an array of momentum nodes.
-    """
-    return params.delta0 - p * params.omega_rec
 
 
 # --- phase integrals --------------------------------------------------------
@@ -134,11 +115,11 @@ def _chirp_quadrature(d0: float, qg: float, t: float, abs_tol: float) -> tuple[c
 
 def phase_integral_quadrature(
     p: float, t: float, params: PhysicalParams, abs_tol: float | None = None
-) -> PhaseIntegrals:
-    """Defining quadrature form of the phase integrals.
+) -> tuple[complex, complex]:
+    """Defining quadrature form of the phase integrals (E+, E-), units of seconds.
 
-    Both members are integrated independently; e_minus = conj(e_plus) for
-    real inputs is a checked property, not an assumption.
+    Both are integrated independently; E- = conj(E+) for real inputs is a
+    checked property, not an assumption.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -147,19 +128,18 @@ def phase_integral_quadrature(
     d0 = detuning0_of_p(p, params)
     ep, _ = _chirp_quadrature(d0, params.qg, t, abs_tol)
     em, _ = _chirp_quadrature(-d0, -params.qg, t, abs_tol)
-    return PhaseIntegrals(e_plus=ep, e_minus=em)
+    return ep, em
 
 
-def phase_integral_elementary(p, t, params: PhysicalParams) -> PhaseIntegrals:
-    """Chirp-free (qg = 0) antiderivative: (exp(i d0 t) - 1) / (i d0).
+def phase_integral_elementary(p, t, params: PhysicalParams):
+    """Chirp-free (qg = 0) E+, the antiderivative (exp(i d0 t) - 1) / (i d0).
 
     Evaluated as t sinc(d0 t / 2 pi) exp(i d0 t / 2), which does not cancel
     at small d0 t and takes the limit t at d0 = 0.  Broadcasts over nodes p
     and times t.
     """
     d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
-    ep = (t * np.sinc(d0 * t / (2.0 * np.pi)) * np.exp(0.5j * d0 * t))[()]
-    return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
+    return (t * np.sinc(d0 * t / (2.0 * np.pi)) * np.exp(0.5j * d0 * t))[()]
 
 
 # Branch variants of the published closed form, encoded as
@@ -197,8 +177,8 @@ def closed_form_variant(
     return pref * cmath.exp(1j * exp_sign * x * x) * bracket
 
 
-def phase_integral_closed(p, t, params: PhysicalParams) -> PhaseIntegrals:
-    """Audited closed form of the phase integrals (qg > 0 only).
+def phase_integral_closed(p, t, params: PhysicalParams):
+    """Audited closed form of E+ (qg > 0 only).
 
     The winning branch variant is algebraically regrouped so the huge
     exp(i d0^2 / 2 qg) phases cancel symbolically:
@@ -230,8 +210,7 @@ def phase_integral_closed(p, t, params: PhysicalParams) -> PhaseIntegrals:
     # sx + su = 0 until the chirp sweeps the node through resonance
     core = core + (sx + su) * np.exp(1j * np.fmod(x * x, 2.0 * math.pi))
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
-    ep = (pref * core)[()]
-    return PhaseIntegrals(e_plus=ep, e_minus=np.conj(ep))
+    return (pref * core)[()]
 
 
 def audit_branch_variants() -> dict:
@@ -242,15 +221,13 @@ def audit_branch_variants() -> dict:
     well conditioned.  Returns the winner and all residuals; raises
     BranchAuditError if even the best variant misses AUDIT_RESIDUAL_FLOOR.
     """
-    from .core import paper_defaults
-
     lattice = [(d0, qg, lt) for d0 in (2e5, 8e5, 3e6) for qg in (5e9, 5e10, 5e11)
                for lt in (0.3, 1.7, 6.0, 19.0)]
     residuals = np.zeros(len(BRANCH_VARIANTS))
     for d0, qg, lt in lattice:
         pars = paper_defaults(qg=qg, delta0=d0)
         t = lt / pars.lam
-        ref = phase_integral_quadrature(0.0, t, pars).e_plus
+        ref = phase_integral_quadrature(0.0, t, pars)[0]
         scale = max(abs(ref), 1e-300)
         for i, var in enumerate(BRANCH_VARIANTS):
             err = abs(closed_form_variant(0.0, t, pars, var) - ref) / scale
@@ -275,17 +252,17 @@ def audit_branch_variants() -> dict:
 # --- branch coefficients and states ----------------------------------------
 
 
-def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> tuple:
+def branch_coeffs(n, ep, params: PhysicalParams) -> tuple:
     """Block weights (a_n, b_n), excited and ground; a_n + b_n = 1 exactly.
 
     a_n = 1 + (n+1) eta and b_n = -(n+1) eta with eta = -i lam^2 E+ E-^2,
-    where lam^2 makes the published expression dimensionless.  n and the
-    members of E may be arrays and broadcast against each other.
+    E+ = ep and E- = conj(ep), where lam^2 makes the published expression
+    dimensionless.  n and ep may be arrays and broadcast against each other.
     """
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    eta = np.asarray(-1j * params.lam**2 * E.e_plus * E.e_minus**2)
+    eta = np.asarray(-1j * params.lam**2 * ep * np.conj(ep)**2)
     b = -(n + 1) * eta
     a = 1.0 - b
     return a[()], b[()]
@@ -294,7 +271,7 @@ def branch_coeffs(n, E: PhaseIntegrals, params: PhysicalParams) -> tuple:
 def branch_states_analytic(
     times: np.ndarray,
     params: PhysicalParams,
-    field: CoherentField,
+    w: np.ndarray,
     grid: MomentumGrid,
 ) -> list[BranchState]:
     """Closed-form branch amplitudes at every requested time.
@@ -314,14 +291,14 @@ def branch_states_analytic(
     nodes = grid.nodes[:, None]  # (K, 1) broadcasts against the Fock axis
     used = "closed" if params.qg > 0 else "elementary"
     integrals = phase_integral_closed if params.qg > 0 else phase_integral_elementary
-    n_arr = np.arange(field.nmax + 2)
+    n_arr = np.arange(w.size + 1)
     meta = {"backend": "analytic", "phase_integral_method": used}
 
     def rows():
         for lo in range(0, times.size, CHUNK_TIMES):
-            E = integrals(nodes, times[lo : lo + CHUNK_TIMES, None, None], params)
-            a, b = branch_coeffs(n_arr, E, params)  # (R, K, nmax+2), n = 0 .. nmax+1
-            phase = np.exp(0.5j * params.lam * E.e_plus * np.sqrt(n_arr[1:]))
+            ep = integrals(nodes, times[lo : lo + CHUNK_TIMES, None, None], params)
+            a, b = branch_coeffs(n_arr, ep, params)  # (R, K, nmax+2), n = 0 .. nmax+1
+            phase = np.exp(0.5j * params.lam * ep * np.sqrt(n_arr[1:]))
             yield from zip(np.sqrt(a[..., :-1]) * phase, np.sqrt(b[..., 1:]) * phase)
 
-    return branch_sweep(times, rows(), field, grid, meta)
+    return branch_sweep(times, rows(), w, grid, meta)

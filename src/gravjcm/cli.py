@@ -68,12 +68,11 @@ def _progress(msg: str) -> None:
 
 
 def _states_for(sc: Scenario, backend: str, qg: float):
-    params = sc.params_for(qg)
-    fld = coherent_amplitudes(params.alpha, adaptive_nmax(params.alpha))
-    grid = build_momentum_grid(params.sigma0, sc.n_nodes)
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
     # looked up per call, so wrappers set on this module's names see every sweep
     sweep = branch_states_ode_sweep if backend == "ode" else branch_states_analytic
-    return sweep(sc.times_seconds(), params, fld, grid)
+    return sweep(sc.times_seconds(), sc.params_for(qg), w, grid)
 
 
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:
@@ -253,7 +252,7 @@ def _cmd_crosscheck(args) -> int:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(
-            f"crosscheck qg={_fmt(qg_val)} tmax={_fmt(sc.time_spec.t_end)} "
+            f"crosscheck qg={_fmt(qg_val)} tmax={_fmt(sc.t_end)} "
             f"max_dW={_fmt(dev_w)} max_dS={_fmt(dev_s)} max_dnorm={_fmt(dev_norm)}"
         )
     return EXIT_OK

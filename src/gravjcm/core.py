@@ -1,8 +1,9 @@
 """Domain types shared by both solver backends.
 
-Physical parameters, the coherent-field initial amplitudes, the Gauss-Hermite
-discretization of the center-of-mass momentum wavepacket, the per-node
-branch-amplitude container and the sweep builder of both backends.
+Physical parameters and the detuning they give each momentum node, the
+coherent-field initial amplitudes, the Gauss-Hermite discretization of the
+center-of-mass momentum wavepacket, the per-node branch-amplitude container
+and the sweep builder of both backends.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -60,6 +61,14 @@ class PhysicalParams:
             raise ValueError("|alpha|^2 must be finite")
 
 
+def detuning0_of_p(p, params: PhysicalParams):
+    """Static detuning seen at scaled momentum p: delta0 - p omega_rec.
+
+    p may be a scalar or an array of momentum nodes.
+    """
+    return params.delta0 - p * params.omega_rec
+
+
 def paper_defaults(qg: float = 0.0, **overrides) -> PhysicalParams:
     """Canonical parameter set of the reference experiment.
 
@@ -79,25 +88,14 @@ def paper_defaults(qg: float = 0.0, **overrides) -> PhysicalParams:
     return PhysicalParams(**kw)
 
 
-@dataclass(frozen=True)
-class CoherentField:
-    """Truncated coherent-state amplitudes w_n = e^{-|a|^2/2} a^n / sqrt(n!)."""
+def coherent_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
+    """Truncated coherent-state amplitudes w_n = e^{-|a|^2/2} a^n / sqrt(n!), n = 0 .. nmax.
 
-    nmax: int
-    w: np.ndarray
-
-    def __post_init__(self):
-        if self.w.shape != (self.nmax + 1,):
-            raise ValueError("amplitude array must have nmax+1 entries")
-
-
-def coherent_amplitudes(alpha: complex, nmax: int) -> CoherentField:
-    """Coherent-state Fock amplitudes via the stable ratio recursion.
-
-    w_{n+1} = w_n * alpha / sqrt(n+1), seeded with w_0 = e^{-|alpha|^2/2},
-    which avoids factorial overflow at large n.  Raises TruncationError unless the
-    probabilities sum to 1 within TRUNCATION_EPS plus the recursion's rounding
-    (4 ulps per level); they do not once the seed is subnormal, from |alpha| ~ 37.6.
+    The stable ratio recursion w_{n+1} = w_n * alpha / sqrt(n+1), seeded with
+    w_0 = e^{-|alpha|^2/2}, avoids factorial overflow at large n.  Raises
+    TruncationError unless the probabilities sum to 1 within TRUNCATION_EPS plus
+    the recursion's rounding (4 ulps per level); they do not once the seed is
+    subnormal, from |alpha| ~ 37.6.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -113,7 +111,7 @@ def coherent_amplitudes(alpha: complex, nmax: int) -> CoherentField:
                  if w[0].real < np.finfo(float).tiny else f"nmax = {nmax} is too small")
         raise TruncationError(f"coherent probabilities sum to {total:.15g}, not 1 "
                               f"within {tol:.3g}: {cause}")
-    return CoherentField(nmax=nmax, w=w)
+    return w
 
 
 def adaptive_nmax(alpha: complex) -> int:
@@ -201,19 +199,19 @@ def check_times(times) -> np.ndarray:
 
 
 def branch_sweep(times: np.ndarray, rows: Iterable[tuple[np.ndarray, np.ndarray]],
-                 field: CoherentField, grid: MomentumGrid, meta: dict) -> list[BranchState]:
+                 w: np.ndarray, grid: MomentumGrid, meta: dict) -> list[BranchState]:
     """Branch states of a sweep from the block amplitudes ``rows`` yields per time.
 
     A row is the excited and ground amplitudes (x, y) of every block, each
-    (K, nmax + 1), stored as C_n = w_n x_n and D_{n+1} = w_n y_n.  State i views
+    (K, nmax + 1) with nmax = w.size - 1, stored as C_n = w_n x_n and
+    D_{n+1} = w_n y_n with the coherent amplitudes w.  State i views
     row i of one ``c`` and one ``d`` of shape (T, K, nmax + 2), so one kept
     state keeps the whole sweep alive; all states share ``meta``.
     """
-    nmax = field.nmax
-    c = np.zeros((times.size, grid.nodes.size, nmax + 2), dtype=np.complex128)
+    c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
     d = np.zeros_like(c)
     for i, (x, y) in enumerate(rows):
-        np.multiply(field.w, x, out=c[i, :, : nmax + 1])
-        np.multiply(field.w, y, out=d[i, :, 1:])
+        np.multiply(w, x, out=c[i, :, : w.size])
+        np.multiply(w, y, out=d[i, :, 1:])
     return [BranchState(t=float(t), c=c[i], d=d[i], grid=grid, meta=meta)
             for i, t in enumerate(times)]

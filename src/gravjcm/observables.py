@@ -282,7 +282,7 @@ def cat_ansatz(alpha: complex, nfock: int) -> np.ndarray:
 
     Raises ValueError where it has no norm, as at alpha = 0.
     """
-    psi = np.arange(nfock) * coherent_amplitudes(alpha, nfock - 1).w
+    psi = np.arange(nfock) * coherent_amplitudes(alpha, nfock - 1)
     nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)))
     if nrm == 0.0:
         raise ValueError("field ansatz has zero norm")

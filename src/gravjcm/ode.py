@@ -39,9 +39,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .analytic import detuning0_of_p
-from .core import (BranchState, CoherentField, MomentumGrid, PhysicalParams, branch_sweep,
-                   check_times)
+from .core import (BranchState, MomentumGrid, PhysicalParams, branch_sweep, check_times,
+                   detuning0_of_p)
 
 # Target for the step-doubling estimate of a sweep's global amplitude error.
 TOL = 1e-10
@@ -188,7 +187,7 @@ def _integrate(
 def branch_states_ode_sweep(
     times: np.ndarray,
     params: PhysicalParams,
-    field: CoherentField,
+    w: np.ndarray,
     grid: MomentumGrid,
 ) -> list[BranchState]:
     """Branch amplitudes at every requested time from one Magnus pass.
@@ -200,7 +199,7 @@ def branch_states_ode_sweep(
     times = check_times(times)
     qg = params.qg
     d0 = detuning0_of_p(grid.nodes, params)
-    omega = params.lam * np.sqrt(np.arange(field.nmax + 1) + 1.0)
+    omega = params.lam * np.sqrt(np.arange(w.size) + 1.0)
     counts, estimate = _substeps(times, d0, omega, qg)
     meta = {"backend": "ode", "method": "magnus4", "tol": TOL,
             "substeps": int(counts.max()), "steps": int(counts.sum()),
@@ -219,4 +218,4 @@ def branch_states_ode_sweep(
             half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[:, None]
             yield a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)
 
-    return branch_sweep(times, rows(), field, grid, meta)
+    return branch_sweep(times, rows(), w, grid, meta)

@@ -1,14 +1,16 @@
 """Declarative experiment descriptions.
 
-A Scenario bundles the physical parameters, the gravity values to scan, the
-time sweep, the backend choice, and the requested outputs, decoupled from the
-numerics.  The user-facing time unit is the scaled time lam*t everywhere (the
-figures' horizontal axis); conversion to seconds happens exactly once, in
-``times_seconds``.
+A Scenario is one flat record of the document's keys: the physical
+parameters, the gravity values to scan, the time sweep, the backend choice,
+and the requested outputs, decoupled from the numerics.  The user-facing
+time unit is the scaled time lam*t everywhere (the figures' horizontal axis);
+conversion to seconds happens exactly once, in ``times_seconds``.
 
 The text format is flat ``key = value`` lines, UTF-8, with ``#`` comments.
+One table, ``KEYS``, gives each key its field, default, reader and writer.
 Unknown keys are hard errors.  Keys left out take the canonical defaults of
-the reference experiment; each default fill is echoed in the provenance log.
+the reference experiment (the physical ones from ``paper_defaults``); each
+default fill is echoed in the provenance log.
 The builtin figures are override documents that go through the same parser.
 
 Validation is complete here: every input rule is checked when a Scenario is
@@ -21,7 +23,7 @@ written once.  The Fock cutoff is no input: ``adaptive_nmax`` derives it from al
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,33 +56,19 @@ def _layer_check(key: str, check, *args) -> None:
 
 
 @dataclass(frozen=True)
-class TimeSpec:
-    """Sweep of the scaled time lam*t; a single instant is t_start == t_end."""
-
-    t_start: float
-    t_end: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.t_start < 0:
-            raise ScenarioError("t_start must be >= 0")
-        if self.t_end == self.t_start:
-            if self.n_samples != 1:
-                raise ScenarioError("a single-instant sweep needs n_samples = 1")
-        elif self.t_end < self.t_start:
-            raise ScenarioError("t_end must exceed t_start")
-        elif self.n_samples < 2:
-            raise ScenarioError("a time sweep needs n_samples >= 2")
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Immutable run description; shared freely once built."""
+    """Immutable run description, one field per document key; shared freely once built."""
 
     name: str
-    params: PhysicalParams
+    omega_rec: float
+    lam: float
+    delta0: float
+    sigma0: float
+    alpha: complex
     qg_list: tuple
-    time_spec: TimeSpec
+    t_start: float  # scaled time lam*t; a single instant is t_start == t_end
+    t_end: float
+    n_samples: int
     backend: str
     outputs: tuple
     qgrid_extent: float
@@ -108,6 +96,19 @@ class Scenario:
                 "qg values must be distinct and give distinct file tags, got "
                 f"{', '.join(map(repr, self.qg_list))} -> {', '.join(tags)}"
             )
+        try:
+            self.params_for(self.qg_list[0])
+        except (ValueError, ArithmeticError) as exc:
+            raise ScenarioError(str(exc)) from exc
+        if self.t_start < 0:
+            raise ScenarioError("t_start must be >= 0")
+        if self.t_end == self.t_start:
+            if self.n_samples != 1:
+                raise ScenarioError("a single-instant sweep needs n_samples = 1")
+        elif self.t_end < self.t_start:
+            raise ScenarioError("t_end must exceed t_start")
+        elif self.n_samples < 2:
+            raise ScenarioError("a time sweep needs n_samples >= 2")
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")
@@ -116,103 +117,103 @@ class Scenario:
         if self.qgrid_extent <= 0 or self.qgrid_n < 3:
             raise ScenarioError("qgrid needs positive extent and n >= 3")
         if set(SNAPSHOT_OUTPUTS) & set(self.outputs):
-            if self.time_spec.n_samples != 1:
+            if self.n_samples != 1:
                 raise ScenarioError(
                     "qgrid and cat_report outputs require a single-instant time spec"
                 )
-            _layer_check("qgrid.extent", check_q_window, self.qgrid_extent,
-                         self.params.alpha)
+            _layer_check("qgrid.extent", check_q_window, self.qgrid_extent, self.alpha)
         if self.n_nodes < 1:
             raise ScenarioError("n_nodes must be >= 1")
-        alpha = self.params.alpha
-        nmax = adaptive_nmax(alpha)
-        _layer_check("alpha", coherent_amplitudes, alpha, nmax)
+        nmax = adaptive_nmax(self.alpha)
+        _layer_check("alpha", coherent_amplitudes, self.alpha, nmax)
         if "cat_report" in self.outputs:
-            _layer_check("alpha", cat_ansatz, alpha, nmax + 2)  # a state's Fock levels
+            _layer_check("alpha", cat_ansatz, self.alpha, nmax + 2)  # a state's Fock levels
 
     def times_scaled(self) -> np.ndarray:
-        ts = self.time_spec
-        if ts.n_samples == 1:
-            return np.array([ts.t_start])
-        return np.linspace(ts.t_start, ts.t_end, ts.n_samples)
+        if self.n_samples == 1:
+            return np.array([self.t_start])
+        return np.linspace(self.t_start, self.t_end, self.n_samples)
 
     def times_seconds(self) -> np.ndarray:
         """The single lam*t -> seconds conversion point."""
-        return self.times_scaled() / self.params.lam
+        return self.times_scaled() / self.lam
 
     def params_for(self, qg: float) -> PhysicalParams:
-        return replace(self.params, qg=qg)
+        """The model's physical parameters at gravity value qg."""
+        return PhysicalParams(qg=qg, lam=self.lam, omega_rec=self.omega_rec,
+                              delta0=self.delta0, sigma0=self.sigma0, alpha=self.alpha)
 
 
-_DEFAULTS = {
-    "name": "custom",
-    "omega_rec": "0.5e6",
-    "lam": "1e6",
-    "delta0": "8.5e7",
-    "sigma0": "1.0",
-    "alpha": "5.0",
-    "qg": "0, 0.5e7, 1.5e7",
-    "t_start": "0.0",
-    "t_end": "25.0",
-    "n_samples": "2000",
-    "backend": "ode",
-    "outputs": "inversion, entropy",
-    "qgrid.extent": "9.0",
-    "qgrid.n": "201",
-    "n_nodes": "32",
-}
+def _text(key: str, text: str) -> str:
+    return text
 
 
-def _number(kv: dict, key: str) -> float:
+def _number(key: str, text: str) -> float:
     try:
-        val = float(kv[key])
+        val = float(text)
     except ValueError as exc:
-        raise ScenarioError(f"key {key!r}: not a number ({kv[key]!r})") from exc
+        raise ScenarioError(f"key {key!r}: not a number ({text!r})") from exc
     if not math.isfinite(val):
-        raise ScenarioError(f"key {key!r}: not finite ({kv[key]!r})")
+        raise ScenarioError(f"key {key!r}: not finite ({text!r})")
     return val
 
 
-def _count(kv: dict, key: str) -> int:
-    val = _number(kv, key)
+def _count(key: str, text: str) -> int:
+    val = _number(key, text)
     if not val.is_integer():
-        raise ScenarioError(f"key {key!r}: not an integer ({kv[key]!r})")
+        raise ScenarioError(f"key {key!r}: not an integer ({text!r})")
     return int(val)
 
 
-def _build(kv: dict, filled_defaults: list) -> Scenario:
-    """Convert the merged key -> text map into a validated Scenario."""
+def _complex(key: str, text: str) -> complex:
     try:
-        qg_list = tuple(float(tok) for tok in kv["qg"].split(",") if tok.strip())
+        return complex(text.replace("i", "j"))
     except ValueError as exc:
-        raise ScenarioError(f"key 'qg': not a list of numbers ({kv['qg']!r})") from exc
+        raise ScenarioError(f"key {key!r}: not a number ({text!r})") from exc
+
+
+def _numbers(key: str, text: str) -> tuple:
     try:
-        alpha = complex(kv["alpha"].replace("i", "j"))
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ScenarioError(f"key 'alpha': not a number ({kv['alpha']!r})") from exc
-    rates = {k: _number(kv, k) for k in ("omega_rec", "lam", "delta0", "sigma0")}
-    try:
-        params = paper_defaults(qg=qg_list[0] if qg_list else 0.0, alpha=alpha, **rates)
-    except (ValueError, ArithmeticError) as exc:
-        raise ScenarioError(str(exc)) from exc
-    return Scenario(
-        name=kv["name"],
-        params=params,
-        qg_list=qg_list,
-        time_spec=TimeSpec(
-            t_start=_number(kv, "t_start"),
-            t_end=_number(kv, "t_end"),
-            n_samples=_count(kv, "n_samples"),
-        ),
-        backend=kv["backend"],
-        outputs=tuple(dict.fromkeys(
-            tok.strip() for tok in kv["outputs"].split(",") if tok.strip()
-        )),
-        qgrid_extent=_number(kv, "qgrid.extent"),
-        qgrid_n=_count(kv, "qgrid.n"),
-        n_nodes=_count(kv, "n_nodes"),
-        provenance=tuple(sorted(filled_defaults)),
-    )
+        raise ScenarioError(f"key {key!r}: not a list of numbers ({text!r})") from exc
+
+
+def _names(key: str, text: str) -> tuple:
+    """Comma-separated names, duplicates dropped in first-seen order."""
+    return tuple(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
+
+
+def _write_complex(z: complex) -> str:
+    return repr(z.real) if z.imag == 0 else repr(z).strip("()")
+
+
+def _write_list(values: tuple) -> str:
+    return ", ".join(map(str, values))
+
+
+_PAPER = paper_defaults()
+
+# Document key -> (Scenario field, default text, reader, canonical writer), in
+# canonical order.  A reader takes (key, text) and raises ScenarioError; str
+# writes a float as repr does, so the text reads back exactly.
+KEYS = {
+    "name": ("name", "custom", _text, str),
+    "omega_rec": ("omega_rec", str(_PAPER.omega_rec), _number, str),
+    "lam": ("lam", str(_PAPER.lam), _number, str),
+    "delta0": ("delta0", str(_PAPER.delta0), _number, str),
+    "sigma0": ("sigma0", str(_PAPER.sigma0), _number, str),
+    "alpha": ("alpha", _write_complex(_PAPER.alpha), _complex, _write_complex),
+    "qg": ("qg_list", "0, 0.5e7, 1.5e7", _numbers, _write_list),
+    "t_start": ("t_start", "0.0", _number, str),
+    "t_end": ("t_end", "25.0", _number, str),
+    "n_samples": ("n_samples", "2000", _count, str),
+    "backend": ("backend", "ode", _text, str),
+    "outputs": ("outputs", "inversion, entropy", _names, _write_list),
+    "qgrid.extent": ("qgrid_extent", "9.0", _number, str),
+    "qgrid.n": ("qgrid_n", "201", _count, str),
+    "n_nodes": ("n_nodes", "32", _count, str),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -233,42 +234,25 @@ def parse_scenario(text: str) -> Scenario:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _DEFAULTS:
+        if key not in KEYS:
             raise ScenarioError(
                 f"line {line_no}: unknown key {key!r} "
-                f"(valid keys: {', '.join(sorted(_DEFAULTS))})"
+                f"(valid keys: {', '.join(sorted(KEYS))})"
             )
         if key in kv:
             raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
         if not val:
             raise ScenarioError(f"line {line_no}: empty value for {key!r}")
         kv[key] = val
-    filled = [k for k in _DEFAULTS if k not in kv]
-    return _build({**_DEFAULTS, **kv}, filled)
+    values = {attr: read(key, kv.get(key, default))
+              for key, (attr, default, read, _) in KEYS.items()}
+    return Scenario(**values, provenance=tuple(sorted(k for k in KEYS if k not in kv)))
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) reproduces sc exactly."""
-    alpha = sc.params.alpha
-    alpha_txt = repr(alpha.real) if alpha.imag == 0 else repr(alpha).strip("()")
-    lines = [
-        f"name = {sc.name}",
-        f"omega_rec = {sc.params.omega_rec!r}",
-        f"lam = {sc.params.lam!r}",
-        f"delta0 = {sc.params.delta0!r}",
-        f"sigma0 = {sc.params.sigma0!r}",
-        f"alpha = {alpha_txt}",
-        "qg = " + ", ".join(repr(v) for v in sc.qg_list),
-        f"t_start = {sc.time_spec.t_start!r}",
-        f"t_end = {sc.time_spec.t_end!r}",
-        f"n_samples = {sc.time_spec.n_samples}",
-        f"backend = {sc.backend}",
-        "outputs = " + ", ".join(sc.outputs),
-        f"qgrid.extent = {sc.qgrid_extent!r}",
-        f"qgrid.n = {sc.qgrid_n}",
-        f"n_nodes = {sc.n_nodes}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {write(getattr(sc, attr))}\n"
+                   for key, (attr, _, _, write) in KEYS.items())
 
 
 # override documents of the canonical figure scenarios

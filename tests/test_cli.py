@@ -380,11 +380,11 @@ def test_crosscheck_reports_each_qg(tmp_path, capsys):
         # disagreement between the backends is a finding, not a failure; the
         # maxima are recomputed here from both backends' branch states
         params = sc.params_for(qg)
-        fld = coherent_amplitudes(params.alpha, adaptive_nmax(params.alpha))
-        grid = build_momentum_grid(params.sigma0, sc.n_nodes)
+        w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+        grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
         times = sc.times_seconds()
-        cc_o, dd_o, cd_o = sweep_overlaps(branch_states_ode_sweep(times, params, fld, grid))
-        cc_a, dd_a, cd_a = sweep_overlaps(branch_states_analytic(times, params, fld, grid))
+        cc_o, dd_o, cd_o = sweep_overlaps(branch_states_ode_sweep(times, params, w, grid))
+        cc_a, dd_a, cd_a = sweep_overlaps(branch_states_analytic(times, params, w, grid))
         d_w = np.abs((cc_o - dd_o) - (cc_a - dd_a))
         d_s = np.abs(eig_entropy(cc_o, dd_o, cd_o) - eig_entropy(cc_a, dd_a, cd_a))
         d_norm = np.abs(cc_a + dd_a - 1.0)

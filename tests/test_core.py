@@ -23,16 +23,16 @@ def test_coherent_amplitudes_against_factorial_formula():
     rng = np.random.default_rng(21)
     for _ in range(20):
         alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        fld = coherent_amplitudes(alpha, 60)
+        w = coherent_amplitudes(alpha, 60)
         pref = math.exp(-abs(alpha) ** 2 / 2.0)
         for n in (0, 1, 5, 17):
             expect = pref * alpha**n / math.sqrt(math.factorial(n))
-            assert abs(fld.w[n] - expect) < 1e-14 * max(abs(expect), 1.0)
+            assert abs(w[n] - expect) < 1e-14 * max(abs(expect), 1.0)
 
 
 def test_coherent_amplitudes_normalized():
-    fld = coherent_amplitudes(5.0, 100)
-    assert float(np.sum(np.abs(fld.w) ** 2)) == pytest.approx(1.0, abs=1e-12)
+    w = coherent_amplitudes(5.0, 100)
+    assert float(np.sum(np.abs(w) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncation_rejected():

@@ -1,4 +1,5 @@
-"""Every imported name is used, and every public name of the package is read.
+"""Every imported name is used, every public name of the package is read, and
+the two solver backends do not import each other.
 
 No linter ships with the test dependencies, so this walks the syntax tree of
 each module: a name bound by an import must be read somewhere in the same
@@ -6,7 +7,8 @@ file.  The package ``__init__.py`` only re-exports and is left out.  A public
 function, class or method of the package must be read by the package itself
 or by the benchmark (``perfbench/*.py``); the tests do not count, so no public
 API exists only for them.  A method counts as read when any attribute of
-that name is read, since the syntax tree carries no types.
+that name is read, since the syntax tree carries no types.  ``gravjcm.ode``
+(the oracle) and ``gravjcm.analytic`` share only ``gravjcm.core``.
 """
 
 import ast
@@ -83,3 +85,33 @@ def test_every_public_name_is_read_outside_the_tests():
     modules = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in READERS]
     assert unread_public_names(modules, readers) == []
+
+
+def package_imports(source: str) -> set:
+    """Short names of the gravjcm modules a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("gravjcm."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module and node.module.split(".")[0] == "gravjcm":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return found
+
+
+def test_checker_finds_package_imports():
+    source = ("import os\nimport gravjcm.ode\nfrom .core import x\nfrom . import analytic\n"
+              "from gravjcm import cli\nfrom gravjcm.scenario import y\nfrom numpy import z\n")
+    assert package_imports(source) == {"ode", "core", "analytic", "cli", "scenario"}
+
+
+def test_backends_do_not_import_each_other():
+    for module, other in (("ode", "analytic"), ("analytic", "ode")):
+        source = (ROOT / "src" / "gravjcm" / f"{module}.py").read_text(encoding="utf-8")
+        assert other not in package_imports(source), module

@@ -43,7 +43,7 @@ def pure_state(c_vec, d_vec):
 
 
 def coherent_branch_state(alpha, nmax=100):
-    w = coherent_amplitudes(alpha, nmax).w
+    w = coherent_amplitudes(alpha, nmax)
     c = np.zeros(nmax + 2, dtype=np.complex128)
     c[: nmax + 1] = w
     return pure_state(c, np.zeros_like(c))
@@ -325,7 +325,7 @@ def test_peak_analysis_overlapping_blobs_not_bimodal():
 def test_cat_fidelity_self_is_one():
     params = paper_defaults()
     nfock = 102
-    psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1).w
+    psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1)
     psi /= np.linalg.norm(psi)
     st = pure_state(psi / math.sqrt(2.0), 1j * psi / math.sqrt(2.0))
     assert cat_fidelity(st, params) == pytest.approx(1.0, abs=1e-12)
@@ -334,7 +334,7 @@ def test_cat_fidelity_self_is_one():
 def test_cat_fidelity_orthogonal_atom_is_zero():
     params = paper_defaults()
     nfock = 102
-    psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1).w
+    psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1)
     psi /= np.linalg.norm(psi)
     # (|e> - i|g>) atomic part is orthogonal to the ansatz (|e> + i|g>)
     st = pure_state(psi / math.sqrt(2.0), -1j * psi / math.sqrt(2.0))

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravjcm.analytic import CHUNK_TIMES, branch_states_analytic, detuning0_of_p
+from gravjcm.analytic import CHUNK_TIMES, branch_states_analytic
 from gravjcm import ode
 from gravjcm.core import (
-    CoherentField,
     MomentumGrid,
     adaptive_nmax,
     build_momentum_grid,
     coherent_amplitudes,
+    detuning0_of_p,
     paper_defaults,
 )
 from gravjcm.ode import IntegrationError, branch_states_ode_sweep
@@ -41,7 +41,7 @@ def node_grid(p):
 def evolve(n, p, t, params):
     """(c_e, c_g) of block n at momentum node p, from c_e = 1, c_g = 0."""
     st = state_at(t, params, FIELD, node_grid(p))
-    w = FIELD.w[n]
+    w = FIELD[n]
     return complex(st.c[0, n] / w), complex(st.d[0, n + 1] / w)
 
 
@@ -136,11 +136,11 @@ def test_zero_time_is_identity():
     # every block stays at c_e = 1, c_g = 0, so C = w and D = 0 exactly
     p = paper_defaults(qg=0.5e7)
     st = state_at(0.0, p, FIELD, node_grid(0.5))
-    assert np.array_equal(st.c[0, :101], FIELD.w)
+    assert np.array_equal(st.c[0, :101], FIELD)
     assert not np.any(st.d)
     # a subnormal step must not turn sin(r) / r into nan
     st = state_at(1e-314, p, FIELD, node_grid(0.5))
-    assert float(np.max(np.abs(st.c[0, :101] - FIELD.w))) < 1e-300
+    assert float(np.max(np.abs(st.c[0, :101] - FIELD))) < 1e-300
     assert float(np.max(np.abs(st.d))) < 1e-300
 
 
@@ -158,7 +158,7 @@ def test_sweep_initial_state_and_norm(sweep_setup):
     states = branch_states_ode_sweep(times, p, field, grid)
     assert len(states) == 6
     # the t = 0 sample is the initial state exactly, on every node
-    assert np.array_equal(states[0].c[:, :101], np.tile(field.w, (grid.nodes.size, 1)))
+    assert np.array_equal(states[0].c[:, :101], np.tile(field, (grid.nodes.size, 1)))
     assert not np.any(states[0].d)
     for st in states:
         assert st.norm() == pytest.approx(1.0, abs=1e-8)
@@ -177,10 +177,10 @@ def test_sweep_block_norm_property(alpha, n_nodes, qg, delta0, lam_t):
     p = paper_defaults(qg=qg, delta0=delta0, alpha=alpha)
     field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
     grid = build_momentum_grid(1.0, n_nodes)
-    nb = field.nmax + 1
+    nb = field.size
     for state in branch_states_ode_sweep(np.linspace(0.0, lam_t / p.lam, 3), p, field, grid):
         blocks = np.abs(state.c[:, :nb]) ** 2 + np.abs(state.d[:, 1 : nb + 1]) ** 2
-        assert float(np.max(np.abs(blocks - field.w**2))) <= 1e-12
+        assert float(np.max(np.abs(blocks - field**2))) <= 1e-12
 
 
 # both backends hand their blocks to the one sweep builder, core.branch_sweep
@@ -212,7 +212,7 @@ def test_sweep_states_view_one_block_per_branch(sweep_setup, backend):
     states = SWEEPS[backend](times, paper_defaults(qg=1.5e7), field, grid)
     for name in ("c", "d"):
         block = getattr(states[0], name).base
-        assert block is not None and block.shape == (times.size, grid.nodes.size, field.nmax + 2)
+        assert block is not None and block.shape == (times.size, grid.nodes.size, field.size + 1)
         for i, st in enumerate(states):
             assert getattr(st, name).base is block
             assert np.shares_memory(getattr(st, name), block[i])
@@ -241,7 +241,7 @@ def test_ground_branch_alignment(sweep_setup):
     p = paper_defaults(qg=0.0, delta0=0.0)
     st = state_at(2e-6, p, field, grid)
     assert float(np.max(np.abs(st.d[:, 0]))) == 0.0
-    assert st.nfock == field.nmax + 2
+    assert st.nfock == field.size + 1
 
 
 # Oracle cases: a fig1-style sweep without and with the published gravity, a
@@ -263,7 +263,7 @@ def test_magnus_matches_dop853_oracle(case, monkeypatch):
     overrides, lam_t, n_nodes = ORACLE_CASES[case]
     p = paper_defaults(**overrides)
     grid = build_momentum_grid(p.sigma0, n_nodes)
-    unit = CoherentField(nmax=ORACLE_NMAX, w=np.ones(ORACLE_NMAX + 1, dtype=complex))
+    unit = np.ones(ORACLE_NMAX + 1, dtype=complex)
     times = lam_t / p.lam
     states = branch_states_ode_sweep(times, p, unit, grid)
     ce = np.array([st.c[:, :-1] for st in states])

@@ -9,16 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravjcm.core import paper_defaults
 from gravjcm.scenario import (
-    _DEFAULTS,
     FIG3_LAMT,
+    KEYS,
     SNAPSHOT_OUTPUTS,
     VALID_BACKENDS,
     VALID_OUTPUTS,
     Scenario,
     ScenarioError,
-    TimeSpec,
     builtin_scenario,
     parse_scenario,
     qg_token,
@@ -34,13 +32,17 @@ def fields_except_provenance(sc):
     }
 
 
+def time_fields(sc):
+    return (sc.t_start, sc.t_end, sc.n_samples)
+
+
 def test_empty_document_gives_full_defaults():
     sc = parse_scenario("")
-    assert sc.params.delta0 == 8.5e7
-    assert sc.params.lam == 1e6
-    assert sc.params.alpha == 5.0 + 0.0j
+    assert sc.delta0 == 8.5e7
+    assert sc.lam == 1e6
+    assert sc.alpha == 5.0 + 0.0j
     assert sc.qg_list == (0.0, 0.5e7, 1.5e7)
-    assert sc.time_spec == TimeSpec(0.0, 25.0, 2000)
+    assert time_fields(sc) == (0.0, 25.0, 2000)
     assert sc.backend == "ode"
     assert sc.n_nodes == 32
     # every key was default-filled and recorded
@@ -94,7 +96,7 @@ def test_bad_number_rejected():
     with pytest.raises(ScenarioError, match="unknown key 'ode_tol'"):
         parse_scenario("ode_tol = 1e-10\n")
     # an integral count may still be written in float notation
-    assert parse_scenario("n_samples = 2e3\n").time_spec.n_samples == 2000
+    assert parse_scenario("n_samples = 2e3\n").n_samples == 2000
 
 
 def test_time_spec_invariants():
@@ -140,21 +142,21 @@ def test_builtin_fig1():
     sc = builtin_scenario("fig1")
     assert sc.outputs == ("inversion",)
     assert sc.qg_list == (0.0, 0.5e7, 1.5e7)
-    assert sc.time_spec == TimeSpec(0.0, 25.0, 2000)
-    assert sc.params.delta0 == 8.5e7
+    assert time_fields(sc) == (0.0, 25.0, 2000)
+    assert sc.delta0 == 8.5e7
 
 
 def test_builtin_fig2():
     sc = builtin_scenario("fig2")
     assert sc.outputs == ("entropy",)
-    assert sc.time_spec.n_samples == 2000
+    assert sc.n_samples == 2000
 
 
 def test_builtin_fig3():
     sc = builtin_scenario("fig3")
     assert sc.outputs == ("qgrid", "cat_report")
-    assert sc.time_spec.t_start == pytest.approx(FIG3_LAMT)
-    assert sc.time_spec.n_samples == 1
+    assert sc.t_start == pytest.approx(FIG3_LAMT)
+    assert sc.n_samples == 1
     assert sc.qgrid_n == 201
     assert sc.qgrid_extent == 9.0
 
@@ -168,7 +170,7 @@ def test_params_for_swaps_gravity_only():
     sc = builtin_scenario("fig1")
     p = sc.params_for(1.5e7)
     assert p.qg == 1.5e7
-    assert p.delta0 == sc.params.delta0
+    assert p.delta0 == sc.delta0
 
 
 def finite(lo, hi, **kw):
@@ -193,19 +195,16 @@ def valid_scenarios(draw):
     snapshot = bool(set(SNAPSHOT_OUTPUTS) & set(outputs))
     t_start = draw(finite(0, 100))
     if snapshot or draw(st.booleans()):
-        time_spec = TimeSpec(t_start, t_start, 1)
+        t_end, n_samples = t_start, 1
     else:
-        time_spec = TimeSpec(t_start, t_start + draw(finite(1e-3, 100)),
-                             draw(st.integers(2, 5000)))
+        t_end, n_samples = t_start + draw(finite(1e-3, 100)), draw(st.integers(2, 5000))
     return Scenario(
         name=draw(STEM),
-        params=paper_defaults(
-            qg=qg_list[0], alpha=alpha,
-            omega_rec=draw(finite(1e3, 1e9)), lam=draw(finite(1e3, 1e9)),
-            delta0=draw(finite(-1e9, 1e9)), sigma0=draw(finite(1e-3, 10)),
-        ),
+        alpha=alpha,
+        omega_rec=draw(finite(1e3, 1e9)), lam=draw(finite(1e3, 1e9)),
+        delta0=draw(finite(-1e9, 1e9)), sigma0=draw(finite(1e-3, 10)),
         qg_list=qg_list,
-        time_spec=time_spec,
+        t_start=t_start, t_end=t_end, n_samples=n_samples,
         backend=draw(st.sampled_from(VALID_BACKENDS)),
         outputs=outputs,
         qgrid_extent=abs(alpha) + 4.0 + draw(finite(0, 20)),
@@ -268,10 +267,26 @@ def test_each_rule_rejects_generated_invalid_values(rule, data):
         parse_scenario(data.draw(strategy))
 
 
-def test_readme_key_table_lists_every_key():
+def readme_key_defaults():
+    """The README key table as {key: default text}; a row may list several keys."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
-    keys = set()
+    defaults = {}
     for row in table.splitlines()[2:]:
-        keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
-    assert keys == set(_DEFAULTS)
+        cells = row.split("|")
+        keys = re.findall(r"`([^`]+)`", cells[1])
+        texts = re.findall(r"`([^`]+)`", cells[2])
+        assert len(keys) == len(texts), row
+        defaults.update(zip(keys, texts))
+    return defaults
+
+
+def test_readme_key_table_lists_every_key():
+    assert set(readme_key_defaults()) == set(KEYS)
+
+
+def test_readme_key_table_states_every_default():
+    # each README default, read as that key's value, is the default a parse fills in
+    for key, text in readme_key_defaults().items():
+        _, default, read, _ = KEYS[key]
+        assert read(key, text) == read(key, default), key
