@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import erf, wofz
 
 from .core import (BranchState, MomentumGrid, PhysicalParams, branch_sweep, check_times,
-                   detuning0_of_p, paper_defaults)
+                   detuning0_of_p)
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
 SQRT_PI = math.sqrt(math.pi)
@@ -114,31 +114,31 @@ def _chirp_quadrature(d0: float, qg: float, t: float, abs_tol: float) -> tuple[c
 
 
 def phase_integral_quadrature(
-    p: float, t: float, params: PhysicalParams, abs_tol: float | None = None
+    d0: float, qg: float, t: float, abs_tol: float | None = None
 ) -> tuple[complex, complex]:
     """Defining quadrature form of the phase integrals (E+, E-), units of seconds.
 
-    Both are integrated independently; E- = conj(E+) for real inputs is a
+    d0 is the node's static detuning delta0(p) and qg the chirp rate.  Both
+    integrals are taken independently; E- = conj(E+) for real inputs is a
     checked property, not an assumption.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if abs_tol is None:
         abs_tol = 1e-12 * max(t, 1e-300)
-    d0 = detuning0_of_p(p, params)
-    ep, _ = _chirp_quadrature(d0, params.qg, t, abs_tol)
-    em, _ = _chirp_quadrature(-d0, -params.qg, t, abs_tol)
+    ep, _ = _chirp_quadrature(d0, qg, t, abs_tol)
+    em, _ = _chirp_quadrature(-d0, -qg, t, abs_tol)
     return ep, em
 
 
-def phase_integral_elementary(p, t, params: PhysicalParams):
+def phase_integral_elementary(d0, t):
     """Chirp-free (qg = 0) E+, the antiderivative (exp(i d0 t) - 1) / (i d0).
 
     Evaluated as t sinc(d0 t / 2 pi) exp(i d0 t / 2), which does not cancel
-    at small d0 t and takes the limit t at d0 = 0.  Broadcasts over nodes p
-    and times t.
+    at small d0 t and takes the limit t at d0 = 0.  Broadcasts over
+    detunings d0 and times t.
     """
-    d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
+    d0 = np.asarray(d0, dtype=float)
     return (t * np.sinc(d0 * t / (2.0 * np.pi)) * np.exp(0.5j * d0 * t))[()]
 
 
@@ -157,19 +157,15 @@ SELECTED_VARIANT_ID = BRANCH_VARIANTS.index(SELECTED_VARIANT)
 AUDIT_RESIDUAL_FLOOR = 1e-6
 
 
-def closed_form_variant(
-    p: float, t: float, params: PhysicalParams, variant: tuple
-) -> complex:
+def closed_form_variant(d0: float, qg: float, t: float, variant: tuple) -> complex:
     """Literal evaluation of one sign/branch variant of the E+ closed form.
 
     Intended for the audit lattice (moderate erf arguments); the production
     path uses the numerically regrouped winner in phase_integral_closed.
     """
     exp_sign, ray2, sign2 = variant
-    qg = params.qg
     if qg <= 0:
         raise ValueError("closed form requires qg > 0")
-    d0 = detuning0_of_p(p, params)
     x = d0 / math.sqrt(2.0 * qg)
     s = math.sqrt(qg / 2.0) * t
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
@@ -177,7 +173,7 @@ def closed_form_variant(
     return pref * cmath.exp(1j * exp_sign * x * x) * bracket
 
 
-def phase_integral_closed(p, t, params: PhysicalParams):
+def phase_integral_closed(d0, qg: float, t):
     """Audited closed form of E+ (qg > 0 only).
 
     The winning branch variant is algebraically regrouped so the huge
@@ -190,15 +186,14 @@ def phase_integral_closed(p, t, params: PhysicalParams):
     with x = d0 / sqrt(2 qg), u2 = sqrt(qg/2) t - x.  In the usual regime
     (chirp not yet through resonance) the standalone e^{i x^2} term cancels
     exactly and only well-conditioned phases survive.  Broadcasts over
-    nodes p and times t.
+    detunings d0 and times t.
     """
-    qg = params.qg
     if qg <= 0:
         raise ValueError("closed form is singular at qg = 0; "
                          "use the quadrature or the elementary antiderivative")
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    d0 = np.asarray(detuning0_of_p(p, params), dtype=float)
+    d0 = np.asarray(d0, dtype=float)
     x = d0 / math.sqrt(2.0 * qg)
     u2 = math.sqrt(qg / 2.0) * t - x
     sx = np.sign(x)
@@ -221,16 +216,15 @@ def audit_branch_variants() -> dict:
     well conditioned.  Returns the winner and all residuals; raises
     BranchAuditError if even the best variant misses AUDIT_RESIDUAL_FLOOR.
     """
-    lattice = [(d0, qg, lt) for d0 in (2e5, 8e5, 3e6) for qg in (5e9, 5e10, 5e11)
+    # times are lam*t values at the reference coupling lam = 1e6 rad/s
+    lattice = [(d0, qg, lt / 1e6) for d0 in (2e5, 8e5, 3e6) for qg in (5e9, 5e10, 5e11)
                for lt in (0.3, 1.7, 6.0, 19.0)]
     residuals = np.zeros(len(BRANCH_VARIANTS))
-    for d0, qg, lt in lattice:
-        pars = paper_defaults(qg=qg, delta0=d0)
-        t = lt / pars.lam
-        ref = phase_integral_quadrature(0.0, t, pars)[0]
+    for d0, qg, t in lattice:
+        ref = phase_integral_quadrature(d0, qg, t)[0]
         scale = max(abs(ref), 1e-300)
         for i, var in enumerate(BRANCH_VARIANTS):
-            err = abs(closed_form_variant(0.0, t, pars, var) - ref) / scale
+            err = abs(closed_form_variant(d0, qg, t, var) - ref) / scale
             residuals[i] = max(residuals[i], err)
     order = np.argsort(residuals)
     best = int(order[0])
@@ -252,7 +246,7 @@ def audit_branch_variants() -> dict:
 # --- branch coefficients and states ----------------------------------------
 
 
-def branch_coeffs(n, ep, params: PhysicalParams) -> tuple:
+def branch_coeffs(n, ep, lam: float) -> tuple:
     """Block weights (a_n, b_n), excited and ground; a_n + b_n = 1 exactly.
 
     a_n = 1 + (n+1) eta and b_n = -(n+1) eta with eta = -i lam^2 E+ E-^2,
@@ -262,7 +256,7 @@ def branch_coeffs(n, ep, params: PhysicalParams) -> tuple:
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    eta = np.asarray(-1j * params.lam**2 * ep * np.conj(ep)**2)
+    eta = np.asarray(-1j * lam**2 * ep * np.conj(ep)**2)
     b = -(n + 1) * eta
     a = 1.0 - b
     return a[()], b[()]
@@ -288,17 +282,17 @@ def branch_states_analytic(
     without bound on resonance.  ``run`` rejects norms above 1 + NORM_SLACK.
     """
     times = check_times(times)
-    nodes = grid.nodes[:, None]  # (K, 1) broadcasts against the Fock axis
-    used = "closed" if params.qg > 0 else "elementary"
-    integrals = phase_integral_closed if params.qg > 0 else phase_integral_elementary
+    qg, lam = params.qg, params.lam
+    d0 = detuning0_of_p(grid.nodes, params)[:, None]  # (K, 1) broadcasts against the Fock axis
     n_arr = np.arange(w.size + 1)
-    meta = {"backend": "analytic", "phase_integral_method": used}
+    meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
 
     def rows():
         for lo in range(0, times.size, CHUNK_TIMES):
-            ep = integrals(nodes, times[lo : lo + CHUNK_TIMES, None, None], params)
-            a, b = branch_coeffs(n_arr, ep, params)  # (R, K, nmax+2), n = 0 .. nmax+1
-            phase = np.exp(0.5j * params.lam * ep * np.sqrt(n_arr[1:]))
+            t = times[lo : lo + CHUNK_TIMES, None, None]
+            ep = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
+            a, b = branch_coeffs(n_arr, ep, lam)  # (R, K, nmax+2), n = 0 .. nmax+1
+            phase = np.exp(0.5j * lam * ep * np.sqrt(n_arr[1:]))
             yield from zip(np.sqrt(a[..., :-1]) * phase, np.sqrt(b[..., 1:]) * phase)
 
     return branch_sweep(times, rows(), w, grid, meta)

@@ -30,7 +30,6 @@ from .analytic import (
 from .core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from .observables import (
     NORM_SLACK,
-    OverlapTriple,
     QGridSpec,
     cat_fidelity,
     entropy,
@@ -140,27 +139,27 @@ def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
     """
     states = _states_for(sc, sc.backend, qg)
     lam_t = sc.times_scaled()
-    ovs = overlaps(states)
-    norm = ovs.cc + ovs.dd
+    cc, dd, cd = overlaps(states)
+    norm = cc + dd
     bad = norm[~(norm <= 1.0 + NORM_SLACK)]
     if bad.size:
         raise ValueError(f"branch norm {bad[0]:.6g} exceeds 1 + {NORM_SLACK:g} at qg = {qg:g}")
     # each output's first file; the Q grid's two files share its stem
     files = {o: out / fs[0] for o, fs in _sweep_files(sc, qg).items()}
     if "inversion" in files:
-        _write_scalar_csv(files["inversion"], lam_t, inversion(ovs))
+        _write_scalar_csv(files["inversion"], lam_t, inversion(cc, dd))
     if "entropy" in files:
-        _write_scalar_csv(files["entropy"], lam_t, entropy(ovs).s_f)
+        _write_scalar_csv(files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
     if set(SNAPSHOT_OUTPUTS) & set(files):
         st = states[-1]
         e = sc.qgrid_extent
         spec = QGridSpec(-e, e, -e, e, sc.qgrid_n, sc.qgrid_n)
-        qg_data = q_function(st, spec, sc.params_for(qg))
+        qg_data = q_function(st, spec, sc.alpha)
         if "qgrid" in files:
             _write_qgrid(files["qgrid"].with_suffix(""), qg_data)
         if "cat_report" in files:
             rep = q_peak_analysis(qg_data)
-            fid = cat_fidelity(st, sc.params_for(qg))
+            fid = cat_fidelity(st, sc.alpha)
             _write_kv(files["cat_report"], [
                 ("peaks", rep.count),
                 ("bimodal", str(rep.bimodal).lower()),
@@ -178,7 +177,7 @@ def _load_scenario(args):
         if args.builtin:
             return builtin_scenario(args.builtin), EXIT_OK
         return parse_scenario(Path(args.scenario).read_text(encoding="utf-8")), EXIT_OK
-    except ScenarioError as exc:
+    except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return None, EXIT_SCENARIO
     except OSError as exc:
@@ -238,16 +237,15 @@ def _cmd_crosscheck(args) -> int:
         _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:
             # only one sweep's states are alive at a time
-            ovs_o = overlaps(_states_for(sc, "ode", qg_val))
-            ovs_a = overlaps(_states_for(sc, "analytic", qg_val))
+            cc_o, dd_o, cd_o = overlaps(_states_for(sc, "ode", qg_val))
+            cc_a, dd_a, cd_a = overlaps(_states_for(sc, "analytic", qg_val))
             # the closed form does not conserve the norm; entropy is compared on renormalized
             # overlaps, cd divided part by part (numpy's complex / real rounds 1 / ta first)
-            ta = ovs_a.cc + ovs_a.dd
-            oa_n = OverlapTriple(cc=ovs_a.cc / ta, dd=ovs_a.dd / ta,
-                                 cd=ovs_a.cd.real / ta + 1j * (ovs_a.cd.imag / ta))
+            ta = cc_a + dd_a
             dev_norm = np.max(np.abs(ta - 1.0))
-            dev_w = np.max(np.abs(inversion(ovs_o) - inversion(ovs_a)))
-            dev_s = np.max(np.abs(entropy(ovs_o).s_f - entropy(oa_n).s_f))
+            dev_w = np.max(np.abs(inversion(cc_o, dd_o) - inversion(cc_a, dd_a)))
+            s_a = entropy(cc_a / ta, dd_a / ta, cd_a.real / ta + 1j * (cd_a.imag / ta)).s_f
+            dev_s = np.max(np.abs(entropy(cc_o, dd_o, cd_o).s_f - s_a))
         except (IntegrationError, ValueError, OverflowError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

@@ -1,6 +1,6 @@
 """Domain types shared by both solver backends.
 
-Physical parameters and the detuning they give each momentum node, the
+The Hamiltonian constants and the detuning they give each momentum node, the
 coherent-field initial amplitudes, the Gauss-Hermite discretization of the
 center-of-mass momentum wavepacket, the per-node branch-amplitude container
 and the sweep builder of both backends.
@@ -31,34 +31,26 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Experiment constants for one run.
+    """Hamiltonian constants of one run.
 
     qg         gravity knob q.g, rad/s^2
     lam        atom-field coupling, rad/s
     omega_rec  recoil frequency hbar*q^2/(2*mass), rad/s
     delta0     static detuning, rad/s
-    sigma0     momentum wavepacket width (dimensionless scaled momentum)
-    alpha      coherent amplitude of the initial field
     """
 
     qg: float
     lam: float
     omega_rec: float
     delta0: float
-    sigma0: float
-    alpha: complex
 
     def __post_init__(self):
         if self.omega_rec <= 0:
             raise ValueError("recoil frequency omega_rec must be positive")
         if self.lam <= 0:
             raise ValueError("coupling lam must be positive")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
         if self.qg < 0:
             raise ValueError("qg must be nonnegative")
-        if not np.isfinite(abs(self.alpha) ** 2):
-            raise ValueError("|alpha|^2 must be finite")
 
 
 def detuning0_of_p(p, params: PhysicalParams):
@@ -70,20 +62,12 @@ def detuning0_of_p(p, params: PhysicalParams):
 
 
 def paper_defaults(qg: float = 0.0, **overrides) -> PhysicalParams:
-    """Canonical parameter set of the reference experiment.
+    """Hamiltonian constants of the reference experiment.
 
-    omega_rec = 0.5e6 rad/s, lam = 1e6 rad/s, sigma0 = 1, delta0 = 8.5e7 rad/s,
-    alpha = 5 (mean photon number 25).  The quoted q = 1e7 1/m and mass
-    1e-26 kg act only through omega_rec.
+    omega_rec = 0.5e6 rad/s, lam = 1e6 rad/s, delta0 = 8.5e7 rad/s.  The quoted
+    q = 1e7 1/m and mass 1e-26 kg act only through omega_rec.
     """
-    kw = dict(
-        omega_rec=0.5e6,
-        qg=qg,
-        lam=1e6,
-        delta0=8.5e7,
-        sigma0=1.0,
-        alpha=5.0 + 0.0j,
-    )
+    kw = dict(omega_rec=0.5e6, qg=qg, lam=1e6, delta0=8.5e7)
     kw.update(overrides)
     return PhysicalParams(**kw)
 
@@ -121,9 +105,13 @@ def adaptive_nmax(alpha: complex) -> int:
     the lower levels rounds by up to ~1% of the budget.  The excitation number
     is conserved block by block, so no population leaves the initially
     occupied levels; the ground branch's n+1 shift has its own slot on the
-    padded nmax + 2 Fock axis of ``BranchState``.
+    padded nmax + 2 Fock axis of ``BranchState``.  Raises ValueError unless
+    |alpha|^2 is finite.
     """
-    nbar = abs(alpha) ** 2
+    a = abs(alpha)
+    nbar = a * a  # a ** 2 would raise OverflowError instead of giving inf
+    if not math.isfinite(nbar):
+        raise ValueError("|alpha|^2 must be finite")
     n = 0
     while pdtrc(n, nbar) >= TRUNCATION_EPS and n < 100000:
         n += 1
@@ -159,8 +147,6 @@ def build_momentum_grid(sigma0: float, n_nodes: int) -> MomentumGrid:
     x, v = np.polynomial.hermite.hermgauss(n_nodes)
     nodes = x * sigma0 / math.sqrt(2.0)
     weights = v / np.sum(v)
-    if n_nodes == 1:
-        nodes = np.zeros(1)
     return MomentumGrid(nodes=nodes, weights=weights)
 
 

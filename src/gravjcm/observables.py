@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import entr
 
-from .core import BranchState, PhysicalParams, coherent_amplitudes
+from .core import BranchState, coherent_amplitudes
 
 NORM_SLACK = 1e-3
 DISC_SLACK = 1e-9
@@ -26,15 +26,6 @@ PEAK_REL_THRESHOLD = 0.05
 # Grid rows per Q chunk: 8 rows of a 401-point axis with 70 Fock levels
 # (alpha = 5) make a 3.6 MB ladder.
 _Q_CHUNK_ROWS = 8
-
-
-@dataclass(frozen=True)
-class OverlapTriple:
-    """Momentum-averaged branch overlaps per sample: <C|C>, <D|D>, <C|D>."""
-
-    cc: np.ndarray
-    dd: np.ndarray
-    cd: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,8 +83,8 @@ class QPeakReport:
     bimodal: bool = False
 
 
-def overlaps(states: list[BranchState]) -> OverlapTriple:
-    """Momentum-weighted overlaps of the two field branches at every sample.
+def overlaps(states: list[BranchState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum-weighted branch overlaps (<C|C>, <D|D>, <C|D>) at every sample.
 
     The branch arrays share the Fock axis, so the cross term is the plain
     inner product; through the one-level ladder shift it pairs the n-th
@@ -103,16 +94,15 @@ def overlaps(states: list[BranchState]) -> OverlapTriple:
     rows = [(np.dot(st.grid.weights, np.sum(np.abs(st.c) ** 2, axis=1)),
              np.dot(st.grid.weights, np.sum(np.abs(st.d) ** 2, axis=1)),
              np.dot(st.grid.weights, np.sum(np.conj(st.c) * st.d, axis=1))) for st in states]
-    cc, dd, cd = (np.array(col) for col in zip(*rows))
-    return OverlapTriple(cc=cc, dd=dd, cd=cd)
+    return tuple(np.array(col) for col in zip(*rows))
 
 
-def inversion(o: OverlapTriple) -> np.ndarray:
+def inversion(cc: np.ndarray, dd: np.ndarray) -> np.ndarray:
     """Atomic population inversion W = <C|C> - <D|D> per sample."""
-    return o.cc - o.dd
+    return cc - dd
 
 
-def entropy(o: OverlapTriple) -> EntropyPair:
+def entropy(cc: np.ndarray, dd: np.ndarray, cd: np.ndarray) -> EntropyPair:
     """Two-branch entropy of the overlaps [[cc, cd], [conj(cd), dd]] per sample.
 
     The eigenvalues are pi_pm = 1/2 (1 pm sqrt(1 - 4 (cc dd - |cd|^2))).  For
@@ -125,13 +115,13 @@ def entropy(o: OverlapTriple) -> EntropyPair:
     beyond that; the discriminant may leave [0, 1] only by rounding noise.
     A NaN fails both gates.  A rejection names the first failing sample.
     """
-    total = o.cc + o.dd
+    total = cc + dd
     bad = np.flatnonzero(~(np.abs(total - 1.0) <= NORM_SLACK))
     if bad.size:
         raise ValueError(f"branch norms sum to {total[bad[0]]} at sample {bad[0]}")
-    cc = o.cc / total
-    dd = o.dd / total
-    cd2 = np.hypot(o.cd.real, o.cd.imag) ** 2 / total**2
+    cd2 = np.hypot(cd.real, cd.imag) ** 2 / total**2
+    cc = cc / total
+    dd = dd / total
     disc = 1.0 - 4.0 * (cc * dd - cd2)
     bad = np.flatnonzero(~((disc >= -DISC_SLACK) & (disc <= 1.0 + DISC_SLACK)))
     if bad.size:
@@ -152,7 +142,7 @@ def check_q_window(half_width: float, alpha: complex) -> None:
         )
 
 
-def q_function(state: BranchState, spec: QGridSpec, params: PhysicalParams) -> QGrid:
+def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     """Husimi Q(beta) = (1/pi) sum_k w_k (|<beta|C_k>|^2 + |<beta|D_k>|^2).
 
     The sqrt(w_k)-weighted branches form the rows of one 2K x N matrix, so Q
@@ -169,7 +159,7 @@ def q_function(state: BranchState, spec: QGridSpec, params: PhysicalParams) -> Q
     boundary ring triggers a warning.
     """
     check_q_window(min(max(abs(spec.xmin), abs(spec.xmax)),
-                       max(abs(spec.ymin), abs(spec.ymax))), params.alpha)
+                       max(abs(spec.ymin), abs(spec.ymax))), alpha)
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
     root_w = np.sqrt(state.grid.weights)[:, None]
@@ -289,14 +279,14 @@ def cat_ansatz(alpha: complex, nfock: int) -> np.ndarray:
     return psi / nrm
 
 
-def cat_fidelity(state: BranchState, params: PhysicalParams) -> float:
+def cat_fidelity(state: BranchState, alpha: complex) -> float:
     """Overlap with the separable cat-time ansatz (|e> + i|g>)/sqrt(2) x |psi_f>.
 
     |psi_f> is ``cat_ansatz``: the initial coherent amplitudes weighted by
     the photon number, n w_n, normalized.  Fidelity is the momentum-weighted
     squared projection, 1 exactly when the state equals the ansatz.
     """
-    psi = cat_ansatz(params.alpha, state.nfock)
+    psi = cat_ansatz(alpha, state.nfock)
     proj_c = state.c @ np.conj(psi)
     proj_d = state.d @ np.conj(psi)
     amp = (proj_c - 1j * proj_d) / math.sqrt(2.0)

@@ -9,15 +9,16 @@ conversion to seconds happens exactly once, in ``times_seconds``.
 The text format is flat ``key = value`` lines, UTF-8, with ``#`` comments.
 One table, ``KEYS``, gives each key its field, default, reader and writer.
 Unknown keys are hard errors.  Keys left out take the canonical defaults of
-the reference experiment (the physical ones from ``paper_defaults``); each
-default fill is echoed in the provenance log.
+the reference experiment (the Hamiltonian constants from ``paper_defaults``);
+each default fill is echoed in the provenance log.
 The builtin figures are override documents that go through the same parser.
 
 Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
-belongs to a numerical layer (the Q window, the coherent amplitudes' sum,
-the cat ansatz's norm) call that layer's own check, so each bound is
-written once.  The Fock cutoff is no input: ``adaptive_nmax`` derives it from alpha.
+belongs to a numerical layer (the Hamiltonian constants, sigma0, a finite
+|alpha|^2, the coherent amplitudes' sum, the Q window, the cat ansatz's norm)
+call that layer's own check, so each bound is written once.  The Fock cutoff
+is no input: ``adaptive_nmax`` derives it from alpha.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PhysicalParams, adaptive_nmax, coherent_amplitudes, paper_defaults
+from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, coherent_amplitudes,
+                   paper_defaults)
 from .observables import cat_ansatz, check_q_window
 
 VALID_BACKENDS = ("ode", "analytic")
@@ -47,10 +49,10 @@ def qg_token(qg: float) -> str:
     return ("qg%g" % qg).replace("+", "").replace("-", "m").replace(".", "p")
 
 
-def _layer_check(key: str, check, *args) -> None:
-    """Run a numerical layer's own argument check as a scenario rule."""
+def _layer_check(key: str, check, *args):
+    """Run a numerical layer's own argument check as a scenario rule; returns its result."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise ScenarioError(f"key {key!r}: {exc}") from exc
 
@@ -98,8 +100,14 @@ class Scenario:
             )
         try:
             self.params_for(self.qg_list[0])
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        if self.n_nodes < 1:
+            raise ScenarioError("n_nodes must be >= 1")
+        # one node suffices: the sigma0 rule does not depend on the node count
+        _layer_check("sigma0", build_momentum_grid, self.sigma0, 1)
+        nmax = _layer_check("alpha", adaptive_nmax, self.alpha)
+        _layer_check("alpha", coherent_amplitudes, self.alpha, nmax)
         if self.t_start < 0:
             raise ScenarioError("t_start must be >= 0")
         if self.t_end == self.t_start:
@@ -122,10 +130,6 @@ class Scenario:
                     "qgrid and cat_report outputs require a single-instant time spec"
                 )
             _layer_check("qgrid.extent", check_q_window, self.qgrid_extent, self.alpha)
-        if self.n_nodes < 1:
-            raise ScenarioError("n_nodes must be >= 1")
-        nmax = adaptive_nmax(self.alpha)
-        _layer_check("alpha", coherent_amplitudes, self.alpha, nmax)
         if "cat_report" in self.outputs:
             _layer_check("alpha", cat_ansatz, self.alpha, nmax + 2)  # a state's Fock levels
 
@@ -139,9 +143,8 @@ class Scenario:
         return self.times_scaled() / self.lam
 
     def params_for(self, qg: float) -> PhysicalParams:
-        """The model's physical parameters at gravity value qg."""
-        return PhysicalParams(qg=qg, lam=self.lam, omega_rec=self.omega_rec,
-                              delta0=self.delta0, sigma0=self.sigma0, alpha=self.alpha)
+        """The model's Hamiltonian constants at gravity value qg."""
+        return PhysicalParams(qg=qg, lam=self.lam, omega_rec=self.omega_rec, delta0=self.delta0)
 
 
 def _text(key: str, text: str) -> str:
@@ -202,8 +205,8 @@ KEYS = {
     "omega_rec": ("omega_rec", str(_PAPER.omega_rec), _number, str),
     "lam": ("lam", str(_PAPER.lam), _number, str),
     "delta0": ("delta0", str(_PAPER.delta0), _number, str),
-    "sigma0": ("sigma0", str(_PAPER.sigma0), _number, str),
-    "alpha": ("alpha", _write_complex(_PAPER.alpha), _complex, _write_complex),
+    "sigma0": ("sigma0", "1.0", _number, str),
+    "alpha": ("alpha", "5.0", _complex, _write_complex),
     "qg": ("qg_list", "0, 0.5e7, 1.5e7", _numbers, _write_list),
     "t_start": ("t_start", "0.0", _number, str),
     "t_end": ("t_end", "25.0", _number, str),

@@ -56,6 +56,9 @@ CAT_BREAKING_QG = 3e13
 # 1.5e7 it matches qg = 0 to 7 digits.
 REVIVAL_BREAKING_QG = 1e11
 RESONANT_LAMT = np.linspace(0.0, 40.0, 40 * SAMPLES_PER_LAMT + 1)
+# the reference experiment's field amplitude and momentum wavepacket width
+FIG1 = builtin_scenario("fig1")
+ALPHA, SIGMA0 = FIG1.alpha, FIG1.sigma0
 
 
 def report(num, desc, ok, detail=""):
@@ -67,12 +70,11 @@ def report(num, desc, ok, detail=""):
 
 
 def sweep_observables(qg, n_nodes):
-    sc = builtin_scenario("fig1")
-    params = sc.params_for(qg)
-    field = coherent_amplitudes(params.alpha, NMAX)
-    grid = build_momentum_grid(params.sigma0, n_nodes)
-    ovs = overlaps(branch_states_ode_sweep(sc.times_seconds(), params, field, grid))
-    return sc.times_scaled(), ovs, inversion(ovs), entropy(ovs).s_f
+    field = coherent_amplitudes(ALPHA, NMAX)
+    grid = build_momentum_grid(SIGMA0, n_nodes)
+    cc, dd, cd = overlaps(
+        branch_states_ode_sweep(FIG1.times_seconds(), FIG1.params_for(qg), field, grid))
+    return FIG1.times_scaled(), (cc, dd, cd), inversion(cc, dd), entropy(cc, dd, cd).s_f
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +90,10 @@ def fig1_64():
 def resonant_inversion(qg):
     """Inversion over RESONANT_LAMT at delta0 = 0."""
     params = paper_defaults(qg=qg, delta0=0.0)
-    field = coherent_amplitudes(params.alpha, NMAX)
-    grid = build_momentum_grid(params.sigma0, N_NODES)
-    return inversion(overlaps(
-        branch_states_ode_sweep(RESONANT_LAMT / params.lam, params, field, grid)))
+    field = coherent_amplitudes(ALPHA, NMAX)
+    grid = build_momentum_grid(SIGMA0, N_NODES)
+    cc, dd, _ = overlaps(branch_states_ode_sweep(RESONANT_LAMT / params.lam, params, field, grid))
+    return inversion(cc, dd)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +103,11 @@ def resonant_qg0():
 
 def snapshot(lam_t, params, qgrid_n):
     """Branch state, fig3-window Q grid and entropy at one scaled time."""
-    field = coherent_amplitudes(params.alpha, NMAX)
-    grid = build_momentum_grid(params.sigma0, N_NODES)
+    field = coherent_amplitudes(ALPHA, NMAX)
+    grid = build_momentum_grid(SIGMA0, N_NODES)
     st = branch_states_ode_sweep(np.array([lam_t / params.lam]), params, field, grid)[0]
-    qgrid = q_function(
-        st, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), params
-    )
-    return st, qgrid, float(entropy(overlaps([st])).s_f[0])
+    qgrid = q_function(st, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), ALPHA)
+    return st, qgrid, float(entropy(*overlaps([st])).s_f[0])
 
 
 @pytest.fixture(scope="module")
@@ -143,11 +143,12 @@ def revival_contrast(lam_t, w):
 
 def test_criterion_1_resonant_textbook_limit():
     params = paper_defaults(qg=0.0, delta0=0.0)
-    field = coherent_amplitudes(params.alpha, NMAX)
-    grid = build_momentum_grid(params.sigma0, 1)  # single node at p = 0
+    field = coherent_amplitudes(ALPHA, NMAX)
+    grid = build_momentum_grid(SIGMA0, 1)  # single node at p = 0
     lam_t = np.linspace(0.0, 25.0, 2000)
     start = time.perf_counter()
-    w = inversion(overlaps(branch_states_ode_sweep(lam_t / params.lam, params, field, grid)))
+    cc, dd, _ = overlaps(branch_states_ode_sweep(lam_t / params.lam, params, field, grid))
+    w = inversion(cc, dd)
     elapsed = time.perf_counter() - start
     n = np.arange(NMAX + 1)
     probs = np.abs(field) ** 2
@@ -164,8 +165,8 @@ def test_criterion_1_resonant_textbook_limit():
 def test_criterion_2_detuned_limit(fig1_32):
     lam_t, _, w, _ = fig1_32[0.0]
     params = paper_defaults(qg=0.0)
-    field = coherent_amplitudes(params.alpha, NMAX)
-    grid = build_momentum_grid(params.sigma0, N_NODES)
+    field = coherent_amplitudes(ALPHA, NMAX)
+    grid = build_momentum_grid(SIGMA0, N_NODES)
     n = np.arange(NMAX + 1)
     probs = np.abs(field) ** 2
     om2 = params.lam**2 * (n + 1.0)
@@ -185,23 +186,22 @@ def test_criterion_3_phase_integral_equivalence():
     worst_closed = 0.0
     ts = np.linspace(25e-6 / 50.0, 25e-6, 50)
     ps = np.linspace(-3.0, 3.0, 10)
+    d0s = detuning0_of_p(ps, paper_defaults())
     for qg in (0.5e7, 1.5e7):
-        params = paper_defaults(qg=qg)
-        for p in ps:
+        for d0 in d0s:
             for t in ts:
-                q_ep, q_em = phase_integral_quadrature(p, t, params, abs_tol=1e-14 * t)
-                c = phase_integral_closed(p, t, params)
+                q_ep, q_em = phase_integral_quadrature(d0, qg, t, abs_tol=1e-14 * t)
+                c = phase_integral_closed(d0, qg, t)
                 worst_closed = max(
                     worst_closed,
                     abs(c - q_ep) / abs(q_ep),
                     abs(np.conj(c) - q_em) / abs(q_em),
                 )
-    p0 = paper_defaults(qg=0.0)
     worst_elem = 0.0
-    for p in ps:
+    for d0 in d0s:
         for t in ts[::5]:
-            q, _ = phase_integral_quadrature(p, t, p0, abs_tol=1e-14 * t)
-            e = phase_integral_elementary(p, t, p0)
+            q, _ = phase_integral_quadrature(d0, 0.0, t, abs_tol=1e-14 * t)
+            e = phase_integral_elementary(d0, t)
             worst_elem = max(worst_elem, abs(q - e) / abs(e))
     report(3, "closed-form phase integrals match quadrature on the lattice",
            worst_closed <= 1e-8 and worst_elem <= 1e-10,
@@ -214,15 +214,15 @@ def test_criterion_4_entropy_machinery(fig1_32):
     s_ok = True
     ln2 = math.log(2.0)
     for qg in QG_VALUES:
-        _, o, _, s = fig1_32[qg]
+        _, (cc, dd, cd), _, s = fig1_32[qg]
         s_ok &= bool(np.all((s >= -1e-12) & (s <= ln2 + 1e-12)))
-        e = entropy(o)
+        e = entropy(cc, dd, cd)
         worst_sum = max(worst_sum, float(np.max(np.abs(e.pi_plus + e.pi_minus - 1.0))))
-        for i in range(o.cc.size):
-            total = o.cc[i] + o.dd[i]
+        for i in range(cc.size):
+            total = cc[i] + dd[i]
             rho = np.array(
-                [[o.cc[i] / total, o.cd[i] / total],
-                 [np.conj(o.cd[i]) / total, o.dd[i] / total]]
+                [[cc[i] / total, cd[i] / total],
+                 [np.conj(cd[i]) / total, dd[i] / total]]
             )
             lams = np.linalg.eigvalsh(rho)
             worst_eig = max(
@@ -238,7 +238,7 @@ def test_criterion_4_entropy_machinery(fig1_32):
 def test_criterion_5_collapse_and_revival_structure(resonant_qg0):
     env = moving_envelope(RESONANT_LAMT, resonant_qg0)
     env0 = env[0]
-    revival_lamt = 2.0 * math.pi * abs(paper_defaults().alpha)
+    revival_lamt = 2.0 * math.pi * abs(ALPHA)
     collapsed = np.nonzero(env < 0.25 * env0)[0]
     ok = False
     detail = f"env0 {env0:.3e}, min env {env.min():.3e}"
@@ -284,7 +284,7 @@ def test_criterion_6_gravity_reduces_revival_contrast(fig1_32, resonant_qg0):
 
 def test_criterion_7_cat_bimodality():
     qgrid_n = builtin_scenario("fig3").qgrid_n
-    half_revival_lamt = math.pi * abs(paper_defaults().alpha)
+    half_revival_lamt = math.pi * abs(ALPHA)
     cats = {
         qg: snapshot(half_revival_lamt,
                      paper_defaults(qg=qg, delta0=0.0), qgrid_n)

@@ -123,7 +123,7 @@ def test_detuning0_values():
 def test_quadrature_small_time_linear():
     p = paper_defaults(qg=1.5e7)
     t = 1e-12  # phase accumulates ~1e-4 rad; integral ~ t
-    ep, _ = phase_integral_quadrature(0.0, t, p)
+    ep, _ = phase_integral_quadrature(p.delta0, p.qg, t)
     assert ep == pytest.approx(t, rel=1e-7)
 
 
@@ -133,7 +133,7 @@ def test_quadrature_conjugate_pair():
     for _ in range(10):
         t = rng.uniform(1e-7, 25e-6)
         pp = rng.uniform(-3, 3)
-        ep, em = phase_integral_quadrature(pp, t, p)
+        ep, em = phase_integral_quadrature(detuning0_of_p(pp, p), p.qg, t)
         assert abs(em - np.conj(ep)) < 1e-12 * abs(ep)
 
 
@@ -143,9 +143,10 @@ def test_quadrature_conjugate_pair():
        delta0=st.floats(-1e8, 1e8))
 def test_array_forms_conjugate_pair(nodes, lam_t, qg, delta0):
     # the closed and the elementary form stay finite on arrays of nodes
-    for form, pars in ((phase_integral_closed, paper_defaults(qg=qg, delta0=delta0)),
-                       (phase_integral_elementary, paper_defaults(qg=0.0, delta0=delta0))):
-        ep = form(np.array(nodes), lam_t / pars.lam, pars)
+    p = paper_defaults(qg=qg, delta0=delta0)
+    d0 = detuning0_of_p(np.array(nodes), p)
+    t = lam_t / p.lam
+    for ep in (phase_integral_closed(d0, qg, t), phase_integral_elementary(d0, t)):
         assert np.all(np.isfinite(ep))
 
 
@@ -155,16 +156,16 @@ def test_quadrature_matches_elementary_at_zero_gravity():
     for _ in range(25):
         t = rng.uniform(1e-7, 25e-6)
         pp = rng.uniform(-3, 3)
-        q, _ = phase_integral_quadrature(pp, t, p0, abs_tol=1e-14 * t)
-        e = phase_integral_elementary(pp, t, p0)
+        d0 = detuning0_of_p(pp, p0)
+        q, _ = phase_integral_quadrature(d0, 0.0, t, abs_tol=1e-14 * t)
+        e = phase_integral_elementary(d0, t)
         assert abs(q - e) < 1e-10 * abs(e)
 
 
 def test_elementary_resonant_limit():
     # a zero or subnormal detuning gives the limit t, not nan
     for delta0 in (0.0, 5e-324):
-        p0 = paper_defaults(qg=0.0, delta0=delta0)
-        ep = phase_integral_elementary(0.0, 3e-6, p0)
+        ep = phase_integral_elementary(delta0, 3e-6)
         assert ep == pytest.approx(3e-6, rel=1e-14)
 
 
@@ -175,7 +176,7 @@ def test_elementary_small_phase_no_cancellation(x):
     t = 1e-6
     d0 = x / t
     x = d0 * t
-    ep = phase_integral_elementary(0.0, t, paper_defaults(qg=0.0, delta0=d0))
+    ep = phase_integral_elementary(d0, t)
     taylor = complex(1.0 - x * x / 6.0, x / 2.0 - x**3 / 24.0)
     assert abs(ep / t - taylor) <= 4e-16
 
@@ -183,29 +184,28 @@ def test_elementary_small_phase_no_cancellation(x):
 def test_quadrature_against_fresnel_integrals():
     # pure chirp (detuning 0): int_0^t e^{-i qg u^2/2} du in Fresnel form
     qg = 2e11
-    p = paper_defaults(qg=qg, delta0=0.0)
     for t in (1e-6, 5e-6, 2e-5):
         u = t * math.sqrt(qg / math.pi)
         s_f, c_f = sp.fresnel(u)
         expect = math.sqrt(math.pi / qg) * (c_f - 1j * s_f)
-        got, _ = phase_integral_quadrature(0.0, t, p)
+        got, _ = phase_integral_quadrature(0.0, qg, t)
         assert abs(got - expect) < 1e-11 * abs(expect)
-        closed = phase_integral_closed(0.0, t, p)
+        closed = phase_integral_closed(0.0, qg, t)
         assert abs(closed - expect) < 1e-10 * abs(expect)
 
 
 def test_quadrature_unreachable_tolerance_reported():
     p = paper_defaults(qg=1.5e7)
     with pytest.raises(QuadratureError):
-        phase_integral_quadrature(0.0, 25e-6, p, abs_tol=1e-30)
+        phase_integral_quadrature(p.delta0, p.qg, 25e-6, abs_tol=1e-30)
 
 
 def test_closed_rejects_zero_gravity_and_negative_time():
-    p0 = paper_defaults(qg=0.0)
+    d0 = paper_defaults().delta0
     with pytest.raises(ValueError):
-        phase_integral_closed(0.0, 1e-6, p0)
+        phase_integral_closed(d0, 0.0, 1e-6)
     with pytest.raises(ValueError):
-        phase_integral_closed(0.0, -1e-6, paper_defaults(qg=1e7))
+        phase_integral_closed(d0, 1e7, -1e-6)
 
 
 def test_closed_matches_quadrature_paper_regime():
@@ -215,43 +215,43 @@ def test_closed_matches_quadrature_paper_regime():
         for _ in range(30):
             t = rng.uniform(1e-8, 25e-6)
             pp = rng.uniform(-3, 3)
-            q, _ = phase_integral_quadrature(pp, t, p)
-            c = phase_integral_closed(pp, t, p)
+            d0 = detuning0_of_p(pp, p)
+            q, _ = phase_integral_quadrature(d0, qg, t)
+            c = phase_integral_closed(d0, qg, t)
             assert abs(c - q) < 1e-8 * abs(q)
     # one call over the whole node array matches node-by-node quadrature
-    nodes = build_momentum_grid(1.0, 32).nodes
+    d0 = detuning0_of_p(build_momentum_grid(1.0, 32).nodes, p)
     t = 7.0 * math.pi / (2.0 * p.lam)
-    c = phase_integral_closed(nodes, t, p)
-    assert c.shape == nodes.shape
-    for pp, ep in zip(nodes, c):
-        q_ep, q_em = phase_integral_quadrature(pp, t, p)
+    c = phase_integral_closed(d0, p.qg, t)
+    assert c.shape == d0.shape
+    for d0_k, ep in zip(d0, c):
+        q_ep, q_em = phase_integral_quadrature(d0_k, p.qg, t)
         assert abs(ep - q_ep) < 1e-8 * abs(q_ep)
         assert abs(np.conj(ep) - q_em) < 1e-8 * abs(q_em)
 
 
 def test_closed_matches_quadrature_through_chirp_resonance():
     # strong chirp drives the stationary point into the window (s > x)
-    p = paper_defaults(qg=5e10, delta0=8e5)
     for t in (2e-6, 1e-5, 3e-5):
-        q, _ = phase_integral_quadrature(0.0, t, p)
-        c = phase_integral_closed(0.0, t, p)
+        q, _ = phase_integral_quadrature(8e5, 5e10, t)
+        c = phase_integral_closed(8e5, 5e10, t)
         assert abs(c - q) < 1e-10 * abs(q)
 
 
 def test_closed_zero_gravity_continuity():
     # qg -> 0 limit approaches the elementary antiderivative
-    pl = paper_defaults(qg=1e-3)
-    p0 = paper_defaults(qg=0.0)
+    d0 = detuning0_of_p(0.3, paper_defaults())
     for t in np.linspace(1e-7, 25e-6, 10):
-        c = phase_integral_closed(0.3, t, pl)
-        e = phase_integral_elementary(0.3, t, p0)
+        c = phase_integral_closed(d0, 1e-3, t)
+        e = phase_integral_elementary(d0, t)
         assert abs(c - e) < 1e-4 * abs(e)
 
 
 def test_eplus_regression_pin():
     p = paper_defaults(qg=1.5e7)
     t = 7.0 * math.pi / (2.0 * 1e6)
-    for ep in (phase_integral_quadrature(0.0, t, p)[0], phase_integral_closed(0.0, t, p)):
+    for ep in (phase_integral_quadrature(p.delta0, p.qg, t)[0],
+               phase_integral_closed(p.delta0, p.qg, t)):
         assert abs(ep - EPLUS_PIN_QG15E6) < 1e-8 * abs(EPLUS_PIN_QG15E6)
 
 
@@ -268,10 +268,9 @@ def test_literal_text_variant_disagrees_with_quadrature():
     # the expression as published ((-1, e^{3 i pi/4} ray, +) variant) misses
     literal = (-1, BRANCH_VARIANTS[0][1], +1)
     assert literal != SELECTED_VARIANT
-    p = paper_defaults(qg=5e10, delta0=8e5)
     t = 4e-6
-    ref, _ = phase_integral_quadrature(0.0, t, p)
-    got = closed_form_variant(0.0, t, p, literal)
+    ref, _ = phase_integral_quadrature(8e5, 5e10, t)
+    got = closed_form_variant(8e5, 5e10, t, literal)
     assert abs(got - ref) > 0.1 * abs(ref)
 
 
@@ -280,9 +279,9 @@ def test_branch_coeffs_sum_to_one_exactly():
     p = paper_defaults(qg=1.5e7)
     for _ in range(30):
         t = rng.uniform(1e-8, 25e-6)
-        ep = phase_integral_closed(rng.uniform(-2, 2), t, p)
+        ep = phase_integral_closed(detuning0_of_p(rng.uniform(-2, 2), p), p.qg, t)
         for n in (0, 3, 40):
-            a_n, b_n = branch_coeffs(n, ep, p)
+            a_n, b_n = branch_coeffs(n, ep, p.lam)
             assert a_n + b_n == 1.0  # exact by construction
             assert b_n == -(n + 1) * (-1j * p.lam**2 * ep * np.conj(ep)**2)
 
@@ -290,11 +289,11 @@ def test_branch_coeffs_sum_to_one_exactly():
 def test_branch_coeffs_dimensional_scale():
     # lam^2 E+ E-^2 is dimensionless: lam in rad/s, E in seconds
     p = paper_defaults(qg=1.5e7)
-    ep = phase_integral_closed(0.0, 5e-6, p)
+    ep = phase_integral_closed(p.delta0, p.qg, 5e-6)
     eta = -1j * p.lam**2 * ep * np.conj(ep)**2
-    assert branch_coeffs(2, ep, p)[1] == -3 * eta
+    assert branch_coeffs(2, ep, p.lam)[1] == -3 * eta
     with pytest.raises(ValueError):
-        branch_coeffs(-1, ep, p)
+        branch_coeffs(-1, ep, p.lam)
 
 
 @pytest.fixture(scope="module")

@@ -132,7 +132,7 @@ def test_qgrid_writer_matches_savetxt_reference(tmp_path):
     # a run's last state on a non-square, off-centre window, so that an x/y swap shows
     sc = parse_scenario(SMALL_GRID)
     st = cli._states_for(sc, sc.backend, 1.5e7)[-1]
-    grid = q_function(st, QGridSpec(-7.0, 6.5, -6.5, 7.5, 29, 17), sc.params_for(1.5e7))
+    grid = q_function(st, QGridSpec(-7.0, 6.5, -6.5, 7.5, 29, 17), sc.alpha)
     for sub in ("new", "ref"):
         (tmp_path / sub).mkdir()
     cli._write_qgrid(tmp_path / "new" / "g_qgrid", grid)
@@ -174,9 +174,9 @@ def test_run_nan_norm_fails_before_any_write(tmp_path, capsys, monkeypatch):
     real_overlaps = cli.overlaps
 
     def nan_at_sample_3(states):
-        o = real_overlaps(states)
-        o.cc[3] = np.nan
-        return o
+        cc, dd, cd = real_overlaps(states)
+        cc[3] = np.nan
+        return cc, dd, cd
 
     monkeypatch.setattr(cli, "overlaps", nan_at_sample_3)
     text = SMALL_SWEEP.replace("outputs = inversion, entropy", "outputs = inversion")
@@ -200,6 +200,19 @@ def test_run_bad_scenario_exits_1(tmp_path, capsys):
     out.mkdir()
     assert main(["run", str(scn), "--out", str(out)]) == 1
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_non_utf8_scenario_exits_1(tmp_path, capsys, command):
+    # a byte-order mark of UTF-16 is no UTF-8 text: a scenario error, not a traceback
+    scn = tmp_path / "scn.txt"
+    scn.write_bytes(b"\xff\xfe name = x\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, str(scn)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    assert "scenario error" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_run_unreadable_scenario_exits_3(tmp_path):

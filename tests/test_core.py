@@ -66,6 +66,13 @@ def test_adaptive_nmax_tail_bound_and_floor():
     assert adaptive_nmax(0.0) == 0
 
 
+@pytest.mark.parametrize("alpha", [1e200, complex(0.0, 1e155), math.nan, complex(1.0, math.inf)])
+def test_adaptive_nmax_rejects_infinite_photon_number(alpha):
+    # |alpha|^2 overflows (or is nan) here; it is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="alpha"):
+        adaptive_nmax(alpha)
+
+
 @settings(max_examples=200, deadline=None)
 @given(r=st.one_of(st.just(1e-6), st.floats(0.0, 37.5)), phase=st.floats(0.0, 2.0 * math.pi))
 def test_adaptive_cutoff_amplitudes_accepted(r, phase):
@@ -79,8 +86,6 @@ def test_adaptive_cutoff_amplitudes_accepted(r, phase):
 def test_params_validation():
     with pytest.raises(ValueError):
         paper_defaults(lam=0.0)
-    with pytest.raises(ValueError):
-        paper_defaults(sigma0=-1.0)
     with pytest.raises(ValueError):
         paper_defaults(qg=-5.0)
     with pytest.raises(ValueError):
@@ -106,6 +111,8 @@ def test_momentum_grid_single_node():
         build_momentum_grid(1.0, 0)
     with pytest.raises(ValueError):
         build_momentum_grid(0.0, 4)
+    with pytest.raises(ValueError, match="sigma0"):
+        build_momentum_grid(-1.0, 4)
 
 
 def test_momentum_grid_weight_sum_enforced():

@@ -1,5 +1,6 @@
-"""Every imported name is used, every public name of the package is read, and
-the two solver backends do not import each other.
+"""Every imported name is used, every public name of the package is read, the
+two solver backends do not import each other, and only the functions where a
+sweep starts take the Hamiltonian constants as one ``PhysicalParams``.
 
 No linter ships with the test dependencies, so this walks the syntax tree of
 each module: a name bound by an import must be read somewhere in the same
@@ -115,3 +116,47 @@ def test_backends_do_not_import_each_other():
     for module, other in (("ode", "analytic"), ("analytic", "ode")):
         source = (ROOT / "src" / "gravjcm" / f"{module}.py").read_text(encoding="utf-8")
         assert other not in package_imports(source), module
+
+
+# The Hamiltonian constants are read only where a sweep starts: the two backend
+# entry points and the detuning they share.  The scenario's params_for and
+# paper_defaults build them.  Every kernel below takes the plain numbers it reads.
+PHYSICAL_PARAMS_SIGNATURES = {"detuning0_of_p", "branch_states_ode_sweep",
+                              "branch_states_analytic", "Scenario.params_for", "paper_defaults"}
+
+
+def functions_naming(source: str, type_name: str) -> set:
+    """Qualified names of the functions whose parameter or return annotations name type_name."""
+    found = set()
+
+    def names(annotation) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == type_name
+                   or isinstance(n, ast.Constant) and n.value == type_name
+                   for n in ast.walk(annotation))
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                visit(node.body, f"{prefix}{node.name}.")
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                annotations = [p.annotation for p in params if p] + [node.returns]
+                if any(names(ann) for ann in annotations if ann is not None):
+                    found.add(prefix + node.name)
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def test_checker_finds_signatures_naming_a_type():
+    source = ("def f(x: P): pass\ndef g(x) -> P: pass\ndef h(x: float): pass\n"
+              "class K:\n    def m(self, *, p: 'P'): pass\n    def n(self, p: list[P]): pass\n")
+    assert functions_naming(source, "P") == {"f", "g", "K.m", "K.n"}
+
+
+def test_physical_params_only_where_a_sweep_starts():
+    found = set()
+    for path in PACKAGE:
+        found |= functions_naming(path.read_text(encoding="utf-8"), "PhysicalParams")
+    assert found == PHYSICAL_PARAMS_SIGNATURES

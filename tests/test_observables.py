@@ -18,7 +18,6 @@ from gravjcm.core import (
     paper_defaults,
 )
 from gravjcm.observables import (
-    OverlapTriple,
     QGrid,
     QGridSpec,
     cat_fidelity,
@@ -50,43 +49,42 @@ def coherent_branch_state(alpha, nmax=100):
 
 
 def triple(cc, dd, cd):
-    return OverlapTriple(cc=np.array(cc, dtype=float), dd=np.array(dd, dtype=float),
-                         cd=np.array(cd, dtype=np.complex128))
+    return np.array(cc, dtype=float), np.array(dd, dtype=float), np.array(cd, dtype=np.complex128)
 
 
 def test_overlaps_hand_built():
     c = [math.sqrt(0.5), 0.0, 0.0]
     d = [0.0, 0.5, 0.5]
-    o = overlaps([pure_state(c, d)])
-    assert o.cc[0] == pytest.approx(0.5, abs=1e-14)
-    assert o.dd[0] == pytest.approx(0.5, abs=1e-14)
-    assert o.cd[0] == pytest.approx(0.0, abs=1e-14)
-    assert inversion(o)[0] == pytest.approx(0.0, abs=1e-14)
+    cc, dd, cd = overlaps([pure_state(c, d)])
+    assert cc[0] == pytest.approx(0.5, abs=1e-14)
+    assert dd[0] == pytest.approx(0.5, abs=1e-14)
+    assert cd[0] == pytest.approx(0.0, abs=1e-14)
+    assert inversion(cc, dd)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_overlaps_cross_term_pairs_shifted_levels():
     c = [1.0 / math.sqrt(2.0), 0.0]
     d = [1.0 / math.sqrt(2.0), 0.0]
-    o = overlaps([pure_state(c, d)])
-    assert o.cd[0] == pytest.approx(0.5, abs=1e-14)
+    cd = overlaps([pure_state(c, d)])[2]
+    assert cd[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_overlaps_reduce_each_state_of_a_sweep():
     # one call over the sweep gives each state's own reduction, bit for bit
-    p = paper_defaults(qg=1.5e7, alpha=2.0)
+    p = paper_defaults(qg=1.5e7)
     field = coherent_amplitudes(2.0, adaptive_nmax(2.0))
     grid = build_momentum_grid(1.0, 4)
     states = branch_states_ode_sweep(np.linspace(0.0, 6e-6, 7), p, field, grid)
-    o = overlaps(states)
+    cc, dd, cd = overlaps(states)
     for i, st in enumerate(states):
         wk = st.grid.weights
-        assert o.cc[i] == float(np.dot(wk, np.sum(np.abs(st.c) ** 2, axis=1)))
-        assert o.dd[i] == float(np.dot(wk, np.sum(np.abs(st.d) ** 2, axis=1)))
-        assert o.cd[i] == complex(np.dot(wk, np.sum(np.conj(st.c) * st.d, axis=1)))
+        assert cc[i] == float(np.dot(wk, np.sum(np.abs(st.c) ** 2, axis=1)))
+        assert dd[i] == float(np.dot(wk, np.sum(np.abs(st.d) ** 2, axis=1)))
+        assert cd[i] == complex(np.dot(wk, np.sum(np.conj(st.c) * st.d, axis=1)))
 
 
 def test_entropy_pure_branch_is_zero():
-    e = entropy(overlaps([coherent_branch_state(2.0, 40)]))
+    e = entropy(*overlaps([coherent_branch_state(2.0, 40)]))
     assert e.pi_plus[0] == pytest.approx(1.0, abs=1e-12)
     assert e.s_f[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -94,7 +92,7 @@ def test_entropy_pure_branch_is_zero():
 def test_entropy_balanced_orthogonal_branches_is_ln2():
     c = [math.sqrt(0.5), 0.0, 0.0]
     d = [0.0, 0.0, math.sqrt(0.5)]
-    e = entropy(overlaps([pure_state(c, d)]))
+    e = entropy(*overlaps([pure_state(c, d)]))
     assert e.s_f[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert e.pi_plus[0] + e.pi_minus[0] == pytest.approx(1.0, abs=1e-14)
 
@@ -110,11 +108,11 @@ def random_pure_states(count, seed=51):
 
 
 def test_entropy_matches_eigensolver_on_random_states():
-    o = overlaps(random_pure_states(50))
-    e = entropy(o)
+    cc, dd, cd = overlaps(random_pure_states(50))
+    e = entropy(cc, dd, cd)
     for i in range(50):
         # rebuild the 2x2 atomic reduced density matrix and diagonalize it
-        rho = np.array([[o.cc[i], o.cd[i]], [np.conj(o.cd[i]), o.dd[i]]])
+        rho = np.array([[cc[i], cd[i]], [np.conj(cd[i]), dd[i]]])
         lams = np.linalg.eigvalsh(rho)
         assert e.pi_minus[i] == pytest.approx(float(lams[0]), abs=1e-10)
         assert e.pi_plus[i] == pytest.approx(float(lams[1]), abs=1e-10)
@@ -123,12 +121,12 @@ def test_entropy_matches_eigensolver_on_random_states():
 
 def test_entropy_matches_scalar_formula_bit_for_bit():
     # the per-sample loop the array form replaced, kept as its reference
-    o = overlaps(random_pure_states(200, seed=7))
-    s_f = entropy(o).s_f
+    o_cc, o_dd, o_cd = overlaps(random_pure_states(200, seed=7))
+    s_f = entropy(o_cc, o_dd, o_cd).s_f
     for i in range(200):
-        total = float(o.cc[i] + o.dd[i])
-        cc, dd = float(o.cc[i]) / total, float(o.dd[i]) / total
-        disc = 1.0 - 4.0 * (cc * dd - abs(complex(o.cd[i])) ** 2 / total**2)
+        total = float(o_cc[i] + o_dd[i])
+        cc, dd = float(o_cc[i]) / total, float(o_dd[i]) / total
+        disc = 1.0 - 4.0 * (cc * dd - abs(complex(o_cd[i])) ** 2 / total**2)
         root = math.sqrt(min(max(disc, 0.0), 1.0))
         s = 0.0
         for lam in (0.5 * (1.0 + root), 0.5 * (1.0 - root)):
@@ -140,10 +138,10 @@ def test_entropy_matches_scalar_formula_bit_for_bit():
 def test_entropy_norm_gate():
     # one sample of four outside the 1e-3 window fails the sweep, naming it
     with pytest.raises(ValueError, match="sum to 0.875 at sample 2"):
-        entropy(triple([0.5, 0.5, 0.75, 0.5], [0.5, 0.5, 0.125, 0.5], [0, 0, 0, 0]))
+        entropy(*triple([0.5, 0.5, 0.75, 0.5], [0.5, 0.5, 0.125, 0.5], [0, 0, 0, 0]))
     # small drift inside the window, on every sample, is renormalized away
-    e = entropy(triple([0.5004, 0.4996, 0.5009, 0.5], [0.5001, 0.4997, 0.4999, 0.4991],
-                       [0, 0, 0, 0]))
+    e = entropy(*triple([0.5004, 0.4996, 0.5009, 0.5], [0.5001, 0.4997, 0.4999, 0.4991],
+                        [0, 0, 0, 0]))
     assert np.allclose(e.s_f, math.log(2.0), rtol=0.0, atol=1e-6)
     assert np.array_equal(e.pi_plus + e.pi_minus, np.ones(4))
 
@@ -151,22 +149,21 @@ def test_entropy_norm_gate():
 def test_entropy_discriminant_gate():
     # |cd|^2 > cc*dd is impossible for a physical state
     with pytest.raises(ValueError, match="at sample 1"):
-        entropy(triple([0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [0, 0.8, 0, 0]))
+        entropy(*triple([0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [0, 0.8, 0, 0]))
 
 
 @pytest.mark.parametrize("field_name", ["cc", "dd", "cd"])
 def test_entropy_rejects_nan_overlap(field_name):
     # NaN compares false with every bound, so each gate tests for its bound holding
     o = triple([0.5] * 4, [0.5] * 4, [0.0] * 4)
-    getattr(o, field_name)[3] = np.nan
+    o[["cc", "dd", "cd"].index(field_name)][3] = np.nan
     with pytest.raises(ValueError, match="nan.* at sample 3"):
-        entropy(o)
+        entropy(*o)
 
 
 def test_q_function_pure_coherent_peak():
-    params = paper_defaults()
     st = coherent_branch_state(5.0)
-    q = q_function(st, QGridSpec(-9, 9, -9, 9, 181, 181), params)
+    q = q_function(st, QGridSpec(-9, 9, -9, 9, 181, 181), 5.0)
     iy, ix = np.unravel_index(np.argmax(q.values), q.values.shape)
     assert q.x[ix] == pytest.approx(5.0, abs=0.11)
     assert q.y[iy] == pytest.approx(0.0, abs=0.11)
@@ -179,31 +176,29 @@ def test_q_function_pure_coherent_peak():
 @given(alpha=st.floats(0.5, 2.0), n_nodes=st.integers(1, 4), qg=st.floats(0.0, 1e11),
        delta0=st.floats(-1e8, 1e8), lam_t=st.floats(0.0, 25.0))
 def test_q_riemann_sum_matches_ode_norm(alpha, n_nodes, qg, delta0, lam_t):
-    p = paper_defaults(qg=qg, delta0=delta0, alpha=alpha)
+    p = paper_defaults(qg=qg, delta0=delta0)
     field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
     grid = build_momentum_grid(1.0, n_nodes)
     state = branch_states_ode_sweep(np.array([lam_t / p.lam]), p, field, grid)[0]
     e = alpha + 5.0
-    q = q_function(state, QGridSpec(-e, e, -e, e, 61, 61), p)
+    q = q_function(state, QGridSpec(-e, e, -e, e, 61, 61), alpha)
     dx = q.x[1] - q.x[0]
     assert float(q.values.sum()) * dx * dx == pytest.approx(state.norm(), rel=0.02)
 
 
 def test_q_function_window_must_cover_state():
-    params = paper_defaults()
     st = coherent_branch_state(5.0)
     with pytest.raises(ValueError):
-        q_function(st, QGridSpec(-6, 6, -6, 6, 61, 61), params)
+        q_function(st, QGridSpec(-6, 6, -6, 6, 61, 61), 5.0)
 
 
 def test_q_function_boundary_leak_warned():
     # a flat Fock ladder spreads Q out to the window edge
-    params = paper_defaults(alpha=1.0)
     c = np.ones(82, dtype=np.complex128)
     c /= np.linalg.norm(c)
     st = pure_state(c, np.zeros_like(c))
     with pytest.warns(UserWarning):
-        q_function(st, QGridSpec(-6, 6, -6, 6, 61, 61), params)
+        q_function(st, QGridSpec(-6, 6, -6, 6, 61, 61), 1.0)
 
 
 @pytest.mark.parametrize("extent", [300.0, 1000.0])
@@ -212,8 +207,7 @@ def test_q_function_large_window_stays_finite(extent):
     st = coherent_branch_state(5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q = q_function(st, QGridSpec(-extent, extent, -extent, extent, 61, 61),
-                       paper_defaults())
+        q = q_function(st, QGridSpec(-extent, extent, -extent, extent, 61, 61), 5.0)
     assert np.all(np.isfinite(q.values))
     assert np.all(q.values >= 0.0)
 
@@ -223,7 +217,7 @@ def test_q_function_coherent_state_exact():
     # multiple of the chunk size, so the last chunk is a partial one
     alpha = 3.0 + 2.0j
     st = coherent_branch_state(alpha)
-    q = q_function(st, QGridSpec(-8.0, 10.0, -7.0, 9.0, 181, 97), paper_defaults(alpha=alpha))
+    q = q_function(st, QGridSpec(-8.0, 10.0, -7.0, 9.0, 181, 97), alpha)
     assert q.values.shape == (97, 181)
     beta = q.x[None, :] + 1j * q.y[:, None]
     exact = np.exp(-np.abs(beta - alpha) ** 2) / math.pi
@@ -258,7 +252,7 @@ def test_q_function_matches_reference_on_mixed_state():
     norm = math.sqrt(float(np.dot(grid.weights, np.sum(np.abs(c) ** 2 + np.abs(d) ** 2, axis=1))))
     st = BranchState(t=0.0, c=c / norm, d=d / norm, grid=grid)
     spec = QGridSpec(-9.0, 9.0, -8.0, 8.0, 73, 61)
-    q = q_function(st, spec, paper_defaults(alpha=1.0))
+    q = q_function(st, spec, 1.0)
     ref = q_reference(st, spec)
     assert np.max(np.abs(q.values - ref)) <= 1e-13 * float(ref.max())
 
@@ -269,7 +263,7 @@ def test_q_function_working_set_is_a_few_mb():
     assert st.nfock == 102
     tracemalloc.start()
     try:
-        q_function(st, QGridSpec(-9, 9, -9, 9, 401, 401), paper_defaults())
+        q_function(st, QGridSpec(-9, 9, -9, 9, 401, 401), 5.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,19 +317,17 @@ def test_peak_analysis_overlapping_blobs_not_bimodal():
 
 
 def test_cat_fidelity_self_is_one():
-    params = paper_defaults()
     nfock = 102
     psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1)
     psi /= np.linalg.norm(psi)
     st = pure_state(psi / math.sqrt(2.0), 1j * psi / math.sqrt(2.0))
-    assert cat_fidelity(st, params) == pytest.approx(1.0, abs=1e-12)
+    assert cat_fidelity(st, 5.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cat_fidelity_orthogonal_atom_is_zero():
-    params = paper_defaults()
     nfock = 102
     psi = np.arange(nfock) * coherent_amplitudes(5.0, nfock - 1)
     psi /= np.linalg.norm(psi)
     # (|e> - i|g>) atomic part is orthogonal to the ansatz (|e> + i|g>)
     st = pure_state(psi / math.sqrt(2.0), -1j * psi / math.sqrt(2.0))
-    assert cat_fidelity(st, params) == pytest.approx(0.0, abs=1e-12)
+    assert cat_fidelity(st, 5.0) == pytest.approx(0.0, abs=1e-12)

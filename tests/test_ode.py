@@ -174,7 +174,7 @@ def test_sweep_initial_state_and_norm(sweep_setup):
        delta0=st.floats(-1e8, 1e8), lam_t=st.floats(0.1, 25.0))
 def test_sweep_block_norm_property(alpha, n_nodes, qg, delta0, lam_t):
     # each 2x2 block is unitary: |C_n|^2 + |D_{n+1}|^2 stays |w_n|^2 per node
-    p = paper_defaults(qg=qg, delta0=delta0, alpha=alpha)
+    p = paper_defaults(qg=qg, delta0=delta0)
     field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
     grid = build_momentum_grid(1.0, n_nodes)
     nb = field.size
@@ -262,7 +262,7 @@ def test_magnus_matches_dop853_oracle(case, monkeypatch):
     monkeypatch.setattr(ode, "TOL", 1e-12)
     overrides, lam_t, n_nodes = ORACLE_CASES[case]
     p = paper_defaults(**overrides)
-    grid = build_momentum_grid(p.sigma0, n_nodes)
+    grid = build_momentum_grid(1.0, n_nodes)
     unit = np.ones(ORACLE_NMAX + 1, dtype=complex)
     times = lam_t / p.lam
     states = branch_states_ode_sweep(times, p, unit, grid)
@@ -283,7 +283,7 @@ def test_tighter_tol_never_fewer_substeps(monkeypatch):
     for overrides, lam_t in ((dict(qg=1.5e7), np.linspace(0.0, 5.0, 401)),
                              (dict(qg=1e12, delta0=2e6), np.linspace(0.0, 10.0, 101))):
         p = paper_defaults(**overrides)
-        grid = build_momentum_grid(p.sigma0, 4)
+        grid = build_momentum_grid(1.0, 4)
         substeps = []
         for tol in (1e-6, 1e-8, 1e-10, 1e-12):
             monkeypatch.setattr(ode, "TOL", tol)

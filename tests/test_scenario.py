@@ -82,10 +82,15 @@ def test_bad_number_rejected():
                  "sigma0 = inf\n",
                  "n_samples = 2.7\n", "qgrid.n = 201.5\n",
                  "qg = 0, nan\n", "qg = inf\n", "qg = 0, abc\n",
-                 "omega_rec = 0\n", "omega_rec = -5e5\n",
-                 "alpha = 1e200\n"):
+                 "omega_rec = 0\n", "omega_rec = -5e5\n"):
         with pytest.raises(ScenarioError):
             parse_scenario(text)
+    # |alpha|^2 overflows or is nan: the error names the key
+    for text in ("alpha = 1e200\n", "alpha = nan\n"):
+        with pytest.raises(ScenarioError, match="alpha"):
+            parse_scenario(text)
+    with pytest.raises(ScenarioError, match="sigma0"):
+        parse_scenario("sigma0 = -1\n")
     # the wavenumber acts only through omega_rec and qg; it is not a key
     with pytest.raises(ScenarioError, match="unknown key 'q'"):
         parse_scenario("q = 1e7\n")
