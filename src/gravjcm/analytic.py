@@ -75,16 +75,20 @@ def faddeeva(z):
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_BUDGET = 1 << 16
+# Agreement the quadrature demands of two consecutive composite values, in
+# units of t (which bounds |E+|).
+QUAD_TOL = 1e-14
 
 
-def _chirp_quadrature(d0: float, qg: float, t: float, abs_tol: float) -> tuple[complex, float]:
+def _chirp_quadrature(d0: float, qg: float, t: float) -> complex:
     """integral_0^t exp(i (d0 u - qg u^2 / 2)) du by doubling Gauss panels.
 
     Panels are sized to a few radians of accumulated phase each, then the
-    panel count doubles until two consecutive composite values agree.
+    panel count doubles until two consecutive composite values agree to
+    QUAD_TOL * t.
     """
     if t == 0.0:
-        return 0.0 + 0.0j, 0.0
+        return 0.0 + 0.0j
     total_phase = abs(d0) * t + abs(qg) * t * t / 2.0
     m = max(8, int(math.ceil(total_phase / 4.0)))
 
@@ -107,15 +111,13 @@ def _chirp_quadrature(d0: float, qg: float, t: float, abs_tol: float) -> tuple[c
         m *= 2
         cur = composite(m)
         est = abs(cur - prev)
-        if est <= abs_tol:
-            return cur, est
+        if est <= QUAD_TOL * t:
+            return cur
         prev = cur
     raise QuadratureError("phase-integral quadrature did not converge", est)
 
 
-def phase_integral_quadrature(
-    d0: float, qg: float, t: float, abs_tol: float | None = None
-) -> tuple[complex, complex]:
+def phase_integral_quadrature(d0: float, qg: float, t: float) -> tuple[complex, complex]:
     """Defining quadrature form of the phase integrals (E+, E-), units of seconds.
 
     d0 is the node's static detuning delta0(p) and qg the chirp rate.  Both
@@ -124,11 +126,7 @@ def phase_integral_quadrature(
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if abs_tol is None:
-        abs_tol = 1e-12 * max(t, 1e-300)
-    ep, _ = _chirp_quadrature(d0, qg, t, abs_tol)
-    em, _ = _chirp_quadrature(-d0, -qg, t, abs_tol)
-    return ep, em
+    return _chirp_quadrature(d0, qg, t), _chirp_quadrature(-d0, -qg, t)
 
 
 def phase_integral_elementary(d0, t):

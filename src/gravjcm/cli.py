@@ -176,7 +176,7 @@ def _load_scenario(args):
     try:
         if args.builtin:
             return builtin_scenario(args.builtin), EXIT_OK
-        return parse_scenario(Path(args.scenario).read_text(encoding="utf-8")), EXIT_OK
+        return parse_scenario(Path(args.scenario).read_text(encoding="utf-8-sig")), EXIT_OK
     except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return None, EXIT_SCENARIO

@@ -133,12 +133,16 @@ def entropy(cc: np.ndarray, dd: np.ndarray, cd: np.ndarray) -> EntropyPair:
                        s_f=entr(pi_plus) + entr(pi_minus))
 
 
-def check_q_window(half_width: float, alpha: complex) -> None:
-    """Reject a Q window whose half-width misses the coherent disk |alpha| + 4."""
+def check_q_window(reach: float, alpha: complex) -> None:
+    """Reject a Q window whose nearest edge cuts the coherent disk.
+
+    reach is the distance from the origin to that edge; the disk is
+    |beta| <= |alpha| + 4.
+    """
     need = abs(alpha) + 4.0
-    if half_width < need:
+    if reach < need:
         raise ValueError(
-            f"Q window half-width {half_width:g} must reach |alpha| + 4 = {need:.1f}"
+            f"Q window edge at {reach:g} from the origin must reach |alpha| + 4 = {need:.1f}"
         )
 
 
@@ -154,12 +158,11 @@ def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     magnitude: a large window underflows to zero far out instead of
     overflowing.
 
-    The window must cover the coherent disk (half-width at least |alpha| + 4)
-    so the quasiprobability mass is captured; significant weight on the
-    boundary ring triggers a warning.
+    The window must cover the coherent disk (each edge at least |alpha| + 4
+    from the origin) so the quasiprobability mass is captured; significant
+    weight on the boundary ring triggers a warning.
     """
-    check_q_window(min(max(abs(spec.xmin), abs(spec.xmax)),
-                       max(abs(spec.ymin), abs(spec.ymax))), alpha)
+    check_q_window(min(-spec.xmin, spec.xmax, -spec.ymin, spec.ymax), alpha)
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
     root_w = np.sqrt(state.grid.weights)[:, None]

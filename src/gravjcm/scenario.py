@@ -134,8 +134,6 @@ class Scenario:
             _layer_check("alpha", cat_ansatz, self.alpha, nmax + 2)  # a state's Fock levels
 
     def times_scaled(self) -> np.ndarray:
-        if self.n_samples == 1:
-            return np.array([self.t_start])
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
     def times_seconds(self) -> np.ndarray:

@@ -215,6 +215,21 @@ def test_non_utf8_scenario_exits_1(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_scenario_with_utf8_bom_is_read(tmp_path, capsys, command):
+    # the byte-order mark some editors write is not part of the first key
+    scn = tmp_path / "scn.txt"
+    scn.write_bytes(b"\xef\xbb\xbf" + ("name = bom\n" + SMALL_SWEEP).encode())
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, str(scn)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 0
+    if command == "run":
+        assert (out / "bom_run_metadata.txt").is_file()
+    else:
+        assert capsys.readouterr().out.startswith("crosscheck qg=0 ")
+
+
 def test_run_unreadable_scenario_exits_3(tmp_path):
     out = tmp_path / "out"
     out.mkdir()

@@ -187,9 +187,11 @@ def test_q_riemann_sum_matches_ode_norm(alpha, n_nodes, qg, delta0, lam_t):
 
 
 def test_q_function_window_must_cover_state():
+    # each side of the window must reach |alpha| + 4, not just one per axis
     st = coherent_branch_state(5.0)
-    with pytest.raises(ValueError):
-        q_function(st, QGridSpec(-6, 6, -6, 6, 61, 61), 5.0)
+    for spec in (QGridSpec(-6, 6, -6, 6, 61, 61), QGridSpec(0, 9, -9, 9, 61, 61)):
+        with pytest.raises(ValueError):
+            q_function(st, spec, 5.0)
 
 
 def test_q_function_boundary_leak_warned():
@@ -217,7 +219,7 @@ def test_q_function_coherent_state_exact():
     # multiple of the chunk size, so the last chunk is a partial one
     alpha = 3.0 + 2.0j
     st = coherent_branch_state(alpha)
-    q = q_function(st, QGridSpec(-8.0, 10.0, -7.0, 9.0, 181, 97), alpha)
+    q = q_function(st, QGridSpec(-8.0, 10.0, -8.0, 9.0, 181, 97), alpha)
     assert q.values.shape == (97, 181)
     beta = q.x[None, :] + 1j * q.y[:, None]
     exact = np.exp(-np.abs(beta - alpha) ** 2) / math.pi

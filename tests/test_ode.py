@@ -2,9 +2,10 @@
 
 Oracles: the detuned Rabi closed form at zero gravity, an in-test
 piecewise-constant 2x2 eigen-propagator for the chirped case, and the DOP853
-integrator ``_integrate`` in both its literal and rotating frames, which the
-Magnus propagator must match at tight tolerance.  Single blocks are read off
-a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.
+integrator ``_integrate`` on the block equations as written, which the
+Magnus propagator must match at tight tolerance.  The Rabi formula checks
+both the Magnus propagator and ``_integrate`` itself.  Single blocks are read
+off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.
 """
 
 import math
@@ -85,17 +86,23 @@ def stepped_propagator(n, p, t, params, steps=20000):
 
 
 def test_block_matches_detuned_rabi_formula():
+    # the Magnus propagator and the DOP853 oracle each against the formula; one
+    # oracle pass integrates the K x N blocks (p_k, n_k) and block k is read off
+    # at its own time
     p = paper_defaults(qg=0.0)
     rng = np.random.default_rng(41)
-    for _ in range(12):
-        n = int(rng.integers(0, 40))
-        pp = rng.uniform(-3, 3)
-        t = rng.uniform(1e-7, 1e-5)
-        ce, cg = evolve(n, pp, t, p)
-        assert abs(ce) ** 2 == pytest.approx(
-            rabi_excited_population(n, pp, t, p), abs=1e-9
-        )
-        assert abs(ce) ** 2 + abs(cg) ** 2 == pytest.approx(1.0, abs=1e-9)
+    cases = [(int(rng.integers(0, 40)), rng.uniform(-3, 3), rng.uniform(1e-7, 1e-5))
+             for _ in range(12)]
+    ns, pps, ts = (np.array(v) for v in zip(*cases))
+    omega = p.lam * np.sqrt(ns + 1.0)
+    oracle = ode._integrate(detuning0_of_p(pps, p), omega, p.qg, np.sort(ts))
+    rank = np.argsort(np.argsort(ts))
+    for k, (n, pp, t) in enumerate(cases):
+        for ce, cg in (evolve(n, pp, t, p), oracle[rank[k], :, k, k]):
+            assert abs(ce) ** 2 == pytest.approx(
+                rabi_excited_population(n, pp, t, p), abs=1e-9
+            )
+            assert abs(ce) ** 2 + abs(cg) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_block_matches_stepped_propagator_with_gravity():
@@ -105,24 +112,6 @@ def test_block_matches_stepped_propagator_with_gravity():
         ce_ref, cg_ref = stepped_propagator(n, pp, t, p)
         assert abs(ce - ce_ref) < 1e-6
         assert abs(cg - cg_ref) < 1e-6
-
-
-def test_frames_are_gauge_equivalent():
-    # the literal- and rotating-frame DOP853 oracles both reproduce the
-    # Magnus propagator block by block
-    p = paper_defaults(qg=1.5e7)
-    rng = np.random.default_rng(42)
-    for _ in range(6):
-        n = int(rng.integers(0, 30))
-        pp = rng.uniform(-2, 2)
-        t = rng.uniform(1e-7, 1e-5)
-        got = evolve(n, pp, t, p)
-        d0 = np.array([detuning0_of_p(pp, p)])
-        omega = np.array([p.lam * math.sqrt(n + 1.0)])
-        for frame in ("literal", "rotating"):
-            res = ode._integrate(d0, omega, p.qg, np.array([t]), 1e-10, frame)
-            assert abs(got[0] - res[0, 0, 0, 0]) < 1e-8, frame
-            assert abs(got[1] - res[0, 1, 0, 0]) < 1e-8, frame
 
 
 def test_argument_validation():
@@ -270,7 +259,7 @@ def test_magnus_matches_dop853_oracle(case, monkeypatch):
     cg = np.array([st.d[:, 1:] for st in states])
     omega = p.lam * np.sqrt(np.arange(ORACLE_NMAX + 1) + 1.0)
     d0 = detuning0_of_p(grid.nodes, p)
-    res = ode._integrate(d0, omega, p.qg, times, 1e-12, "rotating")
+    res = ode._integrate(d0, omega, p.qg, times)
     if case == "chirp_through_resonance":
         assert np.all(d0 > 0) and np.all(d0 - p.qg * times[-1] < 0)
     assert float(np.max(np.abs(ce - res[:, 0]))) <= 1e-8
