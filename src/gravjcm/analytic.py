@@ -271,9 +271,11 @@ def branch_states_analytic(
     Per sample and momentum node, block n's excited and ground amplitudes are
     sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1))
     and principal square roots; ``core.branch_sweep`` makes them C_n and
-    D_{n+1}.  The phase integrals take the closed form when qg > 0 and the
-    elementary antiderivative when qg = 0, in one array evaluation per chunk
-    of CHUNK_TIMES samples over all nodes.
+    D_{n+1}.  b_{n+1} = (n+2) b_0 exactly, so the ground roots are
+    sqrt(n+2) sqrt(b_0): one complex square root per time and node.  The
+    phase integrals take the closed form when qg > 0 and the elementary
+    antiderivative when qg = 0, in one array evaluation per chunk of
+    CHUNK_TIMES samples over all nodes.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
@@ -282,15 +284,16 @@ def branch_states_analytic(
     times = check_times(times)
     qg, lam = params.qg, params.lam
     d0 = detuning0_of_p(grid.nodes, params)[:, None]  # (K, 1) broadcasts against the Fock axis
-    n_arr = np.arange(w.size + 1)
+    n = np.arange(w.size)
     meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
 
     def rows():
         for lo in range(0, times.size, CHUNK_TIMES):
             t = times[lo : lo + CHUNK_TIMES, None, None]
             ep = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
-            a, b = branch_coeffs(n_arr, ep, lam)  # (R, K, nmax+2), n = 0 .. nmax+1
-            phase = np.exp(0.5j * lam * ep * np.sqrt(n_arr[1:]))
-            yield from zip(np.sqrt(a[..., :-1]) * phase, np.sqrt(b[..., 1:]) * phase)
+            a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
+            phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
+            ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
+            yield from zip(np.sqrt(a) * phase, ground * phase)
 
     return branch_sweep(times, rows(), w, grid, meta)

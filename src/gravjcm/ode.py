@@ -32,13 +32,14 @@ substeps.
 
 ``_integrate`` is the independent DOP853 oracle that the tests compare the
 Magnus propagator against.  It integrates the two equations above as
-written, at rtol ``ORACLE_TOL``.
+written, at rtol ``ORACLE_TOL``.  No production path runs it, so
+``scipy.integrate`` is imported on the oracle's first call (through
+``solve_ivp``), not with this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (BranchState, MomentumGrid, PhysicalParams, branch_sweep, check_times,
                    detuning0_of_p)
@@ -57,6 +58,13 @@ ORACLE_TOL = 1e-12
 
 class IntegrationError(RuntimeError):
     """The integrator could not reach the requested accuracy or time."""
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call: only the oracle needs it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _magnus_step(h: float, t_mid: float, d0: np.ndarray, omega: np.ndarray,

@@ -16,7 +16,8 @@ The builtin figures are override documents that go through the same parser.
 Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
 belongs to a numerical layer (the Hamiltonian constants, sigma0, a finite
-|alpha|^2, the coherent amplitudes' sum, the Q window, the cat ansatz's norm)
+|alpha|^2, the coherent amplitudes' sum, distinct sample times in seconds,
+the Q window, the cat ansatz's norm)
 call that layer's own check, so each bound is written once.  The Fock cutoff
 is no input: ``adaptive_nmax`` derives it from alpha.
 """
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, coherent_amplitudes,
-                   paper_defaults)
+from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, check_times,
+                   coherent_amplitudes, paper_defaults)
 from .observables import cat_ansatz, check_q_window
 
 VALID_BACKENDS = ("ode", "analytic")
@@ -117,6 +118,7 @@ class Scenario:
             raise ScenarioError("t_end must exceed t_start")
         elif self.n_samples < 2:
             raise ScenarioError("a time sweep needs n_samples >= 2")
+        _layer_check("n_samples", check_times, self.times_seconds())
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")

@@ -32,7 +32,9 @@ from gravjcm.analytic import (
     phase_integral_elementary,
     phase_integral_quadrature,
 )
-from gravjcm.core import build_momentum_grid, coherent_amplitudes, detuning0_of_p, paper_defaults
+from gravjcm.core import (adaptive_nmax, build_momentum_grid, coherent_amplitudes, detuning0_of_p,
+                          paper_defaults)
+from gravjcm.scenario import builtin_scenario
 
 # frozen from the quadrature oracle
 EPLUS_PIN_QG15E6 = -1.176472389836063e-08 + 1.1775373758395895e-08j
@@ -324,3 +326,21 @@ def test_analytic_state_regression_pin():
     assert abs(complex(st.d[0, 10]) - D10_PIN) < 1e-12
     assert st.norm() == pytest.approx(NORM_PIN, abs=1e-10)
     assert st.meta["phase_integral_method"] == "elementary"
+
+
+@pytest.mark.parametrize("qg", [0.0, 1.5e7])
+def test_ground_branch_matches_its_definition(qg):
+    # the sweep takes sqrt(b_{n+1}) as sqrt(n+2) sqrt(b_0); the definition takes
+    # the root of b_{n+1} itself, at every n
+    sc = builtin_scenario("fig1")
+    times = sc.times_seconds()[::47]  # 43 samples: five full chunks and a partial one
+    p = sc.params_for(qg)
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
+    d0 = detuning0_of_p(grid.nodes, p)[:, None]
+    n = np.arange(w.size)
+    for st in branch_states_analytic(times, p, w, grid):
+        ep = phase_integral_closed(d0, qg, st.t) if qg > 0 else phase_integral_elementary(d0, st.t)
+        _, b = branch_coeffs(n + 1, ep, p.lam)
+        expect = w * np.sqrt(b) * np.exp(0.5j * p.lam * ep * np.sqrt(n + 1.0))
+        assert np.all(np.abs(st.d[:, 1:] - expect) <= 1e-14 * np.abs(expect))

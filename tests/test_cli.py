@@ -277,6 +277,8 @@ REJECTED_UP_FRONT = {
     "backend_both": "t_end = 1\nn_samples = 5\nbackend = both\n",
     "cat_report_on_sweep": "t_end = 1\nn_samples = 5\noutputs = cat_report\n",
     "name_escapes_out": "t_end = 1\nn_samples = 5\nname = ../escaped\n",
+    # distinct in lam*t, but the middle sample rounds onto an end in seconds
+    "times_collapse_in_seconds": "t_start = 1\nt_end = 1.0000000000000002\nn_samples = 3\n",
 }
 
 

@@ -10,12 +10,23 @@ or by the benchmark (``perfbench/*.py``); the tests do not count, so no public
 API exists only for them.  A method counts as read when any attribute of
 that name is read, since the syntax tree carries no types.  ``gravjcm.ode``
 (the oracle) and ``gravjcm.analytic`` share only ``gravjcm.core``.
+
+A run imports only what it runs: the DOP853 oracle's ``scipy.integrate``, and
+the scipy subpackages it pulls in, stay out of a fresh interpreter's
+``sys.modules`` through a whole ``run``, while the oracle still calls
+``gravjcm.ode.solve_ivp``, the name the benchmark's tracer wraps.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gravjcm import ode
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src" / "gravjcm").glob("*.py") if p.name != "__init__.py")
@@ -160,3 +171,40 @@ def test_physical_params_only_where_a_sweep_starts():
     for path in PACKAGE:
         found |= functions_naming(path.read_text(encoding="utf-8"), "PhysicalParams")
     assert found == PHYSICAL_PARAMS_SIGNATURES
+
+
+# imported by the DOP853 oracle alone; a run starts and ends without them
+ORACLE_ONLY_MODULES = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.optimize")
+
+
+def test_run_does_not_import_the_oracle(tmp_path):
+    scn = tmp_path / "scn.txt"
+    scn.write_text("alpha = 2\nqg = 0\nt_end = 1\nn_samples = 5\nn_nodes = 2\n"
+                   "outputs = inversion\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = ("import sys\nfrom gravjcm.cli import main\n"
+            f"assert main(['run', {str(scn)!r}, '--out', {str(out)!r}]) == 0\n"
+            f"print('loaded:', *[m for m in {ORACLE_ONLY_MODULES!r} if m in sys.modules])\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "loaded:"
+
+
+def test_oracle_calls_the_module_solve_ivp(monkeypatch):
+    # the benchmark's ode.solve_ivp span wraps this module attribute, and counts
+    # the right-hand side evaluations from the result's nfev
+    nfev = []
+    scipy_backed = ode.solve_ivp
+
+    def counting(*args, **kwargs):
+        result = scipy_backed(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(ode, "solve_ivp", counting)
+    y = ode._integrate(np.array([0.0, 2e5]), np.array([1e6]), 1.5e7, np.array([0.0, 1e-6, 2e-6]))
+    assert y.shape == (3, 2, 2, 1)
+    assert len(nfev) == 1 and nfev[0] > 0
