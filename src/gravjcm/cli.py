@@ -86,12 +86,17 @@ def _write_qgrid(base: Path, grid) -> None:
     """Write a Q grid as BASE.csv (``x,y,q`` lines, y-major) and BASE.matrix.txt.
 
     Each distinct value is formatted once with FMT: the axis labels up front,
-    each row's Q values as that row is reached, and both files are streamed
-    row by row from the same strings.  The text is what ``np.savetxt`` with
-    FMT writes, byte for byte, without a whole-grid buffer.
+    each row's Q values by one ``%`` of a row format as that row is reached.
+    The long form's lines come from one template with the x labels built in,
+    filled per row with y and the row's Q strings.  Both files are streamed
+    row by row; the text is what ``np.savetxt`` with FMT writes, byte for
+    byte, without a whole-grid buffer.
     """
     xs = [_fmt(v) for v in grid.x.tolist()]
     ys = [_fmt(v) for v in grid.y.tolist()]
+    row_fmt = " ".join([FMT] * len(xs))
+    long_row = "".join(f"{x},%s,%s\n" for x in xs)  # each line's y, then its q
+    fields = [None] * (2 * len(xs))
     long_path, matrix_path = (base.with_name(base.name + s) for s in QGRID_SUFFIXES)
     with long_path.open("w", encoding="utf-8") as long_fh, \
             matrix_path.open("w", encoding="utf-8") as matrix_fh:
@@ -99,9 +104,11 @@ def _write_qgrid(base: Path, grid) -> None:
         matrix_fh.write("# rows: y ascending; columns: x ascending\n"
                         f"# x {' '.join(xs)}\n# y {' '.join(ys)}\n")
         for y, row in zip(ys, grid.values):
-            qs = [_fmt(v) for v in row.tolist()]
-            long_fh.write("".join(f"{x},{y},{q}\n" for x, q in zip(xs, qs)))
-            matrix_fh.write(" ".join(qs) + "\n")
+            qline = row_fmt % tuple(row.tolist())
+            fields[0::2] = [y] * len(xs)
+            fields[1::2] = qline.split(" ")
+            long_fh.write(long_row % tuple(fields))
+            matrix_fh.write(qline + "\n")
 
 
 def _write_kv(path: Path, pairs: list) -> None:

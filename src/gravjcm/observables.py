@@ -4,8 +4,10 @@ Momentum-averaged overlaps, atomic inversion, the two-branch field entropy,
 the Husimi Q quasiprobability on a phase-space grid, peak analysis of Q for
 bimodality (cat) detection, and fidelity against the analytic cat ansatz.
 Q is evaluated a few grid rows at a time, as one matrix product of each
-chunk's Gaussian-seeded Fock ladder with the stacked branches, so its working
-set is a few MB and a window of any size stays finite.
+chunk's Gaussian-seeded Fock ladder with the field state's significant modes
+(the stacked branches projected on the eigenvectors of their Gram matrix
+above rounding level, often a few of the 2K rows), so its working set is a
+few MB and a window of any size stays finite.
 """
 
 from __future__ import annotations
@@ -146,12 +148,35 @@ def check_q_window(reach: float, alpha: complex) -> None:
         )
 
 
+def _significant_modes(branches: np.ndarray) -> np.ndarray:
+    """The rows U_r^H B that carry the field state B (2K x N) beyond rounding.
+
+    G = B B^H = U diag(lam) U^H, and ||B v|| = ||U^H B v|| for every v; row i
+    of U^H B has squared norm lam_i.  Rows with lam_i <= eps * Tr G are
+    dropped: on a Fock ladder v, whose norm is at most 1, they add at most
+    2K eps Tr G to ||B v||^2, below the rounding of the product itself.
+    lam_i and the rows come from the SVD B = U S V^H (lam_i = s_i^2, row i
+    is s_i V_i^H), which reads a zero lam_i as at most eps^2 Tr G; ``eigh``
+    of the formed G reads it as anything up to ~2 eps Tr G, across the
+    threshold, and would keep rounding noise as modes.
+    """
+    _, s, vh = np.linalg.svd(branches, full_matrices=False)
+    lam = s**2
+    r = np.count_nonzero(lam > np.finfo(float).eps * lam.sum())
+    return s[:r, None] * vh[:r]
+
+
 def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     """Husimi Q(beta) = (1/pi) sum_k w_k (|<beta|C_k>|^2 + |<beta|D_k>|^2).
 
-    The sqrt(w_k)-weighted branches form the rows of one 2K x N matrix, so Q
-    at a grid point is (1/pi) times the squared norm of that matrix applied to
-    the point's Fock ladder <beta|n> = exp(-|beta|^2/2) conj(beta)^n / sqrt(n!).
+    The sqrt(w_k)-weighted branches form the rows of one 2K x N matrix B, so
+    Q at a grid point is (1/pi) times the squared norm of B applied to the
+    point's Fock ladder <beta|n> = exp(-|beta|^2/2) conj(beta)^n / sqrt(n!).
+    B is first reduced to its r significant modes (``_significant_modes``):
+    its projections on the eigenvectors of the 2K x 2K Gram matrix B B^H
+    whose eigenvalues exceed eps times its trace.  That moves Q by at most
+    2K eps Tr(B B^H) / pi, and shrinks every product by 2K / r (fig3's
+    instant has r = 3 of 64).
     The grid is taken _Q_CHUNK_ROWS rows at a time, one matrix product per
     chunk, so the working set stays at a few MB whatever the grid size.  The
     ladder recurrence starts from the Gaussian, so every term is at most 1 in
@@ -166,7 +191,7 @@ def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
     root_w = np.sqrt(state.grid.weights)[:, None]
-    branches = np.concatenate([root_w * state.c, root_w * state.d])
+    branches = _significant_modes(np.concatenate([root_w * state.c, root_w * state.d]))
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, state.nfock))
     ladder = np.empty((state.nfock, _Q_CHUNK_ROWS * spec.nx), dtype=np.complex128)
     vals = np.empty((spec.ny, spec.nx))

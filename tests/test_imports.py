@@ -177,10 +177,16 @@ def test_physical_params_only_where_a_sweep_starts():
 ORACLE_ONLY_MODULES = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.optimize")
 
 
-def test_run_does_not_import_the_oracle(tmp_path):
+# a sweep, and a snapshot whose Q grid reduces the field state to its significant modes
+RUN_OUTPUTS = {"sweep": "outputs = inversion\nn_samples = 5\n",
+               "snapshot": "outputs = qgrid, cat_report\nn_samples = 1\nt_start = 1\n"}
+
+
+@pytest.mark.parametrize("kind", RUN_OUTPUTS)
+def test_run_does_not_import_the_oracle(tmp_path, kind):
     scn = tmp_path / "scn.txt"
-    scn.write_text("alpha = 2\nqg = 0\nt_end = 1\nn_samples = 5\nn_nodes = 2\n"
-                   "outputs = inversion\n", encoding="utf-8")
+    scn.write_text("alpha = 2\nqg = 0\nt_end = 1\nn_nodes = 2\n" + RUN_OUTPUTS[kind],
+                   encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     code = ("import sys\nfrom gravjcm.cli import main\n"

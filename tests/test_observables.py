@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravjcm.analytic import branch_states_analytic
 from gravjcm.core import (
     BranchState,
     MomentumGrid,
@@ -20,6 +21,7 @@ from gravjcm.core import (
 from gravjcm.observables import (
     QGrid,
     QGridSpec,
+    _significant_modes,
     cat_fidelity,
     entropy,
     inversion,
@@ -28,6 +30,7 @@ from gravjcm.observables import (
     q_peak_analysis,
 )
 from gravjcm.ode import branch_states_ode_sweep
+from gravjcm.scenario import builtin_scenario
 
 SINGLE_NODE = MomentumGrid(nodes=np.zeros(1), weights=np.ones(1))
 
@@ -242,7 +245,12 @@ def q_reference(state, spec):
     return vals * np.exp(-np.abs(beta) ** 2) / math.pi
 
 
-def test_q_function_matches_reference_on_mixed_state():
+def normalized_state(c, d, grid):
+    norm = math.sqrt(float(np.dot(grid.weights, np.sum(np.abs(c) ** 2 + np.abs(d) ** 2, axis=1))))
+    return BranchState(t=0.0, c=c / norm, d=d / norm, grid=grid)
+
+
+def mixed_state():
     # three nodes with both branches populated check the stacking and sqrt(w_k) weights
     rng = np.random.default_rng(11)
     nfock = 40
@@ -250,13 +258,58 @@ def test_q_function_matches_reference_on_mixed_state():
     c, d = ((rng.normal(size=(3, nfock)) + 1j * rng.normal(size=(3, nfock))) * envelope
             for _ in range(2))
     d[:, 0] = 0.0
-    grid = build_momentum_grid(1.0, 3)
-    norm = math.sqrt(float(np.dot(grid.weights, np.sum(np.abs(c) ** 2 + np.abs(d) ** 2, axis=1))))
-    st = BranchState(t=0.0, c=c / norm, d=d / norm, grid=grid)
-    spec = QGridSpec(-9.0, 9.0, -8.0, 8.0, 73, 61)
-    q = q_function(st, spec, 1.0)
+    return normalized_state(c, d, build_momentum_grid(1.0, 3))
+
+
+def rank_three_state():
+    # 32 nodes whose 64 branches are combinations of 3 fixed vectors: B B^H has rank 3
+    rng = np.random.default_rng(12)
+    nfock = 40
+    basis = ((rng.normal(size=(3, nfock)) + 1j * rng.normal(size=(3, nfock)))
+             * np.exp(-np.arange(nfock) / 4.0))
+    c, d = ((rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))) @ basis
+            for _ in range(2))
+    return normalized_state(c, d, build_momentum_grid(1.0, 32))
+
+
+def fig3_state():
+    # fig3's instant on the closed form at qg = 1.5e7: 3 of its 64 modes exceed eps Tr G,
+    # the 4th at 1.05e-16 Tr G
+    sc = builtin_scenario("fig3")
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
+    return branch_states_analytic(sc.times_seconds(), sc.params_for(1.5e7), w, grid)[0]
+
+
+STATE_CASES = {"mixed_3_nodes": (mixed_state, 1.0, QGridSpec(-9.0, 9.0, -8.0, 8.0, 73, 61)),
+               "rank_3_of_64": (rank_three_state, 1.0, QGridSpec(-9.0, 9.0, -8.0, 8.0, 73, 61)),
+               "fig3_qg1p5e7": (fig3_state, 5.0, QGridSpec(-9.0, 9.0, -9.0, 9.0, 73, 61))}
+
+
+@pytest.mark.parametrize("case", STATE_CASES)
+def test_q_function_matches_reference_on_mixed_state(case):
+    make, alpha, spec = STATE_CASES[case]
+    st = make()
+    q = q_function(st, spec, alpha)
     ref = q_reference(st, spec)
     assert np.max(np.abs(q.values - ref)) <= 1e-13 * float(ref.max())
+
+
+def stacked_branches(st):
+    root_w = np.sqrt(st.grid.weights)[:, None]
+    return np.concatenate([root_w * st.c, root_w * st.d])
+
+
+@pytest.mark.parametrize("case, rank", [("mixed_3_nodes", 6), ("rank_3_of_64", 3),
+                                        ("fig3_qg1p5e7", 3)])
+def test_significant_modes_drop_only_rounding(case, rank):
+    # a full-rank state keeps all 2K rows, the rank-3 one keeps 3, and the kept
+    # rows carry the whole Frobenius norm up to 2K eps
+    b = stacked_branches(STATE_CASES[case][0]())
+    modes = _significant_modes(b)
+    assert modes.shape == (rank, b.shape[1])
+    kept = float(np.sum(np.abs(modes) ** 2))
+    assert kept >= (1.0 - b.shape[0] * np.finfo(float).eps) * float(np.sum(np.abs(b) ** 2))
 
 
 def test_q_function_working_set_is_a_few_mb():
