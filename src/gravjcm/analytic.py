@@ -260,12 +260,8 @@ def branch_coeffs(n, ep, lam: float) -> tuple:
     return a[()], b[()]
 
 
-def branch_states_analytic(
-    times: np.ndarray,
-    params: PhysicalParams,
-    w: np.ndarray,
-    grid: MomentumGrid,
-) -> list[BranchState]:
+def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndarray,
+                           grid: MomentumGrid) -> BranchState:
     """Closed-form branch amplitudes at every requested time.
 
     Per sample and momentum node, block n's excited and ground amplitudes are

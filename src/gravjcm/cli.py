@@ -140,13 +140,14 @@ def _refuse_taken(out: Path, names: list) -> bool:
 
 
 def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
-    """Write one qg sweep's files (named by _sweep_files) into out; its states die on return.
+    """Write one qg sweep's files (named by _sweep_files) into out; the sweep dies on return.
 
-    Raises ValueError, before any write, if a state's norm is NaN or above 1 + NORM_SLACK.
+    Q and the cat report read its last instant.  Raises ValueError, before any write, if a
+    sample's norm is NaN or above 1 + NORM_SLACK.
     """
-    states = _states_for(sc, sc.backend, qg)
+    sweep = _states_for(sc, sc.backend, qg)
     lam_t = sc.times_scaled()
-    cc, dd, cd = overlaps(states)
+    cc, dd, cd = overlaps(sweep)
     norm = cc + dd
     bad = norm[~(norm <= 1.0 + NORM_SLACK)]
     if bad.size:
@@ -158,7 +159,7 @@ def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
     if "entropy" in files:
         _write_scalar_csv(files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
     if set(SNAPSHOT_OUTPUTS) & set(files):
-        st = states[-1]
+        st = sweep[-1]
         e = sc.qgrid_extent
         spec = QGridSpec(-e, e, -e, e, sc.qgrid_n, sc.qgrid_n)
         qg_data = q_function(st, spec, sc.alpha)
@@ -226,7 +227,7 @@ def _cmd_run(args) -> int:
                 return EXIT_IO
             for name in names:
                 (stage / name).replace(out / name)
-    except (IntegrationError, ValueError, OverflowError) as exc:
+    except (IntegrationError, ValueError, OverflowError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
@@ -243,7 +244,7 @@ def _cmd_crosscheck(args) -> int:
     for qg_val in sc.qg_list:
         _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:
-            # only one sweep's states are alive at a time
+            # only one sweep is alive at a time
             cc_o, dd_o, cd_o = overlaps(_states_for(sc, "ode", qg_val))
             cc_a, dd_a, cd_a = overlaps(_states_for(sc, "analytic", qg_val))
             # the closed form does not conserve the norm; entropy is compared on renormalized
@@ -253,7 +254,7 @@ def _cmd_crosscheck(args) -> int:
             dev_w = np.max(np.abs(inversion(cc_o, dd_o) - inversion(cc_a, dd_a)))
             s_a = entropy(cc_a / ta, dd_a / ta, cd_a.real / ta + 1j * (cd_a.imag / ta)).s_f
             dev_s = np.max(np.abs(entropy(cc_o, dd_o, cd_o).s_f - s_a))
-        except (IntegrationError, ValueError, OverflowError) as exc:
+        except (IntegrationError, ValueError, OverflowError, MemoryError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(

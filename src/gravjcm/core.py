@@ -2,8 +2,9 @@
 
 The Hamiltonian constants and the detuning they give each momentum node, the
 coherent-field initial amplitudes, the Gauss-Hermite discretization of the
-center-of-mass momentum wavepacket, the per-node branch-amplitude container
-and the sweep builder of both backends.
+center-of-mass momentum wavepacket, the branch-amplitude container (one
+instant, or a whole sweep with a leading time axis) and the sweep builder of
+both backends.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -152,28 +153,33 @@ def build_momentum_grid(sigma0: float, n_nodes: int) -> MomentumGrid:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Per-node, per-Fock-level amplitudes of the two atomic branches.
+    """Amplitudes of the two atomic branches at one instant or over a sweep.
 
-    ``c[k, n]`` is the excited-branch amplitude on Fock level n at momentum
-    node k; ``d[k, n]`` the ground-branch amplitude.  Both arrays share the
-    Fock axis (length nmax + 2) so that d[k, 0] = 0 and the ground branch can
-    hold the one-level shift of the excitation ladder.
+    ``c[..., k, n]`` is the excited-branch amplitude on Fock level n at momentum
+    node k, ``d[..., k, n]`` the ground-branch one.  At an instant ``t`` is a
+    float and c, d are (K, nmax + 2); over a sweep they lead with the time axis
+    of its (T,) sample times ``t``, and ``sweep[i]`` is the instant t[i] viewing
+    row i of both.  The branches share the Fock axis: d[..., 0] = 0 holds the
+    one-level shift of the ground ladder.
     """
 
-    t: float
+    t: float | np.ndarray
     c: np.ndarray
     d: np.ndarray
     grid: MomentumGrid
     meta: dict = field(default_factory=dict)
 
+    def __getitem__(self, i) -> BranchState:
+        return BranchState(t=self.t[i], c=self.c[i], d=self.d[i], grid=self.grid, meta=self.meta)
+
     @property
     def nfock(self) -> int:
-        return self.c.shape[1]
+        return self.c.shape[-1]
 
-    def norm(self) -> float:
-        """Momentum-weighted total probability on both branches."""
-        per_node = np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=1)
-        return float(np.dot(self.grid.weights, per_node))
+    def norm(self) -> float | np.ndarray:
+        """Momentum-weighted total probability on both branches, per sample over a sweep."""
+        per_node = np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=-1)
+        return per_node @ self.grid.weights
 
 
 def check_times(times) -> np.ndarray:
@@ -185,19 +191,17 @@ def check_times(times) -> np.ndarray:
 
 
 def branch_sweep(times: np.ndarray, rows: Iterable[tuple[np.ndarray, np.ndarray]],
-                 w: np.ndarray, grid: MomentumGrid, meta: dict) -> list[BranchState]:
-    """Branch states of a sweep from the block amplitudes ``rows`` yields per time.
+                 w: np.ndarray, grid: MomentumGrid, meta: dict) -> BranchState:
+    """The sweep over ``times`` from the block amplitudes ``rows`` yields per time.
 
     A row is the excited and ground amplitudes (x, y) of every block, each
-    (K, nmax + 1) with nmax = w.size - 1, stored as C_n = w_n x_n and
-    D_{n+1} = w_n y_n with the coherent amplitudes w.  State i views
-    row i of one ``c`` and one ``d`` of shape (T, K, nmax + 2), so one kept
-    state keeps the whole sweep alive; all states share ``meta``.
+    (K, nmax + 1) with nmax = w.size - 1.  Row i is stored as C_n = w_n x_n
+    and D_{n+1} = w_n y_n, with the coherent amplitudes w, in row i of the
+    sweep's c and d, each (T, K, nmax + 2).
     """
     c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
     d = np.zeros_like(c)
     for i, (x, y) in enumerate(rows):
         np.multiply(w, x, out=c[i, :, : w.size])
         np.multiply(w, y, out=d[i, :, 1:])
-    return [BranchState(t=float(t), c=c[i], d=d[i], grid=grid, meta=meta)
-            for i, t in enumerate(times)]
+    return BranchState(t=times, c=c, d=d, grid=grid, meta=meta)

@@ -1,8 +1,9 @@
 """Reduced-field observables of a branch state.
 
-Momentum-averaged overlaps, atomic inversion, the two-branch field entropy,
-the Husimi Q quasiprobability on a phase-space grid, peak analysis of Q for
-bimodality (cat) detection, and fidelity against the analytic cat ansatz.
+Momentum-averaged overlaps of a whole sweep in three array reductions, atomic
+inversion, the two-branch field entropy, the Husimi Q quasiprobability on a
+phase-space grid, peak analysis of Q for bimodality (cat) detection, and
+fidelity against the analytic cat ansatz.
 Q is evaluated a few grid rows at a time, as one matrix product of each
 chunk's Gaussian-seeded Fock ladder with the field state's significant modes
 (the stacked branches projected on the eigenvectors of their Gram matrix
@@ -85,18 +86,19 @@ class QPeakReport:
     bimodal: bool = False
 
 
-def overlaps(states: list[BranchState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def overlaps(sweep: BranchState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Momentum-weighted branch overlaps (<C|C>, <D|D>, <C|D>) at every sample.
 
     The branch arrays share the Fock axis, so the cross term is the plain
     inner product; through the one-level ladder shift it pairs the n-th
-    excited amplitude with the (n+1)-th ground amplitude.  Each state is
-    reduced on its own: stacking them would copy the whole sweep.
+    excited amplitude with the (n+1)-th ground amplitude.  One ``np.vecdot``
+    sums the Fock axis and a second the nodes against their weights, so a
+    sweep's only temporary is one (T, K) array per overlap.
     """
-    rows = [(np.dot(st.grid.weights, np.sum(np.abs(st.c) ** 2, axis=1)),
-             np.dot(st.grid.weights, np.sum(np.abs(st.d) ** 2, axis=1)),
-             np.dot(st.grid.weights, np.sum(np.conj(st.c) * st.d, axis=1))) for st in states]
-    return tuple(np.array(col) for col in zip(*rows))
+    w = sweep.grid.weights
+    return (np.vecdot(w, np.vecdot(sweep.c, sweep.c).real),
+            np.vecdot(w, np.vecdot(sweep.d, sweep.d).real),
+            np.vecdot(w, np.vecdot(sweep.c, sweep.d)))
 
 
 def inversion(cc: np.ndarray, dd: np.ndarray) -> np.ndarray:

@@ -167,12 +167,8 @@ def _integrate(d0: np.ndarray, omega: np.ndarray, qg: float, times: np.ndarray) 
     return out.T.reshape(times.size, 2, k, n)
 
 
-def branch_states_ode_sweep(
-    times: np.ndarray,
-    params: PhysicalParams,
-    w: np.ndarray,
-    grid: MomentumGrid,
-) -> list[BranchState]:
+def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.ndarray,
+                            grid: MomentumGrid) -> BranchState:
     """Branch amplitudes at every requested time from one Magnus pass.
 
     The blocks' c_e and c_g at each sample go to ``core.branch_sweep``.

@@ -80,9 +80,9 @@ class Scenario:
     provenance: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.name or self.name.startswith(".") or set("/\\") & set(self.name):
+        if not self.name or self.name.startswith(".") or set("/\\\0") & set(self.name):
             raise ScenarioError(
-                "name must be a plain file-name stem (no path separator, "
+                "name must be a plain file-name stem (no path separator or NUL, "
                 f"no leading '.'), got {self.name!r}"
             )
         if self.backend not in VALID_BACKENDS:

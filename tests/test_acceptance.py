@@ -107,7 +107,7 @@ def snapshot(lam_t, params, qgrid_n):
     grid = build_momentum_grid(SIGMA0, N_NODES)
     st = branch_states_ode_sweep(np.array([lam_t / params.lam]), params, field, grid)[0]
     qgrid = q_function(st, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), ALPHA)
-    return st, qgrid, float(entropy(*overlaps([st])).s_f[0])
+    return st, qgrid, float(entropy(*overlaps(st)).s_f)
 
 
 @pytest.fixture(scope="module")

@@ -187,6 +187,25 @@ def test_run_nan_norm_fails_before_any_write(tmp_path, capsys, monkeypatch):
     assert not any(out.iterdir())
 
 
+def test_sweep_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # stands in for numpy's "Unable to allocate" on a huge n_samples; nothing real is allocated
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 668. GiB")
+
+    monkeypatch.setattr(cli, "branch_states_ode_sweep", out_of_memory)
+    scn = write_scenario(tmp_path, SMALL_SWEEP)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert main(["crosscheck", str(scn)]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if not line.startswith(("running", "crosscheck"))]
+    assert errors == ["numerical failure: Unable to allocate 668. GiB"] * 2
+    assert captured.out == ""
+    assert not any(out.iterdir())
+
+
 def test_run_missing_output_dir_exits_3(tmp_path, capsys):
     scn = write_scenario(tmp_path, SMALL_SWEEP)
     missing = tmp_path / "nope"
@@ -378,12 +397,11 @@ def test_run_deterministic_bytes(tmp_path):
         assert outs[0] == outs[1]
 
 
-def sweep_overlaps(states):
-    """(cc, dd, cd) per sample, summed over the momentum nodes by hand."""
-    rows = [(np.sum(st.grid.weights[:, None] * np.abs(st.c) ** 2),
-             np.sum(st.grid.weights[:, None] * np.abs(st.d) ** 2),
-             np.sum(st.grid.weights[:, None] * np.conj(st.c) * st.d)) for st in states]
-    return [np.array(col) for col in zip(*rows)]
+def sweep_overlaps(sweep):
+    """(cc, dd, cd) per sample, summed over the momentum nodes and Fock levels by hand."""
+    wk = sweep.grid.weights[:, None]
+    return [np.sum(wk * v, axis=(1, 2))
+            for v in (np.abs(sweep.c) ** 2, np.abs(sweep.d) ** 2, np.conj(sweep.c) * sweep.d)]
 
 
 def eig_entropy(cc, dd, cd):

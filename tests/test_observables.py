@@ -35,13 +35,15 @@ from gravjcm.scenario import builtin_scenario
 SINGLE_NODE = MomentumGrid(nodes=np.zeros(1), weights=np.ones(1))
 
 
+def pure_states(c_rows, d_rows):
+    """A single-node sweep whose sample i holds the pure branches c_rows[i], d_rows[i]."""
+    c = np.asarray(c_rows, dtype=np.complex128)[:, None, :]
+    return BranchState(t=np.arange(float(c.shape[0])), c=c,
+                       d=np.asarray(d_rows, dtype=np.complex128)[:, None, :], grid=SINGLE_NODE)
+
+
 def pure_state(c_vec, d_vec):
-    return BranchState(
-        t=0.0,
-        c=np.asarray(c_vec, dtype=np.complex128)[None, :],
-        d=np.asarray(d_vec, dtype=np.complex128)[None, :],
-        grid=SINGLE_NODE,
-    )
+    return pure_states([c_vec], [d_vec])[0]
 
 
 def coherent_branch_state(alpha, nmax=100):
@@ -58,7 +60,7 @@ def triple(cc, dd, cd):
 def test_overlaps_hand_built():
     c = [math.sqrt(0.5), 0.0, 0.0]
     d = [0.0, 0.5, 0.5]
-    cc, dd, cd = overlaps([pure_state(c, d)])
+    cc, dd, cd = overlaps(pure_states([c], [d]))
     assert cc[0] == pytest.approx(0.5, abs=1e-14)
     assert dd[0] == pytest.approx(0.5, abs=1e-14)
     assert cd[0] == pytest.approx(0.0, abs=1e-14)
@@ -68,46 +70,52 @@ def test_overlaps_hand_built():
 def test_overlaps_cross_term_pairs_shifted_levels():
     c = [1.0 / math.sqrt(2.0), 0.0]
     d = [1.0 / math.sqrt(2.0), 0.0]
-    cd = overlaps([pure_state(c, d)])[2]
+    cd = overlaps(pure_states([c], [d]))[2]
     assert cd[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_overlaps_reduce_each_state_of_a_sweep():
-    # one call over the sweep gives each state's own reduction, bit for bit
+    # one call over the sweep gives each instant's own reduction, bit for bit; the
+    # per-sample np.dot form stays as a reference within a few ulps
     p = paper_defaults(qg=1.5e7)
     field = coherent_amplitudes(2.0, adaptive_nmax(2.0))
     grid = build_momentum_grid(1.0, 4)
-    states = branch_states_ode_sweep(np.linspace(0.0, 6e-6, 7), p, field, grid)
-    cc, dd, cd = overlaps(states)
-    for i, st in enumerate(states):
-        wk = st.grid.weights
-        assert cc[i] == float(np.dot(wk, np.sum(np.abs(st.c) ** 2, axis=1)))
-        assert dd[i] == float(np.dot(wk, np.sum(np.abs(st.d) ** 2, axis=1)))
-        assert cd[i] == complex(np.dot(wk, np.sum(np.conj(st.c) * st.d, axis=1)))
+    times = np.linspace(0.0, 6e-6, 7)
+    for sweep_of in (branch_states_ode_sweep, branch_states_analytic):
+        sweep = sweep_of(times, p, field, grid)
+        whole = overlaps(sweep)
+        for i in range(times.size):
+            st = sweep[i]
+            assert all(col[i] == one for col, one in zip(whole, overlaps(st)))
+            wk = st.grid.weights
+            hand = (np.dot(wk, np.sum(np.abs(st.c) ** 2, axis=1)),
+                    np.dot(wk, np.sum(np.abs(st.d) ** 2, axis=1)),
+                    np.dot(wk, np.sum(np.conj(st.c) * st.d, axis=1)))
+            for col, ref in zip(whole, hand):
+                assert abs(col[i] - ref) <= 4 * np.finfo(float).eps
 
 
 def test_entropy_pure_branch_is_zero():
-    e = entropy(*overlaps([coherent_branch_state(2.0, 40)]))
-    assert e.pi_plus[0] == pytest.approx(1.0, abs=1e-12)
-    assert e.s_f[0] == pytest.approx(0.0, abs=1e-12)
+    # one instant's overlaps are scalars; entropy takes them as they come
+    e = entropy(*overlaps(coherent_branch_state(2.0, 40)))
+    assert e.pi_plus == pytest.approx(1.0, abs=1e-12)
+    assert e.s_f == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_balanced_orthogonal_branches_is_ln2():
     c = [math.sqrt(0.5), 0.0, 0.0]
     d = [0.0, 0.0, math.sqrt(0.5)]
-    e = entropy(*overlaps([pure_state(c, d)]))
+    e = entropy(*overlaps(pure_states([c], [d])))
     assert e.s_f[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert e.pi_plus[0] + e.pi_minus[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def random_pure_states(count, seed=51):
+    """A sweep of count random unit-norm single-node states: 4 excited, 3 ground levels."""
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(count):
-        v = rng.normal(size=7) + 1j * rng.normal(size=7)
-        v /= np.linalg.norm(v)
-        states.append(pure_state(v[:4], np.concatenate([[0.0], v[4:7]])))
-    return states
+    v = np.array([rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(count)])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return pure_states(v[:, :4], np.concatenate([np.zeros((count, 1)), v[:, 4:]], axis=1))
 
 
 def test_entropy_matches_eigensolver_on_random_states():

@@ -144,18 +144,17 @@ def test_sweep_initial_state_and_norm(sweep_setup):
     field, grid = sweep_setup
     p = paper_defaults(qg=1.5e7)
     times = np.linspace(0.0, 1e-5, 6)
-    states = branch_states_ode_sweep(times, p, field, grid)
-    assert len(states) == 6
+    sweep = branch_states_ode_sweep(times, p, field, grid)
+    assert sweep.c.shape == sweep.d.shape == (6, grid.nodes.size, 102)
     # the t = 0 sample is the initial state exactly, on every node
-    assert np.array_equal(states[0].c[:, :101], np.tile(field, (grid.nodes.size, 1)))
-    assert not np.any(states[0].d)
-    for st in states:
-        assert st.norm() == pytest.approx(1.0, abs=1e-8)
-        assert st.meta["backend"] == "ode"
-        assert st.meta["method"] == "magnus4"
-        assert st.meta["tol"] == 1e-10
-        assert st.meta["steps"] == 5 * st.meta["substeps"] >= 5
-        assert 0.0 <= st.meta["error_estimate"] <= 1e-10
+    assert np.array_equal(sweep.c[0, :, :101], np.tile(field, (grid.nodes.size, 1)))
+    assert not np.any(sweep.d[0])
+    assert np.all(np.abs(sweep.norm() - 1.0) <= 1e-8)
+    assert sweep.meta["backend"] == "ode"
+    assert sweep.meta["method"] == "magnus4"
+    assert sweep.meta["tol"] == 1e-10
+    assert sweep.meta["steps"] == 5 * sweep.meta["substeps"] >= 5
+    assert 0.0 <= sweep.meta["error_estimate"] <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -198,15 +197,18 @@ def test_sweep_consistent_with_single_shot(sweep_setup, backend):
 def test_sweep_states_view_one_block_per_branch(sweep_setup, backend):
     field, grid = sweep_setup
     times = np.linspace(0.0, 3e-6, 5)
-    states = SWEEPS[backend](times, paper_defaults(qg=1.5e7), field, grid)
+    # one state holds the sweep; indexing or iterating it gives instants that view its rows
+    sweep = SWEEPS[backend](times, paper_defaults(qg=1.5e7), field, grid)
+    assert np.array_equal(sweep.t, times)
     for name in ("c", "d"):
-        block = getattr(states[0], name).base
-        assert block is not None and block.shape == (times.size, grid.nodes.size, field.size + 1)
-        for i, st in enumerate(states):
+        block = getattr(sweep, name)
+        assert block.shape == (times.size, grid.nodes.size, field.size + 1)
+        for i, st in enumerate(sweep):
             assert getattr(st, name).base is block
             assert np.shares_memory(getattr(st, name), block[i])
-    assert all(st.meta is states[0].meta for st in states)
-    assert [st.t for st in states] == times.tolist()
+        assert np.array_equal(getattr(sweep[-1], name), block[-1])
+    assert all(st.meta is sweep.meta and st.grid is grid for st in sweep)
+    assert [st.t for st in sweep] == times.tolist()
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
@@ -254,9 +256,9 @@ def test_magnus_matches_dop853_oracle(case, monkeypatch):
     grid = build_momentum_grid(1.0, n_nodes)
     unit = np.ones(ORACLE_NMAX + 1, dtype=complex)
     times = lam_t / p.lam
-    states = branch_states_ode_sweep(times, p, unit, grid)
-    ce = np.array([st.c[:, :-1] for st in states])
-    cg = np.array([st.d[:, 1:] for st in states])
+    sweep = branch_states_ode_sweep(times, p, unit, grid)
+    ce = sweep.c[..., :-1]
+    cg = sweep.d[..., 1:]
     omega = p.lam * np.sqrt(np.arange(ORACLE_NMAX + 1) + 1.0)
     d0 = detuning0_of_p(grid.nodes, p)
     res = ode._integrate(d0, omega, p.qg, times)

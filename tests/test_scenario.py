@@ -252,7 +252,7 @@ INVALID = {
         "single-instant",
     ),
     "name_is_stem": (
-        st.one_of(st.tuples(STEM, st.sampled_from("/\\"), STEM).map("".join),
+        st.one_of(st.tuples(STEM, st.sampled_from("/\\\0"), STEM).map("".join),
                   STEM.map(".{}".format)).map("name = {}\n".format),
         "name",
     ),

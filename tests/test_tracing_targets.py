@@ -11,10 +11,15 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    tracing = load_tracing()
     for mod, attr, _ in tracing.SPANS + tracing.LEAVES:
         assert callable(getattr(importlib.import_module(mod), attr, None)), (mod, attr)
 
@@ -32,5 +37,18 @@ def test_states_for_calls_the_backends_by_name(monkeypatch):
         monkeypatch.setattr(cli, name, counted)
     sc = cli.parse_scenario("alpha = 1\nqg = 0\nt_end = 1\nn_samples = 3\nn_nodes = 2\n")
     for backend in ("ode", "analytic"):
-        assert len(cli._states_for(sc, backend, 0.0)) == 3
+        assert cli._states_for(sc, backend, 0.0).t.size == 3
     assert calls == ["branch_states_ode_sweep", "branch_states_analytic"]
+
+
+def test_tracer_reads_a_sweep_as_the_harness_does():
+    # the tracer iterates the ode.sweep result for its bytes; the reference builder
+    # takes the norm of its last instant
+    from gravjcm import cli
+
+    sc = cli.parse_scenario("alpha = 1\nqg = 0\nt_end = 1\nn_samples = 3\nn_nodes = 2\n")
+    sweep = cli._states_for(sc, "ode", 0.0)
+    tracer = load_tracing().Tracer("t")
+    tracer._count("ode.sweep", (), sweep)
+    assert tracer.counters["ode.history_bytes"] == sweep.c.nbytes + sweep.d.nbytes
+    assert isinstance(sweep[-1].norm(), float)
