@@ -20,6 +20,7 @@ scipy's ``wofz`` (S. G. Johnson's Faddeeva Package) behind a finiteness check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -271,7 +272,9 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     sqrt(n+2) sqrt(b_0): one complex square root per time and node.  The
     phase integrals take the closed form when qg > 0 and the elementary
     antiderivative when qg = 0, in one array evaluation per chunk of
-    CHUNK_TIMES samples over all nodes.
+    CHUNK_TIMES samples over all nodes.  The chunks depend only on their own
+    times, so ``core.branch_sweep`` runs them, each storing its own rows, on
+    every CPU the process may use.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
@@ -283,13 +286,13 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     n = np.arange(w.size)
     meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
 
-    def rows():
-        for lo in range(0, times.size, CHUNK_TIMES):
-            t = times[lo : lo + CHUNK_TIMES, None, None]
-            ep = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
-            a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
-            phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
-            ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
-            yield from zip(np.sqrt(a) * phase, ground * phase)
+    def chunk(lo, store):
+        t = times[lo : lo + CHUNK_TIMES, None, None]
+        ep = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
+        a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
+        phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
+        ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
+        store(lo, np.sqrt(a) * phase, ground * phase)
 
-    return branch_sweep(times, rows(), w, grid, meta)
+    pieces = [functools.partial(chunk, lo) for lo in range(0, times.size, CHUNK_TIMES)]
+    return branch_sweep(times, pieces, w, grid, meta)

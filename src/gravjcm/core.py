@@ -17,11 +17,12 @@ are given directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import pdtrc
 
 TRUNCATION_EPS = 1e-12
 
@@ -102,21 +103,32 @@ def coherent_amplitudes(alpha: complex, nmax: int) -> np.ndarray:
 def adaptive_nmax(alpha: complex) -> int:
     """Smallest cutoff whose Poisson tail lies below TRUNCATION_EPS (at most 100000).
 
-    The tail is scipy's Poisson survival function: one minus a running sum of
-    the lower levels rounds by up to ~1% of the budget.  The excitation number
-    is conserved block by block, so no population leaves the initially
-    occupied levels; the ground branch's n+1 shift has its own slot on the
-    padded nmax + 2 Fock axis of ``BranchState``.  Raises ValueError unless
-    |alpha|^2 is finite.
+    The tail is summed top-down in logs, p_k = exp(k ln nbar - nbar - lgamma(k + 1)),
+    from k = nbar + 50 sqrt(nbar) + 100, where the terms are far below the
+    budget's last bit, down to the first level whose tail reaches the budget.
+    Adding the smallest terms first keeps the sum's rounding at a few ulps of
+    the budget; one minus a running sum of the lower levels would round by up
+    to ~1% of it.  The excitation number is conserved block by block, so no
+    population leaves the initially occupied levels; the ground branch's n+1
+    shift has its own slot on the padded nmax + 2 Fock axis of
+    ``BranchState``.  Raises ValueError unless |alpha|^2 is finite.
     """
     a = abs(alpha)
     nbar = a * a  # a ** 2 would raise OverflowError instead of giving inf
     if not math.isfinite(nbar):
         raise ValueError("|alpha|^2 must be finite")
-    n = 0
-    while pdtrc(n, nbar) >= TRUNCATION_EPS and n < 100000:
-        n += 1
-    return n
+    if nbar >= 100000:  # the tail above any n < nbar is far above the budget
+        return 100000
+    if nbar == 0:
+        return 0
+    log_nbar = math.log(nbar)
+    tail = 0.0  # P(N > n)
+    for n in range(int(nbar + 50 * math.sqrt(nbar) + 100), 0, -1):
+        p_n = math.exp(n * log_nbar - nbar - math.lgamma(n + 1))
+        if tail + p_n >= TRUNCATION_EPS:  # P(N > n - 1) misses the budget
+            return min(n, 100000)
+        tail += p_n
+    return 0
 
 
 @dataclass(frozen=True)
@@ -190,18 +202,56 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-def branch_sweep(times: np.ndarray, rows: Iterable[tuple[np.ndarray, np.ndarray]],
-                 w: np.ndarray, grid: MomentumGrid, meta: dict) -> BranchState:
-    """The sweep over ``times`` from the block amplitudes ``rows`` yields per time.
+# One piece of a sweep's work: it computes some rows' block amplitudes and
+# hands each run of them to ``store(lo, x, y)``.
+Store = Callable[[int, np.ndarray, np.ndarray], None]
+Piece = Callable[[Store], None]
 
-    A row is the excited and ground amplitudes (x, y) of every block, each
-    (K, nmax + 1) with nmax = w.size - 1.  Row i is stored as C_n = w_n x_n
-    and D_{n+1} = w_n y_n, with the coherent amplitudes w, in row i of the
-    sweep's c and d, each (T, K, nmax + 2).
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
+                 grid: MomentumGrid, meta: dict) -> BranchState:
+    """The sweep over ``times`` that the independent ``pieces`` fill.
+
+    Each piece calls ``store(lo, x, y)`` with the excited and ground
+    amplitudes (x, y) of every block for rows lo, lo + 1, ..., each
+    (R, K, nmax + 1) with nmax = w.size - 1.  Row lo + r is stored as
+    C_n = w_n x[r, :, n] and D_{n+1} = w_n y[r, :, n], with the coherent
+    amplitudes w, in the sweep's c and d, each (T, K, nmax + 2).  Pieces must
+    store disjoint rows.  They run on a thread pool of one thread per CPU the
+    process may use, at most one per piece; with one thread they run in
+    order in the calling thread.  Every row is the same whichever thread
+    computes it.  The first exception of a piece, in their order, reaches
+    the caller unchanged, and pieces not yet started are cancelled.
     """
+    # np.zeros maps both blocks untouched, so the threads that store the rows
+    # also take their page faults
     c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
-    d = np.zeros_like(c)
-    for i, (x, y) in enumerate(rows):
-        np.multiply(w, x, out=c[i, :, : w.size])
-        np.multiply(w, y, out=d[i, :, 1:])
+    d = np.zeros(c.shape, dtype=np.complex128)
+
+    def store(lo: int, x: np.ndarray, y: np.ndarray) -> None:
+        np.multiply(w, x, out=c[lo : lo + len(x), :, : w.size])
+        np.multiply(w, y, out=d[lo : lo + len(y), :, 1:])
+
+    threads = min(len(pieces), _cpus())
+    if threads <= 1:
+        for piece in pieces:
+            piece(store)
+    else:
+        pool = ThreadPoolExecutor(threads)
+        try:
+            futures = [pool.submit(piece, store) for piece in pieces]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        for future in futures:  # those before the first failure all ran
+            if not future.cancelled():
+                future.result()
     return BranchState(t=times, c=c, d=d, grid=grid, meta=meta)

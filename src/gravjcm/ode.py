@@ -184,17 +184,18 @@ def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.nda
             "substeps": int(counts.max()), "steps": int(counts.sum()),
             "error_estimate": estimate}
 
-    def rows():
+    def magnus(store):
         a = np.ones((d0.size, omega.size), dtype=np.complex128)
         b = np.zeros_like(a)
         t = 0.0
-        for t_next, m in zip(times, counts):
+        for i, (t_next, m) in enumerate(zip(times, counts)):
             h = (t_next - t) / m if m else 0.0
             for j in range(m):
                 u, v = _magnus_step(h, t + (j + 0.5) * h, d0, omega, qg)
                 a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
             t = float(t_next)
-            half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[:, None]
-            yield a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)
+            half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[None, :, None]  # row i, every node
+            store(i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi))
 
-    return branch_sweep(times, rows(), w, grid, meta)
+    # the recursion carries each sample into the next: one piece, in the calling thread
+    return branch_sweep(times, [magnus], w, grid, meta)

@@ -13,8 +13,9 @@ lam*t <= 25, and the field never splits into a cat.  Criterion 5 sweeps the
 resonant case delta0 = 0 over lam*t in [0, 40], and criterion 6 compares
 that sweep's revival contrast with a strongly chirped one; criterion 7 looks
 at the resonant half revival lam*t = pi sqrt(nbar) = 5 pi.  All three keep
-alpha = 5, sigma0 = 1, 32 momentum nodes and nmax = 100.  The measured
-numbers live in each test's pass/fail line.
+alpha = 5, sigma0 = 1 and 32 momentum nodes.  Every criterion keeps the Fock
+cutoff of every run, ``adaptive_nmax(alpha)`` = 68.  The measured numbers
+live in each test's pass/fail line.
 """
 
 import math
@@ -29,7 +30,8 @@ from gravjcm.analytic import (
     phase_integral_quadrature,
 )
 from gravjcm.cli import main
-from gravjcm.core import build_momentum_grid, coherent_amplitudes, detuning0_of_p, paper_defaults
+from gravjcm.core import (adaptive_nmax, build_momentum_grid, coherent_amplitudes, detuning0_of_p,
+                          paper_defaults)
 from gravjcm.observables import (
     QGridSpec,
     entropy,
@@ -42,7 +44,6 @@ from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import builtin_scenario
 
 QG_VALUES = (0.0, 0.5e7, 1.5e7)
-NMAX = 100
 N_NODES = 32
 SAMPLES_PER_LAMT = 80  # fig1's density: 2000 samples over lam*t in [0, 25]
 # In a scan over qg = 0, 1.5e7, 1e11, 1e12, 1e13, 3e13 and 1e14 at the
@@ -59,6 +60,7 @@ RESONANT_LAMT = np.linspace(0.0, 40.0, 40 * SAMPLES_PER_LAMT + 1)
 # the reference experiment's field amplitude and momentum wavepacket width
 FIG1 = builtin_scenario("fig1")
 ALPHA, SIGMA0 = FIG1.alpha, FIG1.sigma0
+NMAX = adaptive_nmax(ALPHA)  # the cutoff gravjcm run takes
 
 
 def report(num, desc, ok, detail=""):

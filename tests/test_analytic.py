@@ -8,7 +8,11 @@ integral and its large-|z| asymptote.
 """
 
 import cmath
+import functools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from gravjcm import analytic
+from gravjcm import analytic, core, ode
 from gravjcm.analytic import (
     BRANCH_VARIANTS,
+    CHUNK_TIMES,
     SELECTED_VARIANT,
     SELECTED_VARIANT_ID,
     QuadratureError,
@@ -344,3 +349,94 @@ def test_ground_branch_matches_its_definition(qg):
         _, b = branch_coeffs(n + 1, ep, p.lam)
         expect = w * np.sqrt(b) * np.exp(0.5j * p.lam * ep * np.sqrt(n + 1.0))
         assert np.all(np.abs(st.d[:, 1:] - expect) <= 1e-14 * np.abs(expect))
+
+
+# --- chunks on a thread pool -----------------------------------------------
+
+
+def fig1_chunks(qg):
+    # 43 samples: five full chunks and a partial one
+    sc = builtin_scenario("fig1")
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    return sc.times_seconds()[::47], sc.params_for(qg), w, build_momentum_grid(sc.sigma0, 8)
+
+
+@pytest.mark.parametrize("qg", [0.0, 1.5e7])
+def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
+    times, p, w, grid = fig1_chunks(qg)
+    real_coeffs = analytic.branch_coeffs
+    sweeps = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave as often as they can
+    try:
+        for cpus in (1, 2, 64):  # 64 is more threads than the six chunks can use
+            threads = set()
+
+            def coeffs(*args):
+                threads.add(threading.get_ident())
+                return real_coeffs(*args)
+
+            monkeypatch.setattr(analytic, "branch_coeffs", coeffs)
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
+            sweeps[cpus] = branch_states_analytic(times, p, w, grid)
+            # one CPU runs the chunks in the calling thread, more run none there
+            assert (threads == {threading.get_ident()}) == (cpus == 1)
+    finally:
+        sys.setswitchinterval(interval)
+    for cpus in (2, 64):
+        assert np.array_equal(sweeps[cpus].c, sweeps[1].c)
+        assert np.array_equal(sweeps[cpus].d, sweeps[1].d)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_failing_chunk_reaches_the_caller_unchanged(cpus, monkeypatch):
+    # chunks 2 and 4 fail; the first in chunk order is the one raised, as without threads
+    times, p, w, grid = fig1_chunks(1.5e7)
+    real_closed = analytic.phase_integral_closed
+
+    def closed(d0, qg, t):
+        if t[0, 0, 0] == times[2 * CHUNK_TIMES]:
+            raise OverflowError("faddeeva leaves the double range at z=(1-27j)")
+        if t[0, 0, 0] == times[4 * CHUNK_TIMES]:
+            raise ValueError("faddeeva requires a finite argument")
+        return real_closed(d0, qg, t)
+
+    monkeypatch.setattr(analytic, "phase_integral_closed", closed)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    with pytest.raises(OverflowError) as info:
+        branch_states_analytic(times, p, w, grid)
+    assert str(info.value) == "faddeeva leaves the double range at z=(1-27j)"
+
+
+def test_pieces_after_a_failure_are_cancelled(monkeypatch):
+    # piece 0 fails at once while the two threads' next pieces take 50 ms each:
+    # the pieces still queued when the caller sees the failure never start
+    started = []
+
+    def piece(i, store):
+        started.append(i)
+        if i == 0:
+            raise MemoryError("Unable to allocate 668. GiB")
+        time.sleep(0.05)
+
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    grid = build_momentum_grid(1.0, 1)
+    pieces = [functools.partial(piece, i) for i in range(20)]
+    with pytest.raises(MemoryError, match="Unable to allocate 668. GiB"):
+        core.branch_sweep(np.arange(20.0), pieces, np.ones(2), grid, {})
+    assert 0 in started and len(started) < 10  # all 20 without the cancel
+
+
+def test_one_piece_starts_no_thread(monkeypatch):
+    # an ode sweep and a single instant are one piece each: they run in the calling thread
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-piece sweep built a thread pool")
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(core, "_cpus", lambda: 64)
+    times, p, w, grid = fig1_chunks(1.5e7)
+    before = threading.active_count()
+    branch_states_analytic(times[:CHUNK_TIMES], p, w, grid)
+    branch_states_analytic(times[:1], p, w, grid)
+    ode.branch_states_ode_sweep(times[:20], p, w, grid)
+    assert threading.active_count() == before

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravjcm import cli
+from gravjcm import analytic, cli, core
 from gravjcm.analytic import branch_states_analytic
 from gravjcm.cli import main
 from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
@@ -203,6 +203,28 @@ def test_sweep_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
               if not line.startswith(("running", "crosscheck"))]
     assert errors == ["numerical failure: Unable to allocate 668. GiB"] * 2
     assert captured.out == ""
+    assert not any(out.iterdir())
+
+
+def test_chunk_failing_on_a_worker_thread_exits_2(tmp_path, capsys, monkeypatch):
+    # the closed form's chunks run on a thread pool; one that overflows fails the run
+    # as it would in the calling thread
+    real_closed = analytic.phase_integral_closed
+
+    def closed(d0, qg, t):
+        if t[0, 0, 0] > 0:
+            raise OverflowError("faddeeva leaves the double range at z=(1-27j)")
+        return real_closed(d0, qg, t)
+
+    monkeypatch.setattr(analytic, "phase_integral_closed", closed)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    text = SMALL_SWEEP.replace("qg = 0", "qg = 1.5e7")
+    scn = write_scenario(tmp_path, text + "backend = analytic\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("running")]
+    assert errors == ["numerical failure: faddeeva leaves the double range at z=(1-27j)"]
     assert not any(out.iterdir())
 
 

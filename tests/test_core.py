@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 
 from gravjcm.core import (
     BranchState,
@@ -64,6 +65,16 @@ def test_adaptive_nmax_tail_bound_and_floor():
         assert poisson_tail(nbar, nmax - 1) >= 1e-12
     assert adaptive_nmax(5.0) == 68
     assert adaptive_nmax(0.0) == 0
+
+
+def test_adaptive_nmax_matches_poisson_survival_function():
+    # scipy's pdtrc(n, nbar) = P(N > n) decreases in n: the cutoff is its first level below the budget
+    for i in range(3701):
+        alpha = i / 100
+        nbar = alpha * alpha
+        levels = np.arange(int(nbar + 50 * math.sqrt(nbar) + 101))
+        assert adaptive_nmax(alpha) == np.argmax(pdtrc(levels, nbar) < 1e-12), alpha
+    assert adaptive_nmax(316.2) == adaptive_nmax(1e100) == 100000  # the cap
 
 
 @pytest.mark.parametrize("alpha", [1e200, complex(0.0, 1e155), math.nan, complex(1.0, math.inf)])
