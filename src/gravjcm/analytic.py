@@ -2,7 +2,7 @@
 
 The chirped-phase integral E+, the branch coefficients a_n/b_n and the block
 amplitudes of a sweep.  For real inputs the opposite-sign integral E- is
-conj(E+); only the quadrature oracle integrates it on its own.
+conj(E+); the quadrature of E- is the one of E+ at (-d0, -qg).
 
 Two evaluation routes exist for the phase integrals: direct numerical
 quadrature (the defining object) and the error-function closed form.  The
@@ -20,7 +20,6 @@ scipy's ``wofz`` (S. G. Johnson's Faddeeva Package) behind a finiteness check.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -38,10 +37,6 @@ CHUNK_TIMES = 8
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach tolerance within the panel budget."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
-        self.estimate = estimate
 
 
 class BranchAuditError(RuntimeError):
@@ -81,13 +76,16 @@ _PANEL_BUDGET = 1 << 16
 QUAD_TOL = 1e-14
 
 
-def _chirp_quadrature(d0: float, qg: float, t: float) -> complex:
-    """integral_0^t exp(i (d0 u - qg u^2 / 2)) du by doubling Gauss panels.
+def phase_integral_quadrature(d0: float, qg: float, t: float) -> complex:
+    """Defining quadrature form of E+ = integral_0^t exp(i (d0 u - qg u^2 / 2)) du, seconds.
 
-    Panels are sized to a few radians of accumulated phase each, then the
-    panel count doubles until two consecutive composite values agree to
-    QUAD_TOL * t.
+    d0 is the node's static detuning delta0(p) and qg the chirp rate; E- is
+    the same integral at (-d0, -qg).  Panels are sized to a few radians of
+    accumulated phase each, then the panel count doubles until two
+    consecutive composite Gauss values agree to QUAD_TOL * t.
     """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0 + 0.0j
     total_phase = abs(d0) * t + abs(qg) * t * t / 2.0
@@ -115,19 +113,8 @@ def _chirp_quadrature(d0: float, qg: float, t: float) -> complex:
         if est <= QUAD_TOL * t:
             return cur
         prev = cur
-    raise QuadratureError("phase-integral quadrature did not converge", est)
-
-
-def phase_integral_quadrature(d0: float, qg: float, t: float) -> tuple[complex, complex]:
-    """Defining quadrature form of the phase integrals (E+, E-), units of seconds.
-
-    d0 is the node's static detuning delta0(p) and qg the chirp rate.  Both
-    integrals are taken independently; E- = conj(E+) for real inputs is a
-    checked property, not an assumption.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return _chirp_quadrature(d0, qg, t), _chirp_quadrature(-d0, -qg, t)
+    raise QuadratureError("phase-integral quadrature did not converge "
+                          f"(achieved error estimate {est:.3e})")
 
 
 def phase_integral_elementary(d0, t):
@@ -220,7 +207,7 @@ def audit_branch_variants() -> dict:
                for lt in (0.3, 1.7, 6.0, 19.0)]
     residuals = np.zeros(len(BRANCH_VARIANTS))
     for d0, qg, t in lattice:
-        ref = phase_integral_quadrature(d0, qg, t)[0]
+        ref = phase_integral_quadrature(d0, qg, t)
         scale = max(abs(ref), 1e-300)
         for i, var in enumerate(BRANCH_VARIANTS):
             err = abs(closed_form_variant(d0, qg, t, var) - ref) / scale
@@ -234,7 +221,6 @@ def audit_branch_variants() -> dict:
         )
     return {
         "winner": best,
-        "winner_variant": BRANCH_VARIANTS[best],
         "winner_residual": float(residuals[best]),
         "runner_up_residual": float(residuals[order[1]]),
         "residuals": residuals.tolist(),
@@ -273,7 +259,7 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     phase integrals take the closed form when qg > 0 and the elementary
     antiderivative when qg = 0, in one array evaluation per chunk of
     CHUNK_TIMES samples over all nodes.  The chunks depend only on their own
-    times, so ``core.branch_sweep`` runs them, each storing its own rows, on
+    times, so ``core.branch_sweep`` runs them, each yielding its own rows, on
     every CPU the process may use.
 
     The closed form is first order in eta, so its norm is not conserved: up
@@ -286,13 +272,13 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     n = np.arange(w.size)
     meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
 
-    def chunk(lo, store):
+    def chunk(lo):
         t = times[lo : lo + CHUNK_TIMES, None, None]
         ep = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
         a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
         phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
         ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
-        store(lo, np.sqrt(a) * phase, ground * phase)
+        yield lo, np.sqrt(a) * phase, ground * phase
 
-    pieces = [functools.partial(chunk, lo) for lo in range(0, times.size, CHUNK_TIMES)]
+    pieces = [chunk(lo) for lo in range(0, times.size, CHUNK_TIMES)]
     return branch_sweep(times, pieces, w, grid, meta)

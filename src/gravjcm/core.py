@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections.abc import Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,17 +195,17 @@ class BranchState:
 
 
 def check_times(times) -> np.ndarray:
-    """A sweep's sample times as floats: 1-d, nonempty, nonnegative, strictly increasing."""
+    """A sweep's sample times: 1-d, nonempty, finite, nonnegative, strictly increasing floats."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a nonempty 1-d array, nonnegative and strictly increasing")
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("times must be a nonempty 1-d array, finite, nonnegative and "
+                         "strictly increasing")
     return times
 
 
-# One piece of a sweep's work: it computes some rows' block amplitudes and
-# hands each run of them to ``store(lo, x, y)``.
-Store = Callable[[int, np.ndarray, np.ndarray], None]
-Piece = Callable[[Store], None]
+# One piece of a sweep's work: it yields runs (lo, x, y) of some rows' block amplitudes.
+Piece = Iterable[tuple[int, np.ndarray, np.ndarray]]
 
 
 def _cpus() -> int:
@@ -220,38 +220,33 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
                  grid: MomentumGrid, meta: dict) -> BranchState:
     """The sweep over ``times`` that the independent ``pieces`` fill.
 
-    Each piece calls ``store(lo, x, y)`` with the excited and ground
-    amplitudes (x, y) of every block for rows lo, lo + 1, ..., each
-    (R, K, nmax + 1) with nmax = w.size - 1.  Row lo + r is stored as
-    C_n = w_n x[r, :, n] and D_{n+1} = w_n y[r, :, n], with the coherent
-    amplitudes w, in the sweep's c and d, each (T, K, nmax + 2).  Pieces must
-    store disjoint rows.  They run on a thread pool of one thread per CPU the
-    process may use, at most one per piece; with one thread they run in
-    order in the calling thread.  Every row is the same whichever thread
-    computes it.  The first exception of a piece, in their order, reaches
-    the caller unchanged, and pieces not yet started are cancelled.
+    Each piece yields runs (lo, x, y) with the excited and ground amplitudes
+    (x, y) of every block for rows lo, lo + 1, ..., each (R, K, nmax + 1)
+    with nmax = w.size - 1.  Row lo + r is stored as C_n = w_n x[r, :, n] and
+    D_{n+1} = w_n y[r, :, n], with the coherent amplitudes w, in the sweep's
+    c and d, each (T, K, nmax + 2).  Pieces must yield disjoint rows.  They
+    run on a thread pool of one thread per CPU the process may use, at most
+    one per piece, and each is stored by the thread that runs it; with one
+    thread they run in order in the calling thread.  Every row is the same
+    whichever thread computes it.  The first exception of a piece, in their
+    order, reaches the caller unchanged once the pieces before it have
+    finished; pieces not yet started by then are cancelled.
     """
     # np.zeros maps both blocks untouched, so the threads that store the rows
     # also take their page faults
     c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
     d = np.zeros(c.shape, dtype=np.complex128)
 
-    def store(lo: int, x: np.ndarray, y: np.ndarray) -> None:
-        np.multiply(w, x, out=c[lo : lo + len(x), :, : w.size])
-        np.multiply(w, y, out=d[lo : lo + len(y), :, 1:])
+    def fill(piece: Piece) -> None:
+        for lo, x, y in piece:
+            np.multiply(w, x, out=c[lo : lo + len(x), :, : w.size])
+            np.multiply(w, y, out=d[lo : lo + len(y), :, 1:])
 
     threads = min(len(pieces), _cpus())
     if threads <= 1:
         for piece in pieces:
-            piece(store)
+            fill(piece)
     else:
-        pool = ThreadPoolExecutor(threads)
-        try:
-            futures = [pool.submit(piece, store) for piece in pieces]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(cancel_futures=True)
-        for future in futures:  # those before the first failure all ran
-            if not future.cancelled():
-                future.result()
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(fill, pieces))
     return BranchState(t=times, c=c, d=d, grid=grid, meta=meta)

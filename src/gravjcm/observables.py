@@ -258,14 +258,9 @@ def q_peak_analysis(q: QGrid) -> QPeakReport:
     """
     v = q.values
     cut = PEAK_REL_THRESHOLD * float(v.max())
-    inner = v[1:-1, 1:-1]
-    mask = inner > cut
-    for sy in (-1, 0, 1):
-        for sx in (-1, 0, 1):
-            if sy == 0 and sx == 0:
-                continue
-            mask &= inner > v[1 + sy : v.shape[0] - 1 + sy,
-                              1 + sx : v.shape[1] - 1 + sx]
+    win = np.lib.stride_tricks.sliding_window_view(v, (3, 3))  # win[i, j] centred on v[i+1, j+1]
+    centre = win[..., 1:2, 1:2]
+    mask = (np.count_nonzero(win < centre, axis=(-2, -1)) == 8) & (centre[..., 0, 0] > cut)
     iys, ixs = np.nonzero(mask)
     locs, heights, widths = [], [], []
     for iy, ix in zip(iys + 1, ixs + 1):

@@ -184,7 +184,7 @@ def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.nda
             "substeps": int(counts.max()), "steps": int(counts.sum()),
             "error_estimate": estimate}
 
-    def magnus(store):
+    def magnus():
         a = np.ones((d0.size, omega.size), dtype=np.complex128)
         b = np.zeros_like(a)
         t = 0.0
@@ -195,7 +195,7 @@ def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.nda
                 a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
             t = float(t_next)
             half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[None, :, None]  # row i, every node
-            store(i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi))
+            yield i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)
 
     # the recursion carries each sample into the next: one piece, in the calling thread
-    return branch_sweep(times, [magnus], w, grid, meta)
+    return branch_sweep(times, [magnus()], w, grid, meta)

@@ -51,10 +51,13 @@ def qg_token(qg: float) -> str:
 
 
 def _layer_check(key: str, check, *args):
-    """Run a numerical layer's own argument check as a scenario rule; returns its result."""
+    """Run a numerical layer's own argument check as a scenario rule; returns its result.
+
+    An array too large to allocate is a scenario error too.
+    """
     try:
         return check(*args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ScenarioError(f"key {key!r}: {exc}") from exc
 
 
@@ -118,7 +121,7 @@ class Scenario:
             raise ScenarioError("t_end must exceed t_start")
         elif self.n_samples < 2:
             raise ScenarioError("a time sweep needs n_samples >= 2")
-        _layer_check("n_samples", check_times, self.times_seconds())
+        _layer_check("n_samples", lambda: check_times(self.times_seconds()))
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")
@@ -139,8 +142,9 @@ class Scenario:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
     def times_seconds(self) -> np.ndarray:
-        """The single lam*t -> seconds conversion point."""
-        return self.times_scaled() / self.lam
+        """The single lam*t -> seconds conversion point; an overflow gives inf, not a warning."""
+        with np.errstate(over="ignore"):
+            return self.times_scaled() / self.lam
 
     def params_for(self, qg: float) -> PhysicalParams:
         """The model's Hamiltonian constants at gravity value qg."""

@@ -192,7 +192,8 @@ def test_criterion_3_phase_integral_equivalence():
     for qg in (0.5e7, 1.5e7):
         for d0 in d0s:
             for t in ts:
-                q_ep, q_em = phase_integral_quadrature(d0, qg, t)
+                q_ep = phase_integral_quadrature(d0, qg, t)
+                q_em = phase_integral_quadrature(-d0, -qg, t)
                 c = phase_integral_closed(d0, qg, t)
                 worst_closed = max(
                     worst_closed,
@@ -202,7 +203,7 @@ def test_criterion_3_phase_integral_equivalence():
     worst_elem = 0.0
     for d0 in d0s:
         for t in ts[::5]:
-            q, _ = phase_integral_quadrature(d0, 0.0, t)
+            q = phase_integral_quadrature(d0, 0.0, t)
             e = phase_integral_elementary(d0, t)
             worst_elem = max(worst_elem, abs(q - e) / abs(e))
     report(3, "closed-form phase integrals match quadrature on the lattice",

@@ -335,6 +335,28 @@ def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
     assert not any(out.iterdir())
 
 
+# Sample times that overflow to infinite seconds, and a time grid too large to
+# allocate: 800 PB lies beyond any 64-bit address space, so numpy's allocation
+# fails at once and touches no memory.  Each is one scenario error line.
+BAD_TIME_GRIDS = {
+    "times_overflow_to_inf": ("lam = 1e-320\n", "finite"),
+    "n_samples_too_large": ("n_samples = 100000000000000000\n", "key 'n_samples': Unable"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+@pytest.mark.parametrize("text, says", BAD_TIME_GRIDS.values(), ids=BAD_TIME_GRIDS)
+def test_bad_time_grid_is_one_scenario_error(tmp_path, capsys, command, text, says):
+    scn = write_scenario(tmp_path, "qg = 0\nn_nodes = 2\n" + text)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, str(scn)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("scenario error: ") and says in err[0]
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("delta0, code", [(0.0, 2), (8.5e7, 0)],
                          ids=["resonant", "published_detuning"])
 def test_run_analytic_norm_rule(tmp_path, capsys, delta0, code):

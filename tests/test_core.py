@@ -15,6 +15,7 @@ from gravjcm.core import (
     TruncationError,
     adaptive_nmax,
     build_momentum_grid,
+    check_times,
     coherent_amplitudes,
     paper_defaults,
 )
@@ -101,6 +102,13 @@ def test_params_validation():
         paper_defaults(qg=-5.0)
     with pytest.raises(ValueError):
         paper_defaults(omega_rec=-0.5e6)
+
+
+@pytest.mark.parametrize("times", [[], [[0.0, 1.0]], [-1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0],
+                                   [0.0, np.inf], [0.0, 1.0, np.nan], [np.nan, 1.0]])
+def test_check_times_rejects(times):
+    with pytest.raises(ValueError, match="times must be"):
+        check_times(times)
 
 
 def test_momentum_grid_moments():

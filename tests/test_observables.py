@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravjcm import observables
 from gravjcm.analytic import branch_states_analytic
 from gravjcm.core import (
     BranchState,
@@ -19,6 +20,7 @@ from gravjcm.core import (
     paper_defaults,
 )
 from gravjcm.observables import (
+    PEAK_REL_THRESHOLD,
     QGrid,
     QGridSpec,
     _significant_modes,
@@ -370,6 +372,24 @@ def test_peak_analysis_unbalanced_not_bimodal():
     rep = q_peak_analysis(synthetic_two_gaussian_grid(ratio=0.3))
     assert rep.count == 2
     assert not rep.bimodal
+
+
+def test_peak_mask_matches_neighbour_by_neighbour_reference(monkeypatch):
+    # grids of small integers are full of ties and plateaus; a peak is an interior
+    # point above the cut that strictly exceeds each of its eight neighbours
+    monkeypatch.setattr(observables, "_refine_peak",
+                        lambda q, iy, ix: (complex(ix, iy), float(q.values[iy, ix]), 1.0))
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        v = rng.integers(0, 5, size=(9, 12)).astype(float)
+        v[1:4, 1:4] = -1.0
+        v[2, 2] = 0.1  # a strict local maximum below the cut
+        expect = {complex(ix, iy) for iy in range(1, 8) for ix in range(1, 11)
+                  if v[iy, ix] > PEAK_REL_THRESHOLD * v.max()
+                  and all(v[iy, ix] > v[iy + sy, ix + sx]
+                          for sy in (-1, 0, 1) for sx in (-1, 0, 1) if sy or sx)}
+        rep = q_peak_analysis(QGrid(x=np.arange(12.0), y=np.arange(9.0), values=v))
+        assert set(rep.locations) == expect and rep.count == len(expect)
 
 
 def test_peak_analysis_overlapping_blobs_not_bimodal():
