@@ -121,7 +121,13 @@ class Scenario:
             raise ScenarioError("t_end must exceed t_start")
         elif self.n_samples < 2:
             raise ScenarioError("a time sweep needs n_samples >= 2")
-        _layer_check("n_samples", lambda: check_times(self.times_seconds()))
+        seconds = _layer_check("n_samples", self.times_seconds)
+        if not math.isfinite(seconds[-1]):  # t_end is finite: lam overflowed it
+            raise ScenarioError(
+                f"key 'lam': t_end / lam = {self.t_end!r} / {self.lam!r} is beyond the "
+                "largest float64 in seconds; lower t_end or raise lam"
+            )
+        _layer_check("n_samples", check_times, seconds)
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")

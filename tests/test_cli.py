@@ -335,11 +335,14 @@ def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
     assert not any(out.iterdir())
 
 
-# Sample times that overflow to infinite seconds, and a time grid too large to
-# allocate: 800 PB lies beyond any 64-bit address space, so numpy's allocation
-# fails at once and touches no memory.  Each is one scenario error line.
+# Sample times that overflow to infinite seconds, through a subnormal lam or a
+# huge t_end, and a time grid too large to allocate: 800 PB lies beyond any
+# 64-bit address space, so numpy's allocation fails at once and touches no
+# memory.  Each is one scenario error line naming the key at fault.
 BAD_TIME_GRIDS = {
-    "times_overflow_to_inf": ("lam = 1e-320\n", "finite"),
+    "times_overflow_to_inf": ("lam = 1e-320\n", "key 'lam'"),
+    "t_end_overflows_seconds": ("lam = 1e-3\nt_end = 1e308\n",
+                                "key 'lam': t_end / lam = 1e+308 / 0.001"),
     "n_samples_too_large": ("n_samples = 100000000000000000\n", "key 'n_samples': Unable"),
 }
 

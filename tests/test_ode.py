@@ -292,3 +292,70 @@ def test_substep_cap_raises(monkeypatch):
     p = paper_defaults(qg=3e13, delta0=0.0)
     with pytest.raises(IntegrationError, match="substeps"):
         state_at(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0))
+
+
+# Sweeps whose substeps the windowed estimate chooses or could lower: the
+# published sweep at two gravities (32 nodes, 2000 samples, coherent field),
+# a chirp whose detuning crosses zero mid-way through lam*t in [0, 17], and a
+# resonant chirped sweep.  A unit field checks the block amplitudes themselves.
+SCHEDULE_CASES = {
+    "qg1.5e7": (dict(qg=1.5e7), np.linspace(0.0, 25.0, 2000), 32, "coherent"),
+    "qg5e6": (dict(qg=5e6), np.linspace(0.0, 25.0, 2000), 32, "coherent"),
+    "crosses_resonance": (dict(qg=1e13), np.linspace(0.0, 17.0, 18), 8, "unit"),
+    "resonant_qg1e11": (dict(qg=1e11, delta0=0.0), np.linspace(0.0, 25.0, 26), 8, "unit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_chosen_substeps_meet_tol(case, monkeypatch):
+    # the chosen schedule against the same schedule at 4x substeps
+    overrides, lam_t, n_nodes, field_kind = SCHEDULE_CASES[case]
+    p = paper_defaults(**overrides)
+    grid = build_momentum_grid(1.0, n_nodes)
+    nmax = adaptive_nmax(5.0)
+    field = (coherent_amplitudes(5.0, nmax) if field_kind == "coherent"
+             else np.ones(nmax + 1, dtype=complex))
+    times = lam_t / p.lam
+    if case == "crosses_resonance":
+        d0 = detuning0_of_p(grid.nodes, p)
+        assert np.all(d0 - p.qg * times[8] > 0) and np.all(d0 - p.qg * times[9] < 0)
+    sweep = branch_states_ode_sweep(times, p, field, grid)
+    chosen = ode._substeps
+    monkeypatch.setattr(ode, "_substeps", lambda *args: (4 * chosen(*args)[0], 0.0))
+    finer = branch_states_ode_sweep(times, p, field, grid)
+    assert finer.meta["steps"] == 4 * sweep.meta["steps"]
+    assert float(np.max(np.abs(sweep.c - finer.c))) <= ode.TOL
+    assert float(np.max(np.abs(sweep.d - finer.d))) <= ode.TOL
+
+
+def test_zero_gravity_computes_one_step_per_length(monkeypatch):
+    # at qg = 0 the sweep's steps depend on h alone; the doubling probes aside,
+    # each distinct step length is computed once and the Rabi formula holds
+    p = paper_defaults(qg=0.0)
+    times = np.linspace(0.0, 25.0, 2000) / p.lam
+    lengths = []
+    probing = []
+    step, doubling = ode._magnus_step, ode._doubling_error
+
+    def counted_step(h, *args):
+        if not probing:
+            lengths.append(h)
+        return step(h, *args)
+
+    def probe(*args):
+        probing.append(True)
+        try:
+            return doubling(*args)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(ode, "_magnus_step", counted_step)
+    monkeypatch.setattr(ode, "_doubling_error", probe)
+    pp = 0.7
+    sweep = branch_states_ode_sweep(times, p, FIELD, node_grid(pp))
+    assert sweep.meta["steps"] == times.size - 1
+    assert len(lengths) == len(set(lengths)) <= np.unique(np.diff(times)).size
+    for n in (0, 7, 30):
+        pop = np.abs(sweep.c[:, 0, n] / FIELD[n]) ** 2
+        ref = [rabi_excited_population(n, pp, t, p) for t in times]
+        assert float(np.max(np.abs(pop - ref))) <= 1e-9
