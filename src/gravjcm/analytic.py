@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy.special import erf, wofz
 
-from .core import (BranchState, MomentumGrid, PhysicalParams, branch_sweep, check_times,
+from .core import (MomentumGrid, PhysicalParams, Sweep, branch_sweep, check_times,
                    detuning0_of_p)
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
@@ -248,17 +248,18 @@ def branch_coeffs(n, ep, lam: float) -> tuple:
 
 
 def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndarray,
-                           grid: MomentumGrid) -> BranchState:
-    """Closed-form branch amplitudes at every requested time.
+                           grid: MomentumGrid) -> Sweep:
+    """The sweep over the requested times from the closed-form branch amplitudes.
 
     Per sample and momentum node, block n's excited and ground amplitudes are
     sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1))
     and principal square roots; ``core.branch_sweep`` makes them C_n and
-    D_{n+1}.  b_{n+1} = (n+2) b_0 exactly, so the ground roots are
-    sqrt(n+2) sqrt(b_0): one complex square root per time and node.  The
-    phase integrals take the closed form when qg > 0 and the elementary
-    antiderivative when qg = 0, in one array evaluation per chunk of
-    CHUNK_TIMES samples over all nodes.  The chunks depend only on their own
+    D_{n+1}, reduces each sample to its overlaps and keeps the last instant.
+    b_{n+1} = (n+2) b_0 exactly, so the ground roots are sqrt(n+2) sqrt(b_0):
+    one complex square root per time and node.  The phase integrals take the
+    closed form when qg > 0 and the elementary antiderivative when qg = 0, in
+    one array evaluation per chunk of CHUNK_TIMES samples over all nodes.
+    The chunks depend only on their own
     times, so ``core.branch_sweep`` runs them, each yielding its own rows, on
     every CPU the process may use.
 

@@ -140,9 +140,10 @@ def _refuse_taken(out: Path, names: list) -> bool:
 
 
 def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
-    """Write one qg sweep's files (named by _sweep_files) into out; the sweep dies on return.
+    """Write one qg sweep's files (named by _sweep_files) into out.
 
-    Q and the cat report read its last instant.  Raises ValueError, before any write, if a
+    The sweep holds each sample's overlaps per momentum node and the amplitudes of its last
+    instant, which Q and the cat report read.  Raises ValueError, before any write, if a
     sample's norm is NaN or above 1 + NORM_SLACK.
     """
     sweep = _states_for(sc, sc.backend, qg)
@@ -244,7 +245,6 @@ def _cmd_crosscheck(args) -> int:
     for qg_val in sc.qg_list:
         _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:
-            # only one sweep is alive at a time
             cc_o, dd_o, cd_o = overlaps(_states_for(sc, "ode", qg_val))
             cc_a, dd_a, cd_a = overlaps(_states_for(sc, "analytic", qg_val))
             # the closed form does not conserve the norm; entropy is compared on renormalized

@@ -2,9 +2,10 @@
 
 The Hamiltonian constants and the detuning they give each momentum node, the
 coherent-field initial amplitudes, the Gauss-Hermite discretization of the
-center-of-mass momentum wavepacket, the branch-amplitude container (one
-instant, or a whole sweep with a leading time axis) and the sweep builder of
-both backends.
+center-of-mass momentum wavepacket, the branch-amplitude container of one
+instant, and the sweep builder of both backends, which reduces each sample
+over the Fock axis as it is produced and keeps the amplitudes of the last
+instant alone.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -165,14 +167,14 @@ def build_momentum_grid(sigma0: float, n_nodes: int) -> MomentumGrid:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Amplitudes of the two atomic branches at one instant or over a sweep.
+    """Amplitudes of the two atomic branches at one instant or at several.
 
     ``c[..., k, n]`` is the excited-branch amplitude on Fock level n at momentum
     node k, ``d[..., k, n]`` the ground-branch one.  At an instant ``t`` is a
-    float and c, d are (K, nmax + 2); over a sweep they lead with the time axis
-    of its (T,) sample times ``t``, and ``sweep[i]`` is the instant t[i] viewing
-    row i of both.  The branches share the Fock axis: d[..., 0] = 0 holds the
-    one-level shift of the ground ladder.
+    float and c, d are (K, nmax + 2); at several they lead with the time axis
+    of their (T,) sample times ``t``, and ``states[i]`` is the instant t[i]
+    viewing row i of both.  The branches share the Fock axis: d[..., 0] = 0
+    holds the one-level shift of the ground ladder.
     """
 
     t: float | np.ndarray
@@ -189,9 +191,57 @@ class BranchState:
         return self.c.shape[-1]
 
     def norm(self) -> float | np.ndarray:
-        """Momentum-weighted total probability on both branches, per sample over a sweep."""
+        """Momentum-weighted total probability on both branches, per sample if several."""
         per_node = np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=-1)
         return per_node @ self.grid.weights
+
+    def node_overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fock-axis overlaps (<C|C>, <D|D>, <C|D>) per momentum node (and sample)."""
+        return (np.vecdot(self.c, self.c).real, np.vecdot(self.d, self.d).real,
+                np.vecdot(self.c, self.d))
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep over the (T,) sample times ``t``, reduced as it was produced.
+
+    ``cc``, ``dd`` and ``cd`` are (T, K): the Fock-axis inner products
+    <C|C>, <D|D> and <C|D> of every sample at every momentum node, complex as
+    ``np.vecdot`` gives them.  ``node_overlaps`` hands on the real parts of
+    the first two as views, as ``BranchState.node_overlaps`` does, so the
+    momentum weighting sums the same numbers with the same strides and agrees
+    bit for bit (a contiguous copy can round differently).  ``last`` is the
+    instant t[-1] with its amplitudes, the only one a sweep keeps:
+    ``sweep[-1]`` and ``sweep[T - 1]`` are it, any other index raises
+    IndexError, and iterating yields it alone.
+    """
+
+    t: np.ndarray
+    cc: np.ndarray
+    dd: np.ndarray
+    cd: np.ndarray
+    last: BranchState
+
+    @property
+    def grid(self) -> MomentumGrid:
+        return self.last.grid
+
+    @property
+    def meta(self) -> dict:
+        return self.last.meta
+
+    def __getitem__(self, i) -> BranchState:
+        if i not in (-1, self.t.size - 1):
+            raise IndexError(f"a sweep keeps the amplitudes of its last sample only, "
+                             f"not of sample {i} of {self.t.size}")
+        return self.last
+
+    def __iter__(self):
+        yield self.last
+
+    def node_overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fock-axis overlaps (<C|C>, <D|D>, <C|D>) per sample and momentum node."""
+        return self.cc.real, self.dd.real, self.cd
 
 
 def check_times(times) -> np.ndarray:
@@ -217,30 +267,51 @@ def _cpus() -> int:
 
 
 def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
-                 grid: MomentumGrid, meta: dict) -> BranchState:
-    """The sweep over ``times`` that the independent ``pieces`` fill.
+                 grid: MomentumGrid, meta: dict) -> Sweep:
+    """The sweep over ``times`` that the independent ``pieces`` fill, reduced row by row.
 
     Each piece yields runs (lo, x, y) with the excited and ground amplitudes
     (x, y) of every block for rows lo, lo + 1, ..., each (R, K, nmax + 1)
-    with nmax = w.size - 1.  Row lo + r is stored as C_n = w_n x[r, :, n] and
-    D_{n+1} = w_n y[r, :, n], with the coherent amplitudes w, in the sweep's
-    c and d, each (T, K, nmax + 2).  Pieces must yield disjoint rows.  They
-    run on a thread pool of one thread per CPU the process may use, at most
-    one per piece, and each is stored by the thread that runs it; with one
-    thread they run in order in the calling thread.  Every row is the same
-    whichever thread computes it.  The first exception of a piece, in their
-    order, reaches the caller unchanged once the pieces before it have
-    finished; pieces not yet started by then are cancelled.
+    with nmax = w.size - 1.  Row lo + r's branches are C_n = w_n x[r, :, n]
+    and D_{n+1} = w_n y[r, :, n], with the coherent amplitudes w, on the
+    shared (K, nmax + 2) Fock axis.  They are stored in a pair of padded
+    buffers that the thread keeps for the whole sweep, and reduced over the
+    Fock axis into rows lo.. of the sweep's ``cc``, ``dd`` and ``cd``; the
+    last row's amplitudes are copied into ``Sweep.last``.  Pieces must yield
+    disjoint rows.  They run on a thread pool of one thread per CPU the
+    process may use, at most one per piece, and each is reduced by the
+    thread that runs it; with one thread they run in order in the calling
+    thread.  Every row is the same whichever thread computes it.  The first
+    exception of a piece, in their order, reaches the caller unchanged once
+    the pieces before it have finished; pieces not yet started by then are
+    cancelled.
     """
-    # np.zeros maps both blocks untouched, so the threads that store the rows
-    # also take their page faults
-    c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
-    d = np.zeros(c.shape, dtype=np.complex128)
+    shape = (grid.nodes.size, w.size + 1)
+    cc = np.empty((times.size, shape[0]), dtype=np.complex128)
+    dd = np.empty_like(cc)
+    cd = np.empty_like(cc)
+    last = BranchState(t=times[-1], c=np.empty(shape, dtype=np.complex128),
+                       d=np.empty(shape, dtype=np.complex128), grid=grid, meta=meta)
+    # a fresh pair per run would map and unmap it (a chunk's pair is above the
+    # allocator's mmap threshold), so each thread keeps one, grown to its longest run
+    buffers = threading.local()
 
     def fill(piece: Piece) -> None:
         for lo, x, y in piece:
-            np.multiply(w, x, out=c[lo : lo + len(x), :, : w.size])
-            np.multiply(w, y, out=d[lo : lo + len(y), :, 1:])
+            rows = slice(lo, lo + len(x))
+            if getattr(buffers, "c", None) is None or len(buffers.c) < len(x):
+                # the padding, c[..., nmax + 1] and d[..., 0], stays zero
+                buffers.c = np.zeros((len(x),) + shape, dtype=np.complex128)
+                buffers.d = np.zeros_like(buffers.c)
+            c, d = buffers.c[: len(x)], buffers.d[: len(x)]
+            np.multiply(w, x, out=c[..., : w.size])
+            np.multiply(w, y, out=d[..., 1:])
+            np.vecdot(c, c, out=cc[rows])
+            np.vecdot(d, d, out=dd[rows])
+            np.vecdot(c, d, out=cd[rows])
+            if rows.stop == times.size:
+                last.c[...] = c[-1]
+                last.d[...] = d[-1]
 
     threads = min(len(pieces), _cpus())
     if threads <= 1:
@@ -249,4 +320,4 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     else:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, pieces))
-    return BranchState(t=times, c=c, d=d, grid=grid, meta=meta)
+    return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last)

@@ -1,6 +1,7 @@
 """Reduced-field observables of a branch state.
 
-Momentum-averaged overlaps of a whole sweep in three array reductions, atomic
+Momentum-averaged overlaps of an instant, or of a whole sweep that its builder
+has already summed over the Fock axis, in one weighted sum per overlap; atomic
 inversion, the two-branch field entropy, the Husimi Q quasiprobability on a
 phase-space grid, peak analysis of Q for bimodality (cat) detection, and
 fidelity against the analytic cat ansatz.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import entr
 
-from .core import BranchState, coherent_amplitudes
+from .core import BranchState, Sweep, coherent_amplitudes
 
 NORM_SLACK = 1e-3
 DISC_SLACK = 1e-9
@@ -86,19 +87,19 @@ class QPeakReport:
     bimodal: bool = False
 
 
-def overlaps(sweep: BranchState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum-weighted branch overlaps (<C|C>, <D|D>, <C|D>) at every sample.
+def overlaps(state: BranchState | Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum-weighted branch overlaps (<C|C>, <D|D>, <C|D>) of an instant or a sweep.
 
     The branch arrays share the Fock axis, so the cross term is the plain
     inner product; through the one-level ladder shift it pairs the n-th
-    excited amplitude with the (n+1)-th ground amplitude.  One ``np.vecdot``
-    sums the Fock axis and a second the nodes against their weights, so a
-    sweep's only temporary is one (T, K) array per overlap.
+    excited amplitude with the (n+1)-th ground amplitude.  The Fock axis is
+    summed by ``node_overlaps`` (a ``Sweep`` summed it as it was produced)
+    and the nodes against their weights by one ``np.vecdot`` per overlap,
+    which gives one value per sample of a sweep.
     """
-    w = sweep.grid.weights
-    return (np.vecdot(w, np.vecdot(sweep.c, sweep.c).real),
-            np.vecdot(w, np.vecdot(sweep.d, sweep.d).real),
-            np.vecdot(w, np.vecdot(sweep.c, sweep.d)))
+    w = state.grid.weights
+    cc, dd, cd = state.node_overlaps()
+    return np.vecdot(w, cc), np.vecdot(w, dd), np.vecdot(w, cd)
 
 
 def inversion(cc: np.ndarray, dd: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ import functools
 
 import numpy as np
 
-from .core import (BranchState, MomentumGrid, PhysicalParams, branch_sweep, check_times,
+from .core import (MomentumGrid, PhysicalParams, Sweep, branch_sweep, check_times,
                    detuning0_of_p)
 
 # Target for the step-doubling estimate of a sweep's global amplitude error.
@@ -203,10 +203,11 @@ def _integrate(d0: np.ndarray, omega: np.ndarray, qg: float, times: np.ndarray) 
 
 
 def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.ndarray,
-                            grid: MomentumGrid) -> BranchState:
-    """Branch amplitudes at every requested time from one Magnus pass.
+                            grid: MomentumGrid) -> Sweep:
+    """The sweep over the requested times from one Magnus pass.
 
-    The blocks' c_e and c_g at each sample go to ``core.branch_sweep``.
+    The blocks' c_e and c_g at each sample go to ``core.branch_sweep``, which
+    reduces them to the sample's overlaps and keeps the last instant.
     ``meta`` records the step-doubling target ``TOL`` with the substeps of
     the longest sample interval, the total substep count and the estimate.
     """

@@ -38,7 +38,9 @@ from gravjcm.analytic import (
 )
 from gravjcm.core import (adaptive_nmax, build_momentum_grid, coherent_amplitudes, detuning0_of_p,
                           paper_defaults)
+from gravjcm.observables import overlaps
 from gravjcm.scenario import builtin_scenario
+from storing_sweep import storing_branch_sweep
 
 # frozen from the quadrature oracle
 EPLUS_PIN_QG15E6 = -1.176472389836063e-08 + 1.1775373758395895e-08j
@@ -336,7 +338,7 @@ def test_analytic_state_regression_pin():
 
 
 @pytest.mark.parametrize("qg", [0.0, 1.5e7])
-def test_ground_branch_matches_its_definition(qg):
+def test_ground_branch_matches_its_definition(qg, stored_sweeps):
     # the sweep takes sqrt(b_{n+1}) as sqrt(n+2) sqrt(b_0); the definition takes
     # the root of b_{n+1} itself, at every n
     sc = builtin_scenario("fig1")
@@ -365,8 +367,13 @@ def fig1_chunks(qg):
 
 @pytest.mark.parametrize("qg", [0.0, 1.5e7])
 def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
+    # both backends, reduced and stored, on 1, 2 and 64 CPUs: the stored amplitudes and
+    # the reduced sweep's overlaps and last instant are the same bit for bit, and the
+    # reduced overlaps are those of the stored sweep
     times, p, w, grid = fig1_chunks(qg)
     real_coeffs = analytic.branch_coeffs
+    backends = (branch_states_analytic, ode.branch_states_ode_sweep)
+    builders = (core.branch_sweep, storing_branch_sweep)
     sweeps = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads interleave as often as they can
@@ -380,14 +387,25 @@ def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
 
             monkeypatch.setattr(analytic, "branch_coeffs", coeffs)
             monkeypatch.setattr(core, "_cpus", lambda: cpus)
-            sweeps[cpus] = branch_states_analytic(times, p, w, grid)
+            for builder in builders:
+                monkeypatch.setattr(analytic, "branch_sweep", builder)
+                monkeypatch.setattr(ode, "branch_sweep", builder)
+                for backend in backends:
+                    sweeps[backend, builder, cpus] = backend(times, p, w, grid)
             # one CPU runs the chunks in the calling thread, more run none there
             assert (threads == {threading.get_ident()}) == (cpus == 1)
     finally:
         sys.setswitchinterval(interval)
-    for cpus in (2, 64):
-        assert np.array_equal(sweeps[cpus].c, sweeps[1].c)
-        assert np.array_equal(sweeps[cpus].d, sweeps[1].d)
+    for backend in backends:
+        stored = sweeps[backend, storing_branch_sweep, 1]
+        reference = overlaps(stored)
+        for cpus in (1, 2, 64):
+            other = sweeps[backend, storing_branch_sweep, cpus]
+            assert np.array_equal(other.c, stored.c) and np.array_equal(other.d, stored.d)
+            reduced = sweeps[backend, core.branch_sweep, cpus]
+            assert all(np.array_equal(a, b) for a, b in zip(overlaps(reduced), reference))
+            assert np.array_equal(reduced[-1].c, stored.c[-1])
+            assert np.array_equal(reduced[-1].d, stored.d[-1])
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])

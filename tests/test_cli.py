@@ -19,6 +19,7 @@ from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from gravjcm.observables import QGrid, QGridSpec, q_function
 from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import parse_scenario
+from storing_sweep import store_sweeps
 
 SMALL_SWEEP = """\
 # reduced sweep for fast tests
@@ -460,20 +461,21 @@ def eig_entropy(cc, dd, cd):
     return np.array(out)
 
 
-def test_crosscheck_reports_each_qg(tmp_path, capsys):
+def test_crosscheck_reports_each_qg(tmp_path, capsys, monkeypatch):
     # resonant, where the closed form's norm grows fastest
     text = SMALL_SWEEP.replace("qg = 0", "qg = 0, 1.5e7")
     scn = write_scenario(tmp_path, text)
     assert main(["crosscheck", str(scn)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines] == ["qg=0", "qg=15000000"]
+    store_sweeps(monkeypatch)
     sc = parse_scenario(text)
     for qg, line in zip(sc.qg_list, lines):
         fields = dict(tok.split("=") for tok in line.split()[1:])
         assert list(fields) == ["qg", "tmax", "max_dW", "max_dS", "max_dnorm"]
         assert float(fields["tmax"]) == 6.0
         # disagreement between the backends is a finding, not a failure; the
-        # maxima are recomputed here from both backends' branch states
+        # maxima are recomputed here from both backends' stored branch states
         params = sc.params_for(qg)
         w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
         grid = build_momentum_grid(sc.sigma0, sc.n_nodes)

@@ -76,7 +76,7 @@ def test_overlaps_cross_term_pairs_shifted_levels():
     assert cd[0] == pytest.approx(0.5, abs=1e-14)
 
 
-def test_overlaps_reduce_each_state_of_a_sweep():
+def test_overlaps_reduce_each_state_of_a_sweep(stored_sweeps):
     # one call over the sweep gives each instant's own reduction, bit for bit; the
     # per-sample np.dot form stays as a reference within a few ulps
     p = paper_defaults(qg=1.5e7)

@@ -5,18 +5,21 @@ piecewise-constant 2x2 eigen-propagator for the chirped case, and the DOP853
 integrator ``_integrate`` on the block equations as written, which the
 Magnus propagator must match at tight tolerance.  The Rabi formula checks
 both the Magnus propagator and ``_integrate`` itself.  Single blocks are read
-off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.
+off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.  A
+sweep keeps only its last instant's amplitudes, so the tests that read every
+sample's take the ``stored_sweeps`` fixture.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gravjcm import core, ode
 from gravjcm.analytic import CHUNK_TIMES, branch_states_analytic
-from gravjcm import ode
 from gravjcm.core import (
     MomentumGrid,
     adaptive_nmax,
@@ -25,7 +28,10 @@ from gravjcm.core import (
     detuning0_of_p,
     paper_defaults,
 )
+from gravjcm.observables import overlaps
 from gravjcm.ode import IntegrationError, branch_states_ode_sweep
+from gravjcm.scenario import builtin_scenario
+from storing_sweep import store_sweeps
 
 FIELD = coherent_amplitudes(5.0, 100)
 
@@ -140,7 +146,7 @@ def sweep_setup():
     return field, grid
 
 
-def test_sweep_initial_state_and_norm(sweep_setup):
+def test_sweep_initial_state_and_norm(sweep_setup, stored_sweeps):
     field, grid = sweep_setup
     p = paper_defaults(qg=1.5e7)
     times = np.linspace(0.0, 1e-5, 6)
@@ -157,10 +163,12 @@ def test_sweep_initial_state_and_norm(sweep_setup):
     assert 0.0 <= sweep.meta["error_estimate"] <= 1e-10
 
 
-@settings(max_examples=20, deadline=None)
+# the fixture's patch is the same for every example
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(alpha=st.floats(0.1, 2.0), n_nodes=st.integers(1, 4), qg=st.floats(0.0, 1e11),
        delta0=st.floats(-1e8, 1e8), lam_t=st.floats(0.1, 25.0))
-def test_sweep_block_norm_property(alpha, n_nodes, qg, delta0, lam_t):
+def test_sweep_block_norm_property(stored_sweeps, alpha, n_nodes, qg, delta0, lam_t):
     # each 2x2 block is unitary: |C_n|^2 + |D_{n+1}|^2 stays |w_n|^2 per node
     p = paper_defaults(qg=qg, delta0=delta0)
     field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
@@ -176,7 +184,7 @@ SWEEPS = {"ode": branch_states_ode_sweep, "analytic": branch_states_analytic}
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
-def test_sweep_consistent_with_single_shot(sweep_setup, backend):
+def test_sweep_consistent_with_single_shot(sweep_setup, backend, stored_sweeps):
     # 2 R + 3 samples end mid-chunk of the analytic backend, whose rows do not
     # depend on the chunking at all, on the elementary (qg = 0) and closed forms
     field, grid = sweep_setup
@@ -194,21 +202,48 @@ def test_sweep_consistent_with_single_shot(sweep_setup, backend):
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
-def test_sweep_states_view_one_block_per_branch(sweep_setup, backend):
+def test_sweep_keeps_its_last_instant(sweep_setup, backend, monkeypatch):
     field, grid = sweep_setup
     times = np.linspace(0.0, 3e-6, 5)
-    # one state holds the sweep; indexing or iterating it gives instants that view its rows
-    sweep = SWEEPS[backend](times, paper_defaults(qg=1.5e7), field, grid)
+    p = paper_defaults(qg=1.5e7)
+    # the sweep holds each sample's overlaps per node and the last instant's amplitudes
+    sweep = SWEEPS[backend](times, p, field, grid)
     assert np.array_equal(sweep.t, times)
-    for name in ("c", "d"):
-        block = getattr(sweep, name)
-        assert block.shape == (times.size, grid.nodes.size, field.size + 1)
-        for i, st in enumerate(sweep):
-            assert getattr(st, name).base is block
-            assert np.shares_memory(getattr(st, name), block[i])
-        assert np.array_equal(getattr(sweep[-1], name), block[-1])
-    assert all(st.meta is sweep.meta and st.grid is grid for st in sweep)
-    assert [st.t for st in sweep] == times.tolist()
+    for part in (sweep.cc, sweep.dd, sweep.cd):
+        assert part.shape == (times.size, grid.nodes.size)
+    last = sweep.last
+    assert last.c.shape == last.d.shape == (grid.nodes.size, field.size + 1)
+    assert sweep[-1] is sweep[times.size - 1] is last
+    assert list(sweep) == [last]
+    assert last.t == times[-1] and last.meta is sweep.meta and last.grid is sweep.grid is grid
+    for i in (0, 3, times.size, -2):
+        with pytest.raises(IndexError):
+            sweep[i]
+    # its last instant is the stored sweep's, bit for bit
+    store_sweeps(monkeypatch)
+    stored = SWEEPS[backend](times, p, field, grid)[-1]
+    assert np.array_equal(last.c, stored.c) and np.array_equal(last.d, stored.d)
+
+
+@pytest.mark.parametrize("backend", sorted(SWEEPS))
+def test_fig1_sweep_keeps_no_amplitude_block(backend, monkeypatch):
+    # every amplitude of a fig1 sweep (2000 samples, 32 nodes, 69 levels) would take
+    # 2 x 2000 x 32 x 70 x 16 bytes = 143 MB; reduced as it is produced, the sweep
+    # and its overlaps take a few MB, also with the closed form's chunks on two threads
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    sc = builtin_scenario("fig1")
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
+    times = sc.times_seconds()
+    assert (times.size, grid.nodes.size, w.size) == (2000, 32, 69)
+    tracemalloc.start()
+    try:
+        cc, _, _ = overlaps(SWEEPS[backend](times, sc.params_for(1.5e7), w, grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cc.shape == times.shape
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
@@ -249,7 +284,7 @@ ORACLE_NMAX = 40
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_magnus_matches_dop853_oracle(case, monkeypatch):
+def test_magnus_matches_dop853_oracle(case, monkeypatch, stored_sweeps):
     monkeypatch.setattr(ode, "TOL", 1e-12)
     overrides, lam_t, n_nodes = ORACLE_CASES[case]
     p = paper_defaults(**overrides)
@@ -278,7 +313,7 @@ def test_tighter_tol_never_fewer_substeps(monkeypatch):
         substeps = []
         for tol in (1e-6, 1e-8, 1e-10, 1e-12):
             monkeypatch.setattr(ode, "TOL", tol)
-            st = branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid)[0]
+            st = branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid)[-1]
             assert st.meta["tol"] == tol
             substeps.append(st.meta["substeps"])
         assert substeps == sorted(substeps)
@@ -307,7 +342,7 @@ SCHEDULE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
-def test_chosen_substeps_meet_tol(case, monkeypatch):
+def test_chosen_substeps_meet_tol(case, monkeypatch, stored_sweeps):
     # the chosen schedule against the same schedule at 4x substeps
     overrides, lam_t, n_nodes, field_kind = SCHEDULE_CASES[case]
     p = paper_defaults(**overrides)
@@ -328,7 +363,7 @@ def test_chosen_substeps_meet_tol(case, monkeypatch):
     assert float(np.max(np.abs(sweep.d - finer.d))) <= ode.TOL
 
 
-def test_zero_gravity_computes_one_step_per_length(monkeypatch):
+def test_zero_gravity_computes_one_step_per_length(monkeypatch, stored_sweeps):
     # at qg = 0 the sweep's steps depend on h alone; the doubling probes aside,
     # each distinct step length is computed once and the Rabi formula holds
     p = paper_defaults(qg=0.0)

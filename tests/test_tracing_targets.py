@@ -42,13 +42,16 @@ def test_states_for_calls_the_backends_by_name(monkeypatch):
 
 
 def test_tracer_reads_a_sweep_as_the_harness_does():
-    # the tracer iterates the ode.sweep result for its bytes; the reference builder
-    # takes the norm of its last instant
+    # the tracer iterates the ode.sweep result for its bytes: a sweep yields the one
+    # instant whose amplitudes it keeps, its last; the reference builder takes that
+    # instant's norm as sweep[-1]
     from gravjcm import cli
 
     sc = cli.parse_scenario("alpha = 1\nqg = 0\nt_end = 1\nn_samples = 3\nn_nodes = 2\n")
     sweep = cli._states_for(sc, "ode", 0.0)
     tracer = load_tracing().Tracer("t")
     tracer._count("ode.sweep", (), sweep)
-    assert tracer.counters["ode.history_bytes"] == sweep.c.nbytes + sweep.d.nbytes
-    assert isinstance(sweep[-1].norm(), float)
+    last = sweep[-1]
+    assert tracer.counters["ode.history_bytes"] == last.c.nbytes + last.d.nbytes
+    assert sweep[sweep.t.size - 1] is last
+    assert isinstance(last.norm(), float)
