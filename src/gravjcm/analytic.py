@@ -259,9 +259,8 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     one complex square root per time and node.  The phase integrals take the
     closed form when qg > 0 and the elementary antiderivative when qg = 0, in
     one array evaluation per chunk of CHUNK_TIMES samples over all nodes.
-    The chunks depend only on their own
-    times, so ``core.branch_sweep`` runs them, each yielding its own rows, on
-    every CPU the process may use.
+    The chunks depend only on their own times, so ``core.branch_sweep`` runs
+    them, each yielding its own rows, on every CPU the process may use.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows

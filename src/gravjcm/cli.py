@@ -30,7 +30,6 @@ from .analytic import (
 from .core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from .observables import (
     NORM_SLACK,
-    QGridSpec,
     cat_fidelity,
     entropy,
     inversion,
@@ -161,9 +160,7 @@ def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
         _write_scalar_csv(files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
     if set(SNAPSHOT_OUTPUTS) & set(files):
         st = sweep[-1]
-        e = sc.qgrid_extent
-        spec = QGridSpec(-e, e, -e, e, sc.qgrid_n, sc.qgrid_n)
-        qg_data = q_function(st, spec, sc.alpha)
+        qg_data = q_function(st, sc.qgrid_spec(), sc.alpha)
         if "qgrid" in files:
             _write_qgrid(files["qgrid"].with_suffix(""), qg_data)
         if "cat_report" in files:

@@ -22,7 +22,7 @@ import os
 import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,36 +167,30 @@ def build_momentum_grid(sigma0: float, n_nodes: int) -> MomentumGrid:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Amplitudes of the two atomic branches at one instant or at several.
+    """Amplitudes of the two atomic branches at the instant ``t``.
 
-    ``c[..., k, n]`` is the excited-branch amplitude on Fock level n at momentum
-    node k, ``d[..., k, n]`` the ground-branch one.  At an instant ``t`` is a
-    float and c, d are (K, nmax + 2); at several they lead with the time axis
-    of their (T,) sample times ``t``, and ``states[i]`` is the instant t[i]
-    viewing row i of both.  The branches share the Fock axis: d[..., 0] = 0
-    holds the one-level shift of the ground ladder.
+    ``c[k, n]`` is the excited-branch amplitude on Fock level n at momentum
+    node k, ``d[k, n]`` the ground-branch one, each (K, nmax + 2).  The
+    branches share the Fock axis: d[:, 0] = 0 holds the one-level shift of
+    the ground ladder.
     """
 
-    t: float | np.ndarray
+    t: float
     c: np.ndarray
     d: np.ndarray
     grid: MomentumGrid
-    meta: dict = field(default_factory=dict)
-
-    def __getitem__(self, i) -> BranchState:
-        return BranchState(t=self.t[i], c=self.c[i], d=self.d[i], grid=self.grid, meta=self.meta)
 
     @property
     def nfock(self) -> int:
         return self.c.shape[-1]
 
-    def norm(self) -> float | np.ndarray:
-        """Momentum-weighted total probability on both branches, per sample if several."""
+    def norm(self) -> float:
+        """Momentum-weighted total probability on both branches."""
         per_node = np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=-1)
         return per_node @ self.grid.weights
 
     def node_overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fock-axis overlaps (<C|C>, <D|D>, <C|D>) per momentum node (and sample)."""
+        """Fock-axis overlaps (<C|C>, <D|D>, <C|D>) per momentum node."""
         return (np.vecdot(self.c, self.c).real, np.vecdot(self.d, self.d).real,
                 np.vecdot(self.c, self.d))
 
@@ -213,7 +207,8 @@ class Sweep:
     bit for bit (a contiguous copy can round differently).  ``last`` is the
     instant t[-1] with its amplitudes, the only one a sweep keeps:
     ``sweep[-1]`` and ``sweep[T - 1]`` are it, any other index raises
-    IndexError, and iterating yields it alone.
+    IndexError, and iterating yields it alone.  ``grid`` holds the nodes and
+    weights, and ``meta`` the backend's record of how it computed the sweep.
     """
 
     t: np.ndarray
@@ -221,14 +216,8 @@ class Sweep:
     dd: np.ndarray
     cd: np.ndarray
     last: BranchState
-
-    @property
-    def grid(self) -> MomentumGrid:
-        return self.last.grid
-
-    @property
-    def meta(self) -> dict:
-        return self.last.meta
+    grid: MomentumGrid
+    meta: dict
 
     def __getitem__(self, i) -> BranchState:
         if i not in (-1, self.t.size - 1):
@@ -271,27 +260,27 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     """The sweep over ``times`` that the independent ``pieces`` fill, reduced row by row.
 
     Each piece yields runs (lo, x, y) with the excited and ground amplitudes
-    (x, y) of every block for rows lo, lo + 1, ..., each (R, K, nmax + 1)
-    with nmax = w.size - 1.  Row lo + r's branches are C_n = w_n x[r, :, n]
-    and D_{n+1} = w_n y[r, :, n], with the coherent amplitudes w, on the
-    shared (K, nmax + 2) Fock axis.  They are stored in a pair of padded
-    buffers that the thread keeps for the whole sweep, and reduced over the
-    Fock axis into rows lo.. of the sweep's ``cc``, ``dd`` and ``cd``; the
-    last row's amplitudes are copied into ``Sweep.last``.  Pieces must yield
-    disjoint rows.  They run on a thread pool of one thread per CPU the
-    process may use, at most one per piece, and each is reduced by the
-    thread that runs it; with one thread they run in order in the calling
-    thread.  Every row is the same whichever thread computes it.  The first
-    exception of a piece, in their order, reaches the caller unchanged once
-    the pieces before it have finished; pieces not yet started by then are
-    cancelled.
+    (x, y) of every block for rows lo, lo + 1, ..., each (R, K, nmax + 1) with
+    nmax = w.size - 1.  Row lo + r's branches are C_n = w_n x[r, :, n] and
+    D_{n+1} = w_n y[r, :, n], with the coherent amplitudes w, on the shared
+    (K, nmax + 2) Fock axis.  They are stored in a pair of padded buffers that
+    the thread keeps for the whole sweep, and reduced over the Fock axis into
+    rows lo.. of the sweep's ``cc``, ``dd`` and ``cd``; the last row's
+    amplitudes are copied into ``Sweep.last``, and the backend's ``meta``
+    becomes ``Sweep.meta``.  Pieces must yield disjoint rows.  They run on a
+    thread pool of one thread per CPU the process may use, at most one per
+    piece, and each is reduced by the thread that runs it; with one thread
+    they run in order in the calling thread.  Every row is the same whichever
+    thread computes it.  The first exception of a piece, in their order,
+    reaches the caller unchanged once the pieces before it have finished;
+    pieces not yet started by then are cancelled.
     """
     shape = (grid.nodes.size, w.size + 1)
     cc = np.empty((times.size, shape[0]), dtype=np.complex128)
     dd = np.empty_like(cc)
     cd = np.empty_like(cc)
     last = BranchState(t=times[-1], c=np.empty(shape, dtype=np.complex128),
-                       d=np.empty(shape, dtype=np.complex128), grid=grid, meta=meta)
+                       d=np.empty(shape, dtype=np.complex128), grid=grid)
     # a fresh pair per run would map and unmap it (a chunk's pair is above the
     # allocator's mmap threshold), so each thread keeps one, grown to its longest run
     buffers = threading.local()
@@ -320,4 +309,4 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     else:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, pieces))
-    return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last)
+    return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last, grid=grid, meta=meta)

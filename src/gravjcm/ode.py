@@ -39,8 +39,8 @@ more substeps than the per-step estimate asks for.
 
 At qg = 0 a step's propagator depends on h alone, and a sample grid has few
 distinct interval lengths (15 for the 1999 intervals of a 2000-point
-linspace), so the sweep computes one propagator per distinct substep
-length, from a bounded cache, and reuses it bit for bit.
+linspace), so the sweep and its error probes compute one propagator per
+distinct step length, from a bounded cache, and reuse it bit for bit.
 
 ``_integrate`` is the independent DOP853 oracle that the tests compare the
 Magnus propagator against.  It integrates the two equations above as
@@ -108,24 +108,27 @@ def _magnus_step(h: float, t_mid: float, d0: np.ndarray, omega: np.ndarray,
     return u, s * (-vy - 1j * vx)
 
 
-def _doubling_error(h: float, t0: float, d0: np.ndarray, omega: np.ndarray,
-                    qg: float, n: int) -> float:
-    """Largest difference between n steps of h and 2n of h/2 from t0."""
-
-    def compose(step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        u, v = _magnus_step(step, t0 + 0.5 * step, d0, omega, qg)
-        for j in range(1, count):
-            un, vn = _magnus_step(step, t0 + (j + 0.5) * step, d0, omega, qg)
-            u, v = un * u - vn * np.conj(v), un * v + vn * np.conj(u)
-        return u, v
-
-    u, v = compose(h, n)
-    uc, vc = compose(0.5 * h, 2 * n)
-    return float(max(np.max(np.abs(u - uc)), np.max(np.abs(v - vc))))
+def _advance(a: np.ndarray | float, b: np.ndarray | float, h: float, t0: float, count: int,
+             step) -> tuple[np.ndarray, np.ndarray]:
+    """Block amplitudes (a, b) after ``count`` steps of h from t0; step(h, t_mid) is (u, v)."""
+    for j in range(count):
+        u, v = step(h, t0 + (j + 0.5) * h)
+        a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
+    return a, b
 
 
-def _substeps(times: np.ndarray, d0: np.ndarray, omega: np.ndarray,
-              qg: float) -> tuple[np.ndarray, float]:
+def _doubling_error(h: float, t0: float, step, n: int) -> float:
+    """Largest difference between n steps of h and 2n of h/2 from t0.
+
+    Both advance the state (1, 0) of every block, which is the first column
+    of their composed propagators [[u, v], [-conj(v), conj(u)]]: it holds u and v.
+    """
+    a1, b1 = _advance(1.0, 0.0, h, t0, n, step)
+    a2, b2 = _advance(1.0, 0.0, 0.5 * h, t0, 2 * n, step)
+    return float(max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2))))
+
+
+def _substeps(times: np.ndarray, step) -> tuple[np.ndarray, float]:
     """Substep count of each interval ending at a sample, and the estimate."""
     spans = np.diff(times, prepend=0.0)
     longest = float(spans.max())
@@ -137,15 +140,14 @@ def _substeps(times: np.ndarray, d0: np.ndarray, omega: np.ndarray,
         h = longest / m
         counts = np.ceil(spans / h).astype(int)
         steps = int(counts.sum())
-        local = max(_doubling_error(h, 0.0, d0, omega, qg, 1),
-                    _doubling_error(h, t_end - h, d0, omega, qg, 1))
+        local = max(_doubling_error(h, 0.0, step, 1),
+                    _doubling_error(h, t_end - h, step, 1))
         estimate = steps * local
         if estimate <= TOL or local <= ROUNDING_FLOOR:
             return counts, estimate
         if estimate <= WINDOW * TOL and steps >= 6 * WINDOW:
-            window = max(_doubling_error(h, 0.0, d0, omega, qg, WINDOW),
-                         _doubling_error(h, max(t_end - WINDOW * h, 0.0), d0, omega, qg,
-                                         WINDOW))
+            window = max(_doubling_error(h, 0.0, step, WINDOW),
+                         _doubling_error(h, max(t_end - WINDOW * h, 0.0), step, WINDOW))
             estimate = min(estimate, steps / WINDOW * window)
             if estimate <= TOL:
                 return counts, estimate
@@ -206,34 +208,33 @@ def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.nda
                             grid: MomentumGrid) -> Sweep:
     """The sweep over the requested times from one Magnus pass.
 
-    The blocks' c_e and c_g at each sample go to ``core.branch_sweep``, which
-    reduces them to the sample's overlaps and keeps the last instant.
-    ``meta`` records the step-doubling target ``TOL`` with the substeps of
-    the longest sample interval, the total substep count and the estimate.
+    One step function serves the step-doubling probes and the substeps, and
+    the blocks' c_e and c_g at each sample go to ``core.branch_sweep``.  The
+    sweep's ``meta`` records the step-doubling target ``TOL``, the substeps of
+    the longest interval, the total substep count and the estimate.
     """
     times = check_times(times)
     qg = params.qg
     d0 = detuning0_of_p(grid.nodes, params)
     omega = params.lam * np.sqrt(np.arange(w.size) + 1.0)
-    counts, estimate = _substeps(times, d0, omega, qg)
+    # t_mid enters a step only as qg * t_mid, so at qg = 0 it is a function of h
+    cached = functools.lru_cache(maxsize=STEP_CACHE)(
+        lambda h: _magnus_step(h, 0.0, d0, omega, qg))
+
+    def step(h: float, t_mid: float) -> tuple[np.ndarray, np.ndarray]:
+        return cached(h) if qg == 0 else _magnus_step(h, t_mid, d0, omega, qg)
+
+    counts, estimate = _substeps(times, step)
     meta = {"backend": "ode", "method": "magnus4", "tol": TOL,
             "substeps": int(counts.max()), "steps": int(counts.sum()),
             "error_estimate": estimate}
-
-    # t_mid enters a step only as qg * t_mid, so at qg = 0 it is a function of h
-    cached_step = functools.lru_cache(maxsize=STEP_CACHE)(
-        lambda h: _magnus_step(h, 0.0, d0, omega, qg)) if qg == 0 else None
 
     def magnus():
         a = np.ones((d0.size, omega.size), dtype=np.complex128)
         b = np.zeros_like(a)
         t = 0.0
         for i, (t_next, m) in enumerate(zip(times, counts)):
-            h = (t_next - t) / m if m else 0.0
-            for j in range(m):
-                u, v = (cached_step(h) if cached_step else
-                        _magnus_step(h, t + (j + 0.5) * h, d0, omega, qg))
-                a, b = u * a + v * b, np.conj(u) * b - np.conj(v) * a
+            a, b = _advance(a, b, (t_next - t) / max(m, 1), t, m, step)
             t = float(t_next)
             half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[None, :, None]  # row i, every node
             yield i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)

@@ -17,7 +17,7 @@ Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
 belongs to a numerical layer (the Hamiltonian constants, sigma0, a finite
 |alpha|^2, the coherent amplitudes' sum, distinct sample times in seconds,
-the Q window, the cat ansatz's norm)
+the Q window and grid, the cat ansatz's norm)
 call that layer's own check, so each bound is written once.  The Fock cutoff
 is no input: ``adaptive_nmax`` derives it from alpha.
 """
@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, check_times,
                    coherent_amplitudes, paper_defaults)
-from .observables import cat_ansatz, check_q_window
+from .observables import QGridSpec, cat_ansatz, check_q_window
 
 VALID_BACKENDS = ("ode", "analytic")
 VALID_OUTPUTS = ("inversion", "entropy", "qgrid", "cat_report")
@@ -133,14 +133,14 @@ class Scenario:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")
         if not self.outputs:
             raise ScenarioError("outputs must be non-empty")
-        if self.qgrid_extent <= 0 or self.qgrid_n < 3:
-            raise ScenarioError("qgrid needs positive extent and n >= 3")
+        spec = _layer_check("qgrid", self.qgrid_spec)
         if set(SNAPSHOT_OUTPUTS) & set(self.outputs):
             if self.n_samples != 1:
                 raise ScenarioError(
                     "qgrid and cat_report outputs require a single-instant time spec"
                 )
             _layer_check("qgrid.extent", check_q_window, self.qgrid_extent, self.alpha)
+            _layer_check("qgrid.n", np.empty, (spec.ny, spec.nx))  # the grid's Q values
         if "cat_report" in self.outputs:
             _layer_check("alpha", cat_ansatz, self.alpha, nmax + 2)  # a state's Fock levels
 
@@ -151,6 +151,11 @@ class Scenario:
         """The single lam*t -> seconds conversion point; an overflow gives inf, not a warning."""
         with np.errstate(over="ignore"):
             return self.times_scaled() / self.lam
+
+    def qgrid_spec(self) -> QGridSpec:
+        """The Q window: qgrid.n points per axis on [-qgrid.extent, qgrid.extent]."""
+        e = self.qgrid_extent
+        return QGridSpec(-e, e, -e, e, self.qgrid_n, self.qgrid_n)
 
     def params_for(self, qg: float) -> PhysicalParams:
         """The model's Hamiltonian constants at gravity value qg."""

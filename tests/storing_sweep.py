@@ -2,12 +2,13 @@
 
 It takes the pieces ``core.branch_sweep`` takes and runs them the same way,
 but stores each run's rows in one sweep-long ``c``/``d`` pair instead of
-reducing them: a BranchState with a leading time axis, whose ``sweep[i]`` is
-any instant.  Its amplitudes and their ``overlaps`` are the reference the
-reduced sweep is checked against.
+reducing them: a ``StoredSweep``, whose ``sweep[i]`` is any instant.  Its
+amplitudes and their ``overlaps`` are the reference the reduced sweep is
+checked against.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +16,24 @@ from gravjcm import analytic, core, ode
 from gravjcm.core import BranchState
 
 
-def storing_branch_sweep(times, pieces, w, grid, meta) -> BranchState:
+@dataclass(frozen=True)
+class StoredSweep(BranchState):
+    """Amplitudes of the two atomic branches at every sample of a sweep.
+
+    ``t`` is the (T,) sample times and ``c``, ``d`` lead with the time axis,
+    (T, K, nmax + 2).  ``sweep[i]`` is the instant t[i], viewing row i of
+    both.  The inherited ``norm`` and ``node_overlaps`` reduce the last axes,
+    so they give one value per sample; ``meta`` is the backend's, as on
+    ``core.Sweep``.
+    """
+
+    meta: dict
+
+    def __getitem__(self, i) -> BranchState:
+        return BranchState(t=self.t[i], c=self.c[i], d=self.d[i], grid=self.grid)
+
+
+def storing_branch_sweep(times, pieces, w, grid, meta) -> StoredSweep:
     """The sweep over ``times`` that ``pieces`` fill, every row stored.
 
     Row lo + r of a run (lo, x, y) is stored as C_n = w_n x[r, :, n] and
@@ -37,7 +55,7 @@ def storing_branch_sweep(times, pieces, w, grid, meta) -> BranchState:
     else:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, pieces))
-    return BranchState(t=times, c=c, d=d, grid=grid, meta=meta)
+    return StoredSweep(t=times, c=c, d=d, grid=grid, meta=meta)
 
 
 def store_sweeps(monkeypatch) -> None:

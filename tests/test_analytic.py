@@ -330,11 +330,12 @@ def test_analytic_state_regression_pin():
     field = coherent_amplitudes(5.0, 100)
     grid = build_momentum_grid(1.0, 1)
     p0 = paper_defaults(qg=0.0)
-    st = branch_states_analytic(np.array([10.0 / 1e6]), p0, field, grid)[0]
+    sweep = branch_states_analytic(np.array([10.0 / 1e6]), p0, field, grid)
+    st = sweep[0]
     assert abs(complex(st.c[0, 10]) - C10_PIN) < 1e-12
     assert abs(complex(st.d[0, 10]) - D10_PIN) < 1e-12
     assert st.norm() == pytest.approx(NORM_PIN, abs=1e-10)
-    assert st.meta["phase_integral_method"] == "elementary"
+    assert sweep.meta["phase_integral_method"] == "elementary"
 
 
 @pytest.mark.parametrize("qg", [0.0, 1.5e7])

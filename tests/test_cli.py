@@ -321,6 +321,9 @@ REJECTED_UP_FRONT = {
     "name_escapes_out": "t_end = 1\nn_samples = 5\nname = ../escaped\n",
     # distinct in lam*t, but the middle sample rounds onto an end in seconds
     "times_collapse_in_seconds": "t_start = 1\nt_end = 1.0000000000000002\nn_samples = 3\n",
+    # the Q window's own bounds hold whatever the outputs
+    "qgrid_n_below_3": "t_end = 1\nn_samples = 5\nqgrid.n = 2\n",
+    "qgrid_extent_not_positive": "t_end = 1\nn_samples = 5\nqgrid.extent = 0\n",
 }
 
 
@@ -337,14 +340,17 @@ def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
 
 
 # Sample times that overflow to infinite seconds, through a subnormal lam or a
-# huge t_end, and a time grid too large to allocate: 800 PB lies beyond any
-# 64-bit address space, so numpy's allocation fails at once and touches no
-# memory.  Each is one scenario error line naming the key at fault.
+# huge t_end, and a time grid or Q grid too large to allocate: 800 PB of times
+# or 80 PB of Q values lie beyond any 64-bit address space, so numpy's
+# allocation fails at once and touches no memory.  Each is one scenario error
+# line naming the key at fault.
 BAD_TIME_GRIDS = {
     "times_overflow_to_inf": ("lam = 1e-320\n", "key 'lam'"),
     "t_end_overflows_seconds": ("lam = 1e-3\nt_end = 1e308\n",
                                 "key 'lam': t_end / lam = 1e+308 / 0.001"),
     "n_samples_too_large": ("n_samples = 100000000000000000\n", "key 'n_samples': Unable"),
+    "qgrid_n_too_large": ("t_end = 0\nn_samples = 1\noutputs = qgrid\nqgrid.n = 100000000\n",
+                          "key 'qgrid.n': Unable"),
 }
 
 

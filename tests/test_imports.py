@@ -9,7 +9,8 @@ function, class or method of the package must be read by the package itself
 or by the benchmark (``perfbench/*.py``); the tests do not count, so no public
 API exists only for them.  A method counts as read when any attribute of
 that name is read, since the syntax tree carries no types.  ``gravjcm.ode``
-(the oracle) and ``gravjcm.analytic`` share only ``gravjcm.core``.
+(the production Magnus backend, whose ``_integrate`` is the DOP853 oracle)
+and ``gravjcm.analytic`` share only ``gravjcm.core``.
 
 A run imports only what it runs: the DOP853 oracle's ``scipy.integrate``, and
 the scipy subpackages it pulls in, stay out of a fresh interpreter's

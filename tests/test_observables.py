@@ -33,6 +33,7 @@ from gravjcm.observables import (
 )
 from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import builtin_scenario
+from storing_sweep import StoredSweep
 
 SINGLE_NODE = MomentumGrid(nodes=np.zeros(1), weights=np.ones(1))
 
@@ -40,8 +41,9 @@ SINGLE_NODE = MomentumGrid(nodes=np.zeros(1), weights=np.ones(1))
 def pure_states(c_rows, d_rows):
     """A single-node sweep whose sample i holds the pure branches c_rows[i], d_rows[i]."""
     c = np.asarray(c_rows, dtype=np.complex128)[:, None, :]
-    return BranchState(t=np.arange(float(c.shape[0])), c=c,
-                       d=np.asarray(d_rows, dtype=np.complex128)[:, None, :], grid=SINGLE_NODE)
+    return StoredSweep(t=np.arange(float(c.shape[0])), c=c,
+                       d=np.asarray(d_rows, dtype=np.complex128)[:, None, :], grid=SINGLE_NODE,
+                       meta={})
 
 
 def pure_state(c_vec, d_vec):

@@ -215,7 +215,10 @@ def test_sweep_keeps_its_last_instant(sweep_setup, backend, monkeypatch):
     assert last.c.shape == last.d.shape == (grid.nodes.size, field.size + 1)
     assert sweep[-1] is sweep[times.size - 1] is last
     assert list(sweep) == [last]
-    assert last.t == times[-1] and last.meta is sweep.meta and last.grid is sweep.grid is grid
+    assert last.t == times[-1] and last.grid is sweep.grid is grid
+    # the sweep carries its backend's meta; the instant holds amplitudes alone
+    assert sweep.meta["backend"] == backend
+    assert not hasattr(last, "meta") and not hasattr(last, "__getitem__")
     for i in (0, 3, times.size, -2):
         with pytest.raises(IndexError):
             sweep[i]
@@ -313,9 +316,9 @@ def test_tighter_tol_never_fewer_substeps(monkeypatch):
         substeps = []
         for tol in (1e-6, 1e-8, 1e-10, 1e-12):
             monkeypatch.setattr(ode, "TOL", tol)
-            st = branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid)[-1]
-            assert st.meta["tol"] == tol
-            substeps.append(st.meta["substeps"])
+            sweep = branch_states_ode_sweep(lam_t / p.lam, p, FIELD, grid)
+            assert sweep.meta["tol"] == tol
+            substeps.append(sweep.meta["substeps"])
         assert substeps == sorted(substeps)
         assert substeps[-1] > 1
 
@@ -361,6 +364,52 @@ def test_chosen_substeps_meet_tol(case, monkeypatch, stored_sweeps):
     assert finer.meta["steps"] == 4 * sweep.meta["steps"]
     assert float(np.max(np.abs(sweep.c - finer.c))) <= ode.TOL
     assert float(np.max(np.abs(sweep.d - finer.d))) <= ode.TOL
+
+
+def composed_propagator(h, t0, count, d0, omega, qg):
+    """(u, v) of ``count`` Magnus steps of h from t0, each composed onto the last.
+
+    The step-doubling estimate compared propagators composed this way before
+    it advanced states; kept as the reference for ``ode._advance``.
+    """
+    u, v = ode._magnus_step(h, t0 + 0.5 * h, d0, omega, qg)
+    for j in range(1, count):
+        un, vn = ode._magnus_step(h, t0 + (j + 0.5) * h, d0, omega, qg)
+        u, v = un * u - vn * np.conj(v), un * v + vn * np.conj(u)
+    return u, v
+
+
+# the unchirped published sweep, the strongest published chirp, and the chirp
+# through resonance
+DOUBLING_CASES = {"qg0": (dict(qg=0.0), np.linspace(0.0, 25.0, 2000), 32, "coherent"),
+                  **{c: SCHEDULE_CASES[c] for c in ("qg1.5e7", "crosses_resonance")}}
+
+
+@pytest.mark.parametrize("n", [1, ode.WINDOW])
+@pytest.mark.parametrize("case", sorted(DOUBLING_CASES))
+def test_doubling_error_matches_composed_propagators(case, n):
+    # advancing the state (1, 0) gives the composed propagator's first column,
+    # (u, -conj(v)), and the same error estimate, bit for bit, at the chosen step
+    overrides, lam_t, n_nodes, _ = DOUBLING_CASES[case]
+    p = paper_defaults(**overrides)
+    times = lam_t / p.lam
+    d0 = detuning0_of_p(build_momentum_grid(1.0, n_nodes).nodes, p)
+    omega = p.lam * np.sqrt(np.arange(FIELD.size) + 1.0)
+
+    def step(h, t_mid):
+        return ode._magnus_step(h, t_mid, d0, omega, p.qg)
+
+    h = float(np.diff(times).max()) / ode._substeps(times, step)[0].max()
+    starts = [0.0, float(times[-1]) - n * h]
+    if case == "crosses_resonance":  # centred on node 0's resonance, d0 = qg t
+        starts.append(float(d0[0]) / p.qg - 0.5 * n * h)
+    for t0 in starts:
+        u, v = composed_propagator(h, t0, n, d0, omega, p.qg)
+        a, b = ode._advance(1.0, 0.0, h, t0, n, step)
+        assert np.array_equal(a, u) and np.array_equal(b, -np.conj(v))
+        uc, vc = composed_propagator(0.5 * h, t0, 2 * n, d0, omega, p.qg)
+        composed = float(max(np.max(np.abs(u - uc)), np.max(np.abs(v - vc))))
+        assert ode._doubling_error(h, t0, step, n) == composed
 
 
 def test_zero_gravity_computes_one_step_per_length(monkeypatch, stored_sweeps):
