@@ -141,8 +141,8 @@ def _refuse_taken(out: Path, names: list) -> bool:
 def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
     """Write one qg sweep's files (named by _sweep_files) into out.
 
-    The sweep holds each sample's overlaps per momentum node and the amplitudes of its last
-    instant, which Q and the cat report read.  Raises ValueError, before any write, if a
+    The sweep holds each sample's overlaps and the field state rows of its last instant,
+    which Q and the cat report read.  Raises ValueError, before any write, if a
     sample's norm is NaN or above 1 + NORM_SLACK.
     """
     sweep = _states_for(sc, sc.backend, qg)
@@ -159,7 +159,7 @@ def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
     if "entropy" in files:
         _write_scalar_csv(files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
     if set(SNAPSHOT_OUTPUTS) & set(files):
-        st = sweep[-1]
+        st = sweep.last
         qg_data = q_function(st, sc.qgrid_spec(), sc.alpha)
         if "qgrid" in files:
             _write_qgrid(files["qgrid"].with_suffix(""), qg_data)

@@ -2,10 +2,10 @@
 
 The Hamiltonian constants and the detuning they give each momentum node, the
 coherent-field initial amplitudes, the Gauss-Hermite discretization of the
-center-of-mass momentum wavepacket, the branch-amplitude container of one
-instant, and the sweep builder of both backends, which reduces each sample
-over the Fock axis as it is produced and keeps the amplitudes of the last
-instant alone.
+center-of-mass momentum wavepacket, the container of one instant's field
+state rows, and the sweep builder of both backends, which weights each
+sample's amplitudes by node and level, reduces them to overlaps as they are
+produced and keeps the rows of the last instant alone.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -167,48 +167,39 @@ def build_momentum_grid(sigma0: float, n_nodes: int) -> MomentumGrid:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Amplitudes of the two atomic branches at the instant ``t``.
+    """The field state's rows at the instant ``t``.
 
-    ``c[k, n]`` is the excited-branch amplitude on Fock level n at momentum
-    node k, ``d[k, n]`` the ground-branch one, each (K, nmax + 2).  The
-    branches share the Fock axis: d[:, 0] = 0 holds the one-level shift of
-    the ground ladder.
+    ``c[k, n]`` is sqrt(w_k) times the excited-branch amplitude on Fock level
+    n at momentum node k of weight w_k, ``d[k, n]`` the ground-branch one,
+    each (K, nmax + 2).  These 2K rows b give the reduced field state
+    rho_F = sum_b |b><b|.  The branches share the Fock axis: d[:, 0] = 0
+    holds the one-level shift of the ground ladder.
     """
 
     t: float
     c: np.ndarray
     d: np.ndarray
-    grid: MomentumGrid
 
     @property
     def nfock(self) -> int:
         return self.c.shape[-1]
 
     def norm(self) -> float:
-        """Momentum-weighted total probability on both branches."""
-        per_node = np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=-1)
-        return per_node @ self.grid.weights
-
-    def node_overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fock-axis overlaps (<C|C>, <D|D>, <C|D>) per momentum node."""
-        return (np.vecdot(self.c, self.c).real, np.vecdot(self.d, self.d).real,
-                np.vecdot(self.c, self.d))
+        """Total probability on both branches, Tr rho_F."""
+        return np.sum(np.abs(self.c) ** 2 + np.abs(self.d) ** 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class Sweep:
     """A sweep over the (T,) sample times ``t``, reduced as it was produced.
 
-    ``cc``, ``dd`` and ``cd`` are (T, K): the Fock-axis inner products
-    <C|C>, <D|D> and <C|D> of every sample at every momentum node, complex as
-    ``np.vecdot`` gives them.  ``node_overlaps`` hands on the real parts of
-    the first two as views, as ``BranchState.node_overlaps`` does, so the
-    momentum weighting sums the same numbers with the same strides and agrees
-    bit for bit (a contiguous copy can round differently).  ``last`` is the
-    instant t[-1] with its amplitudes, the only one a sweep keeps:
-    ``sweep[-1]`` and ``sweep[T - 1]`` are it, any other index raises
-    IndexError, and iterating yields it alone.  ``grid`` holds the nodes and
-    weights, and ``meta`` the backend's record of how it computed the sweep.
+    ``cc``, ``dd`` and ``cd`` are (T,): the inner products <C|C>, <D|D> and
+    <C|D> of every sample's rows, summed over nodes and Fock levels, complex
+    as ``np.vecdot`` gives them.  ``last`` is the instant t[-1] with its
+    rows, the only one a sweep keeps: ``sweep[-1]`` and ``sweep[T - 1]`` are
+    it, any other index raises IndexError, and iterating yields it alone
+    (both only for ``perfbench/``, until it reads ``last``).  ``meta`` is the
+    backend's record of how it computed the sweep.
     """
 
     t: np.ndarray
@@ -216,7 +207,6 @@ class Sweep:
     dd: np.ndarray
     cd: np.ndarray
     last: BranchState
-    grid: MomentumGrid
     meta: dict
 
     def __getitem__(self, i) -> BranchState:
@@ -227,10 +217,6 @@ class Sweep:
 
     def __iter__(self):
         yield self.last
-
-    def node_overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fock-axis overlaps (<C|C>, <D|D>, <C|D>) per sample and momentum node."""
-        return self.cc.real, self.dd.real, self.cd
 
 
 def check_times(times) -> np.ndarray:
@@ -261,13 +247,15 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
 
     Each piece yields runs (lo, x, y) with the excited and ground amplitudes
     (x, y) of every block for rows lo, lo + 1, ..., each (R, K, nmax + 1) with
-    nmax = w.size - 1.  Row lo + r's branches are C_n = w_n x[r, :, n] and
-    D_{n+1} = w_n y[r, :, n], with the coherent amplitudes w, on the shared
-    (K, nmax + 2) Fock axis.  They are stored in a pair of padded buffers that
-    the thread keeps for the whole sweep, and reduced over the Fock axis into
-    rows lo.. of the sweep's ``cc``, ``dd`` and ``cd``; the last row's
-    amplitudes are copied into ``Sweep.last``, and the backend's ``meta``
-    becomes ``Sweep.meta``.  Pieces must yield disjoint rows.  They run on a
+    nmax = w.size - 1.  Row lo + r's field state rows are
+    C_kn = sqrt(w_k) w_n x[r, k, n] and D_k(n+1) = sqrt(w_k) w_n y[r, k, n],
+    with the node weights w_k of ``grid`` and the coherent amplitudes w_n of
+    ``w``, on the shared (K, nmax + 2) Fock axis: no other code applies either
+    weight.  They are stored in a pair of padded buffers that the thread keeps
+    for the whole sweep, and each row is summed over nodes and levels at once
+    into rows lo.. of the sweep's (T,) ``cc``, ``dd`` and ``cd``; the last row
+    is copied into ``Sweep.last``, and the backend's ``meta`` becomes
+    ``Sweep.meta``.  Pieces must yield disjoint rows.  They run on a
     thread pool of one thread per CPU the process may use, at most one per
     piece, and each is reduced by the thread that runs it; with one thread
     they run in order in the calling thread.  Every row is the same whichever
@@ -275,12 +263,13 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     reaches the caller unchanged once the pieces before it have finished;
     pieces not yet started by then are cancelled.
     """
+    table = np.sqrt(grid.weights)[:, None] * w
     shape = (grid.nodes.size, w.size + 1)
-    cc = np.empty((times.size, shape[0]), dtype=np.complex128)
+    cc = np.empty(times.size, dtype=np.complex128)
     dd = np.empty_like(cc)
     cd = np.empty_like(cc)
     last = BranchState(t=times[-1], c=np.empty(shape, dtype=np.complex128),
-                       d=np.empty(shape, dtype=np.complex128), grid=grid)
+                       d=np.empty(shape, dtype=np.complex128))
     # a fresh pair per run would map and unmap it (a chunk's pair is above the
     # allocator's mmap threshold), so each thread keeps one, grown to its longest run
     buffers = threading.local()
@@ -293,11 +282,12 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
                 buffers.c = np.zeros((len(x),) + shape, dtype=np.complex128)
                 buffers.d = np.zeros_like(buffers.c)
             c, d = buffers.c[: len(x)], buffers.d[: len(x)]
-            np.multiply(w, x, out=c[..., : w.size])
-            np.multiply(w, y, out=d[..., 1:])
-            np.vecdot(c, c, out=cc[rows])
-            np.vecdot(d, d, out=dd[rows])
-            np.vecdot(c, d, out=cd[rows])
+            np.multiply(table, x, out=c[..., : w.size])
+            np.multiply(table, y, out=d[..., 1:])
+            flat_c, flat_d = c.reshape(len(x), -1), d.reshape(len(x), -1)
+            np.vecdot(flat_c, flat_c, out=cc[rows])
+            np.vecdot(flat_d, flat_d, out=dd[rows])
+            np.vecdot(flat_c, flat_d, out=cd[rows])
             if rows.stop == times.size:
                 last.c[...] = c[-1]
                 last.d[...] = d[-1]
@@ -309,4 +299,4 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     else:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, pieces))
-    return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last, grid=grid, meta=meta)
+    return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last, meta=meta)

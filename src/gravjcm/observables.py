@@ -1,13 +1,13 @@
 """Reduced-field observables of a branch state.
 
-Momentum-averaged overlaps of an instant, or of a whole sweep that its builder
-has already summed over the Fock axis, in one weighted sum per overlap; atomic
-inversion, the two-branch field entropy, the Husimi Q quasiprobability on a
-phase-space grid, peak analysis of Q for bimodality (cat) detection, and
-fidelity against the analytic cat ansatz.
+Momentum-averaged overlaps of a sweep, which its builder summed as it was
+produced; atomic inversion, the two-branch field entropy, the Husimi Q
+quasiprobability on a phase-space grid, peak analysis of Q for bimodality
+(cat) detection, and fidelity against the analytic cat ansatz.  Each reads
+the field state's rows, already weighted by momentum node.
 Q is evaluated a few grid rows at a time, as one matrix product of each
 chunk's Gaussian-seeded Fock ladder with the field state's significant modes
-(the stacked branches projected on the eigenvectors of their Gram matrix
+(the stacked rows projected on the eigenvectors of their Gram matrix
 above rounding level, often a few of the 2K rows), so its working set is a
 few MB and a window of any size stays finite.
 """
@@ -87,19 +87,15 @@ class QPeakReport:
     bimodal: bool = False
 
 
-def overlaps(state: BranchState | Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum-weighted branch overlaps (<C|C>, <D|D>, <C|D>) of an instant or a sweep.
+def overlaps(sweep: Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum-weighted branch overlaps (<C|C>, <D|D>, <C|D>), one value per sample.
 
     The branch arrays share the Fock axis, so the cross term is the plain
     inner product; through the one-level ladder shift it pairs the n-th
-    excited amplitude with the (n+1)-th ground amplitude.  The Fock axis is
-    summed by ``node_overlaps`` (a ``Sweep`` summed it as it was produced)
-    and the nodes against their weights by one ``np.vecdot`` per overlap,
-    which gives one value per sample of a sweep.
+    excited amplitude with the (n+1)-th ground amplitude.  ``core.branch_sweep``
+    summed each sample's weighted rows over nodes and levels as it produced them.
     """
-    w = state.grid.weights
-    cc, dd, cd = state.node_overlaps()
-    return np.vecdot(w, cc), np.vecdot(w, dd), np.vecdot(w, cd)
+    return sweep.cc.real, sweep.dd.real, sweep.cd
 
 
 def inversion(cc: np.ndarray, dd: np.ndarray) -> np.ndarray:
@@ -172,8 +168,8 @@ def _significant_modes(branches: np.ndarray) -> np.ndarray:
 def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     """Husimi Q(beta) = (1/pi) sum_k w_k (|<beta|C_k>|^2 + |<beta|D_k>|^2).
 
-    The sqrt(w_k)-weighted branches form the rows of one 2K x N matrix B, so
-    Q at a grid point is (1/pi) times the squared norm of B applied to the
+    B is the 2K x N matrix of the state's rows, the sqrt(w_k)-weighted branches,
+    so Q at a grid point is (1/pi) times the squared norm of B applied to the
     point's Fock ladder <beta|n> = exp(-|beta|^2/2) conj(beta)^n / sqrt(n!).
     B is first reduced to its r significant modes (``_significant_modes``):
     its projections on the eigenvectors of the 2K x 2K Gram matrix B B^H
@@ -193,8 +189,7 @@ def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     check_q_window(min(-spec.xmin, spec.xmax, -spec.ymin, spec.ymax), alpha)
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
-    root_w = np.sqrt(state.grid.weights)[:, None]
-    branches = _significant_modes(np.concatenate([root_w * state.c, root_w * state.d]))
+    branches = _significant_modes(np.concatenate([state.c, state.d]))
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, state.nfock))
     ladder = np.empty((state.nfock, _Q_CHUNK_ROWS * spec.nx), dtype=np.complex128)
     vals = np.empty((spec.ny, spec.nx))
@@ -309,11 +304,11 @@ def cat_fidelity(state: BranchState, alpha: complex) -> float:
     """Overlap with the separable cat-time ansatz (|e> + i|g>)/sqrt(2) x |psi_f>.
 
     |psi_f> is ``cat_ansatz``: the initial coherent amplitudes weighted by
-    the photon number, n w_n, normalized.  Fidelity is the momentum-weighted
-    squared projection, 1 exactly when the state equals the ansatz.
+    the photon number, n w_n, normalized.  Fidelity is the squared projection
+    summed over the state's rows, 1 exactly when the state equals the ansatz.
     """
     psi = cat_ansatz(alpha, state.nfock)
     proj_c = state.c @ np.conj(psi)
     proj_d = state.d @ np.conj(psi)
     amp = (proj_c - 1j * proj_d) / math.sqrt(2.0)
-    return float(np.dot(state.grid.weights, np.abs(amp) ** 2))
+    return float(np.sum(np.abs(amp) ** 2))

@@ -106,9 +106,8 @@ class Scenario:
             self.params_for(self.qg_list[0])
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        if self.n_nodes < 1:
-            raise ScenarioError("n_nodes must be >= 1")
-        # one node suffices: the sigma0 rule does not depend on the node count
+        # the grid's two rules apart: n_nodes at sigma0 = 1, sigma0 at one node
+        _layer_check("n_nodes", build_momentum_grid, 1.0, self.n_nodes)
         _layer_check("sigma0", build_momentum_grid, self.sigma0, 1)
         nmax = _layer_check("alpha", adaptive_nmax, self.alpha)
         _layer_check("alpha", coherent_amplitudes, self.alpha, nmax)

@@ -107,9 +107,9 @@ def snapshot(lam_t, params, qgrid_n):
     """Branch state, fig3-window Q grid and entropy at one scaled time."""
     field = coherent_amplitudes(ALPHA, NMAX)
     grid = build_momentum_grid(SIGMA0, N_NODES)
-    st = branch_states_ode_sweep(np.array([lam_t / params.lam]), params, field, grid)[0]
-    qgrid = q_function(st, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), ALPHA)
-    return st, qgrid, float(entropy(*overlaps(st)).s_f)
+    sweep = branch_states_ode_sweep(np.array([lam_t / params.lam]), params, field, grid)
+    qgrid = q_function(sweep.last, QGridSpec(-9.0, 9.0, -9.0, 9.0, qgrid_n, qgrid_n), ALPHA)
+    return sweep.last, qgrid, float(entropy(*overlaps(sweep)).s_f[-1])
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ def test_criterion_8_q_normalization(fig3_data):
         dx = q.x[1] - q.x[0]
         dy = q.y[1] - q.y[0]
         worst = max(worst, abs(float(q.values.sum()) * dx * dy - 1.0))
-    report(8, "every emitted Q grid Riemann-sums to 1 within 2%",
+    report(8, "every fig3 Q grid of the ode backend Riemann-sums to 1 within 2%",
            worst <= 0.02, f"worst deviation {worst:.2e}")
 
 

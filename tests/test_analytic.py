@@ -40,7 +40,7 @@ from gravjcm.core import (adaptive_nmax, build_momentum_grid, coherent_amplitude
                           paper_defaults)
 from gravjcm.observables import overlaps
 from gravjcm.scenario import builtin_scenario
-from storing_sweep import storing_branch_sweep
+from storing_sweep import storing_branch_sweep, unweighted
 
 # frozen from the quadrature oracle
 EPLUS_PIN_QG15E6 = -1.176472389836063e-08 + 1.1775373758395895e-08j
@@ -323,7 +323,7 @@ def test_analytic_state_initial_condition(small_setup):
     st = branch_states_analytic(np.array([0.0]), p, field, grid)[0]
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
     assert float(np.max(np.abs(st.d))) == 0.0
-    np.testing.assert_allclose(st.c[0, :101], field, atol=1e-14)
+    np.testing.assert_allclose(unweighted(st.c, grid)[0, :101], field, atol=1e-14)
 
 
 def test_analytic_state_regression_pin():
@@ -353,7 +353,7 @@ def test_ground_branch_matches_its_definition(qg, stored_sweeps):
         ep = phase_integral_closed(d0, qg, st.t) if qg > 0 else phase_integral_elementary(d0, st.t)
         _, b = branch_coeffs(n + 1, ep, p.lam)
         expect = w * np.sqrt(b) * np.exp(0.5j * p.lam * ep * np.sqrt(n + 1.0))
-        assert np.all(np.abs(st.d[:, 1:] - expect) <= 1e-14 * np.abs(expect))
+        assert np.all(np.abs(unweighted(st.d, grid)[:, 1:] - expect) <= 1e-14 * np.abs(expect))
 
 
 # --- chunks on a thread pool -----------------------------------------------

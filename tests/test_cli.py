@@ -342,8 +342,10 @@ def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
 # Sample times that overflow to infinite seconds, through a subnormal lam or a
 # huge t_end, and a time grid or Q grid too large to allocate: 800 PB of times
 # or 80 PB of Q values lie beyond any 64-bit address space, so numpy's
-# allocation fails at once and touches no memory.  Each is one scenario error
-# line naming the key at fault.
+# allocation fails at once and touches no memory.  So does the 728 TiB
+# Gauss-Hermite companion matrix of 10^7 momentum nodes, after numpy has built
+# its 10^7 coefficients (~0.2 GB for ~1 s).  Each is one scenario error line
+# naming the key at fault.
 BAD_TIME_GRIDS = {
     "times_overflow_to_inf": ("lam = 1e-320\n", "key 'lam'"),
     "t_end_overflows_seconds": ("lam = 1e-3\nt_end = 1e308\n",
@@ -351,13 +353,14 @@ BAD_TIME_GRIDS = {
     "n_samples_too_large": ("n_samples = 100000000000000000\n", "key 'n_samples': Unable"),
     "qgrid_n_too_large": ("t_end = 0\nn_samples = 1\noutputs = qgrid\nqgrid.n = 100000000\n",
                           "key 'qgrid.n': Unable"),
+    "n_nodes_too_large": ("n_nodes = 10000000\n", "key 'n_nodes': Unable"),
 }
 
 
 @pytest.mark.parametrize("command", ["run", "crosscheck"])
 @pytest.mark.parametrize("text, says", BAD_TIME_GRIDS.values(), ids=BAD_TIME_GRIDS)
 def test_bad_time_grid_is_one_scenario_error(tmp_path, capsys, command, text, says):
-    scn = write_scenario(tmp_path, "qg = 0\nn_nodes = 2\n" + text)
+    scn = write_scenario(tmp_path, "qg = 0\n" + text)
     out = tmp_path / "out"
     out.mkdir()
     argv = [command, str(scn)] + (["--out", str(out)] if command == "run" else [])
@@ -452,9 +455,8 @@ def test_run_deterministic_bytes(tmp_path):
 
 
 def sweep_overlaps(sweep):
-    """(cc, dd, cd) per sample, summed over the momentum nodes and Fock levels by hand."""
-    wk = sweep.grid.weights[:, None]
-    return [np.sum(wk * v, axis=(1, 2))
+    """(cc, dd, cd) per sample: the weighted rows summed over nodes and Fock levels by hand."""
+    return [np.sum(v, axis=(1, 2))
             for v in (np.abs(sweep.c) ** 2, np.abs(sweep.d) ** 2, np.conj(sweep.c) * sweep.d)]
 
 

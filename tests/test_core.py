@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 from gravjcm.core import (
-    BranchState,
     MomentumGrid,
     TruncationError,
     adaptive_nmax,
+    branch_sweep,
     build_momentum_grid,
     check_times,
     coherent_amplitudes,
@@ -140,11 +140,10 @@ def test_momentum_grid_weight_sum_enforced():
 
 
 def test_branch_state_norm():
+    # one run of one sample: block 0 of each node holds half on each branch
+    x = np.zeros((1, 2, 3), dtype=np.complex128)
+    x[..., 0] = math.sqrt(0.5)
     grid = build_momentum_grid(1.0, 2)
-    c = np.zeros((2, 4), dtype=np.complex128)
-    d = np.zeros_like(c)
-    c[:, 0] = math.sqrt(0.5)
-    d[:, 1] = math.sqrt(0.5)
-    st = BranchState(t=0.0, c=c, d=d, grid=grid)
+    st = branch_sweep(np.zeros(1), [[(0, x, x)]], np.ones(3), grid, {}).last
     assert st.norm() == pytest.approx(1.0, abs=1e-14)
     assert st.nfock == 4

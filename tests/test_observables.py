@@ -13,8 +13,8 @@ from gravjcm import observables
 from gravjcm.analytic import branch_states_analytic
 from gravjcm.core import (
     BranchState,
-    MomentumGrid,
     adaptive_nmax,
+    branch_sweep,
     build_momentum_grid,
     coherent_amplitudes,
     paper_defaults,
@@ -24,6 +24,7 @@ from gravjcm.observables import (
     QGrid,
     QGridSpec,
     _significant_modes,
+    cat_ansatz,
     cat_fidelity,
     entropy,
     inversion,
@@ -33,28 +34,29 @@ from gravjcm.observables import (
 )
 from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import builtin_scenario
-from storing_sweep import StoredSweep
-
-SINGLE_NODE = MomentumGrid(nodes=np.zeros(1), weights=np.ones(1))
+from storing_sweep import StoredSweep, unweighted
 
 
 def pure_states(c_rows, d_rows):
-    """A single-node sweep whose sample i holds the pure branches c_rows[i], d_rows[i]."""
+    """A sweep on one node of weight 1 whose sample i holds the branches c_rows[i], d_rows[i]."""
     c = np.asarray(c_rows, dtype=np.complex128)[:, None, :]
     return StoredSweep(t=np.arange(float(c.shape[0])), c=c,
-                       d=np.asarray(d_rows, dtype=np.complex128)[:, None, :], grid=SINGLE_NODE,
-                       meta={})
+                       d=np.asarray(d_rows, dtype=np.complex128)[:, None, :], meta={})
 
 
 def pure_state(c_vec, d_vec):
     return pure_states([c_vec], [d_vec])[0]
 
 
-def coherent_branch_state(alpha, nmax=100):
-    w = coherent_amplitudes(alpha, nmax)
+def coherent_branch_states(alpha, nmax=100):
+    """A one-sample single-node sweep of the coherent state on the excited branch."""
     c = np.zeros(nmax + 2, dtype=np.complex128)
-    c[: nmax + 1] = w
-    return pure_state(c, np.zeros_like(c))
+    c[: nmax + 1] = coherent_amplitudes(alpha, nmax)
+    return pure_states([c], [np.zeros_like(c)])
+
+
+def coherent_branch_state(alpha, nmax=100):
+    return coherent_branch_states(alpha, nmax)[0]
 
 
 def triple(cc, dd, cd):
@@ -79,29 +81,32 @@ def test_overlaps_cross_term_pairs_shifted_levels():
 
 
 def test_overlaps_reduce_each_state_of_a_sweep(stored_sweeps):
-    # one call over the sweep gives each instant's own reduction, bit for bit; the
-    # per-sample np.dot form stays as a reference within a few ulps
+    # one call over the sweep gives each instant's own reduction, the last row of its
+    # one-sample sweep, bit for bit; the per-sample per-node np.dot form on the
+    # unweighted amplitudes stays as a reference within a few ulps
     p = paper_defaults(qg=1.5e7)
     field = coherent_amplitudes(2.0, adaptive_nmax(2.0))
     grid = build_momentum_grid(1.0, 4)
     times = np.linspace(0.0, 6e-6, 7)
+    wk = grid.weights
     for sweep_of in (branch_states_ode_sweep, branch_states_analytic):
         sweep = sweep_of(times, p, field, grid)
         whole = overlaps(sweep)
         for i in range(times.size):
-            st = sweep[i]
-            assert all(col[i] == one for col, one in zip(whole, overlaps(st)))
-            wk = st.grid.weights
-            hand = (np.dot(wk, np.sum(np.abs(st.c) ** 2, axis=1)),
-                    np.dot(wk, np.sum(np.abs(st.d) ** 2, axis=1)),
-                    np.dot(wk, np.sum(np.conj(st.c) * st.d, axis=1)))
+            one = StoredSweep(t=times[i : i + 1], c=sweep.c[i : i + 1], d=sweep.d[i : i + 1],
+                              meta={})
+            assert all(col[i] == own[-1] for col, own in zip(whole, overlaps(one)))
+            c, d = unweighted(sweep.c[i], grid), unweighted(sweep.d[i], grid)
+            hand = (np.dot(wk, np.sum(np.abs(c) ** 2, axis=1)),
+                    np.dot(wk, np.sum(np.abs(d) ** 2, axis=1)),
+                    np.dot(wk, np.sum(np.conj(c) * d, axis=1)))
             for col, ref in zip(whole, hand):
                 assert abs(col[i] - ref) <= 4 * np.finfo(float).eps
 
 
 def test_entropy_pure_branch_is_zero():
     # one instant's overlaps are scalars; entropy takes them as they come
-    e = entropy(*overlaps(coherent_branch_state(2.0, 40)))
+    e = entropy(*(part[-1] for part in overlaps(coherent_branch_states(2.0, 40))))
     assert e.pi_plus == pytest.approx(1.0, abs=1e-12)
     assert e.s_f == pytest.approx(0.0, abs=1e-12)
 
@@ -241,25 +246,31 @@ def test_q_function_coherent_state_exact():
     assert np.max(np.abs(q.values - exact)) <= 1e-12 / math.pi
 
 
-def q_reference(state, spec):
-    """Per-node two-GEMV evaluation over the whole grid, kept as q_function's reference."""
+def q_reference(c, d, weights, spec):
+    """Per-node two-GEMV evaluation over the whole grid, kept as q_function's reference.
+
+    c and d are the unweighted branch amplitudes per node; node k counts weights[k].
+    """
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
     bx, by = np.meshgrid(x, y)
     beta = bx + 1j * by
-    conj_pow = np.ones(beta.shape + (state.nfock,), dtype=np.complex128)
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, state.nfock))
-    for n in range(state.nfock - 1):
+    nfock = c.shape[-1]
+    conj_pow = np.ones(beta.shape + (nfock,), dtype=np.complex128)
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1, nfock))
+    for n in range(nfock - 1):
         conj_pow[..., n + 1] = conj_pow[..., n] * np.conj(beta) * inv_sqrt[n]
     vals = np.zeros(beta.shape)
-    for k, wk in enumerate(state.grid.weights):
-        vals += wk * (np.abs(conj_pow @ state.c[k]) ** 2 + np.abs(conj_pow @ state.d[k]) ** 2)
+    for k, wk in enumerate(weights):
+        vals += wk * (np.abs(conj_pow @ c[k]) ** 2 + np.abs(conj_pow @ d[k]) ** 2)
     return vals * np.exp(-np.abs(beta) ** 2) / math.pi
 
 
 def normalized_state(c, d, grid):
+    """The instant whose branch amplitudes on grid are c and d normalized, and the grid."""
     norm = math.sqrt(float(np.dot(grid.weights, np.sum(np.abs(c) ** 2 + np.abs(d) ** 2, axis=1))))
-    return BranchState(t=0.0, c=c / norm, d=d / norm, grid=grid)
+    root_w = np.sqrt(grid.weights)[:, None]
+    return BranchState(t=0.0, c=root_w * (c / norm), d=root_w * (d / norm)), grid
 
 
 def mixed_state():
@@ -284,13 +295,18 @@ def rank_three_state():
     return normalized_state(c, d, build_momentum_grid(1.0, 32))
 
 
-def fig3_state():
-    # fig3's instant on the closed form at qg = 1.5e7: 3 of its 64 modes exceed eps Tr G,
-    # the 4th at 1.05e-16 Tr G
+def fig3_sweep():
+    # fig3's instant on the closed form at qg = 1.5e7, and its grid: 3 of its 64 modes
+    # exceed eps Tr G, the 4th at 1.05e-16 Tr G
     sc = builtin_scenario("fig3")
     w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
     grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
-    return branch_states_analytic(sc.times_seconds(), sc.params_for(1.5e7), w, grid)[0]
+    return branch_states_analytic(sc.times_seconds(), sc.params_for(1.5e7), w, grid), grid
+
+
+def fig3_state():
+    sweep, grid = fig3_sweep()
+    return sweep.last, grid
 
 
 STATE_CASES = {"mixed_3_nodes": (mixed_state, 1.0, QGridSpec(-9.0, 9.0, -8.0, 8.0, 73, 61)),
@@ -301,15 +317,10 @@ STATE_CASES = {"mixed_3_nodes": (mixed_state, 1.0, QGridSpec(-9.0, 9.0, -8.0, 8.
 @pytest.mark.parametrize("case", STATE_CASES)
 def test_q_function_matches_reference_on_mixed_state(case):
     make, alpha, spec = STATE_CASES[case]
-    st = make()
+    st, grid = make()
     q = q_function(st, spec, alpha)
-    ref = q_reference(st, spec)
+    ref = q_reference(unweighted(st.c, grid), unweighted(st.d, grid), grid.weights, spec)
     assert np.max(np.abs(q.values - ref)) <= 1e-13 * float(ref.max())
-
-
-def stacked_branches(st):
-    root_w = np.sqrt(st.grid.weights)[:, None]
-    return np.concatenate([root_w * st.c, root_w * st.d])
 
 
 @pytest.mark.parametrize("case, rank", [("mixed_3_nodes", 6), ("rank_3_of_64", 3),
@@ -317,11 +328,59 @@ def stacked_branches(st):
 def test_significant_modes_drop_only_rounding(case, rank):
     # a full-rank state keeps all 2K rows, the rank-3 one keeps 3, and the kept
     # rows carry the whole Frobenius norm up to 2K eps
-    b = stacked_branches(STATE_CASES[case][0]())
+    st, _ = STATE_CASES[case][0]()
+    b = np.concatenate([st.c, st.d])
     modes = _significant_modes(b)
     assert modes.shape == (rank, b.shape[1])
     kept = float(np.sum(np.abs(modes) ** 2))
     assert kept >= (1.0 - b.shape[0] * np.finfo(float).eps) * float(np.sum(np.abs(b) ** 2))
+
+
+def test_sweep_applies_the_weights_once():
+    # a 3-node sweep of one hand-built run holds sqrt(w_k) w_n times each block, bit
+    # for bit, and its overlaps are each sample's flattened rows summed
+    rng = np.random.default_rng(5)
+    grid = build_momentum_grid(1.0, 3)
+    w, x, y = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+               for shape in ((7,), (2, 3, 7), (2, 3, 7)))
+    sweep = branch_sweep(np.arange(2.0), [[(0, x, y)]], w, grid, {})
+    c = np.zeros((2, 3, 8), dtype=np.complex128)
+    d = np.zeros_like(c)
+    c[..., :7] = np.sqrt(grid.weights)[:, None] * w * x
+    d[..., 1:] = np.sqrt(grid.weights)[:, None] * w * y
+    assert np.array_equal(sweep.last.c, c[-1]) and np.array_equal(sweep.last.d, d[-1])
+    rows_c, rows_d = c.reshape(2, -1), d.reshape(2, -1)
+    sums = (np.sum(np.abs(rows_c) ** 2, axis=1), np.sum(np.abs(rows_d) ** 2, axis=1),
+            np.sum(np.conj(rows_c) * rows_d, axis=1))
+    for part, ref in zip(overlaps(sweep), sums):
+        assert np.all(np.abs(part - ref) <= 8 * np.finfo(float).eps * np.abs(ref).max())
+
+
+def weighted_per_node(c, d, weights, alpha, spec):
+    """Norm, overlaps, Q and cat fidelity of the unweighted amplitudes c, d, node k
+    counting weights[k] in each: the formulas the consumers applied before the sweep
+    builder weighted the rows, kept as their reference."""
+    norm = np.sum(np.abs(c) ** 2 + np.abs(d) ** 2, axis=-1) @ weights
+    parts = (np.vecdot(c, c).real, np.vecdot(d, d).real, np.vecdot(c, d))
+    psi = cat_ansatz(alpha, c.shape[-1])
+    amp = (c @ np.conj(psi) - 1j * (d @ np.conj(psi))) / math.sqrt(2.0)
+    return (norm, tuple(np.vecdot(weights, part) for part in parts),
+            q_reference(c, d, weights, spec), float(np.dot(weights, np.abs(amp) ** 2)))
+
+
+def test_consumers_match_the_per_node_weighted_formulas():
+    # fig3's 32-node instant: each consumer reads the weighted rows as they are, and
+    # agrees with the per-node formulas on the unweighted amplitudes
+    sweep, grid = fig3_sweep()
+    _, alpha, spec = STATE_CASES["fig3_qg1p5e7"]
+    st = sweep.last
+    norm, parts, q, fidelity = weighted_per_node(
+        unweighted(st.c, grid), unweighted(st.d, grid), grid.weights, alpha, spec)
+    assert abs(st.norm() - norm) <= 1e-14
+    for part, ref in zip(overlaps(sweep), parts):
+        assert abs(part[-1] - ref) <= 1e-14
+    assert np.max(np.abs(q_function(st, spec, alpha).values - q)) <= 1e-14
+    assert abs(cat_fidelity(st, alpha) - fidelity) <= 1e-14
 
 
 def test_q_function_working_set_is_a_few_mb():

@@ -5,13 +5,15 @@ piecewise-constant 2x2 eigen-propagator for the chirped case, and the DOP853
 integrator ``_integrate`` on the block equations as written, which the
 Magnus propagator must match at tight tolerance.  The Rabi formula checks
 both the Magnus propagator and ``_integrate`` itself.  Single blocks are read
-off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.  A
-sweep keeps only its last instant's amplitudes, so the tests that read every
+off a one-node branch state: c_e = C_n / w_n and c_g = D_{n+1} / w_n.  On a
+grid of K > 1 nodes the rows are first divided by sqrt(w_k) (``unweighted``).
+A sweep keeps only its last instant's rows, so the tests that read every
 sample's take the ``stored_sweeps`` fixture.
 """
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from gravjcm.core import (
 from gravjcm.observables import overlaps
 from gravjcm.ode import IntegrationError, branch_states_ode_sweep
 from gravjcm.scenario import builtin_scenario
-from storing_sweep import store_sweeps
+from storing_sweep import store_sweeps, unweighted
 
 FIELD = coherent_amplitudes(5.0, 100)
 
@@ -152,8 +154,8 @@ def test_sweep_initial_state_and_norm(sweep_setup, stored_sweeps):
     times = np.linspace(0.0, 1e-5, 6)
     sweep = branch_states_ode_sweep(times, p, field, grid)
     assert sweep.c.shape == sweep.d.shape == (6, grid.nodes.size, 102)
-    # the t = 0 sample is the initial state exactly, on every node
-    assert np.array_equal(sweep.c[0, :, :101], np.tile(field, (grid.nodes.size, 1)))
+    # the t = 0 sample is the initial state exactly, sqrt(w_k) w_n on every node
+    assert np.array_equal(sweep.c[0, :, :101], np.sqrt(grid.weights)[:, None] * field)
     assert not np.any(sweep.d[0])
     assert np.all(np.abs(sweep.norm() - 1.0) <= 1e-8)
     assert sweep.meta["backend"] == "ode"
@@ -175,7 +177,8 @@ def test_sweep_block_norm_property(stored_sweeps, alpha, n_nodes, qg, delta0, la
     grid = build_momentum_grid(1.0, n_nodes)
     nb = field.size
     for state in branch_states_ode_sweep(np.linspace(0.0, lam_t / p.lam, 3), p, field, grid):
-        blocks = np.abs(state.c[:, :nb]) ** 2 + np.abs(state.d[:, 1 : nb + 1]) ** 2
+        c, d = unweighted(state.c, grid), unweighted(state.d, grid)
+        blocks = np.abs(c[:, :nb]) ** 2 + np.abs(d[:, 1 : nb + 1]) ** 2
         assert float(np.max(np.abs(blocks - field**2))) <= 1e-12
 
 
@@ -197,8 +200,8 @@ def test_sweep_consistent_with_single_shot(sweep_setup, backend, stored_sweeps):
             if backend == "analytic":
                 assert np.array_equal(st.c, single.c) and np.array_equal(st.d, single.d)
             else:
-                assert float(np.max(np.abs(st.c - single.c))) < 1e-8
-                assert float(np.max(np.abs(st.d - single.d))) < 1e-8
+                assert float(np.max(np.abs(unweighted(st.c - single.c, grid)))) < 1e-8
+                assert float(np.max(np.abs(unweighted(st.d - single.d, grid)))) < 1e-8
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
@@ -206,19 +209,21 @@ def test_sweep_keeps_its_last_instant(sweep_setup, backend, monkeypatch):
     field, grid = sweep_setup
     times = np.linspace(0.0, 3e-6, 5)
     p = paper_defaults(qg=1.5e7)
-    # the sweep holds each sample's overlaps per node and the last instant's amplitudes
+    # the sweep holds each sample's node-summed overlaps and the last instant's rows
     sweep = SWEEPS[backend](times, p, field, grid)
+    assert [f.name for f in fields(sweep)] == ["t", "cc", "dd", "cd", "last", "meta"]
     assert np.array_equal(sweep.t, times)
     for part in (sweep.cc, sweep.dd, sweep.cd):
-        assert part.shape == (times.size, grid.nodes.size)
+        assert part.shape == times.shape
     last = sweep.last
+    assert [f.name for f in fields(last)] == ["t", "c", "d"]
     assert last.c.shape == last.d.shape == (grid.nodes.size, field.size + 1)
     assert sweep[-1] is sweep[times.size - 1] is last
     assert list(sweep) == [last]
-    assert last.t == times[-1] and last.grid is sweep.grid is grid
-    # the sweep carries its backend's meta; the instant holds amplitudes alone
+    assert last.t == times[-1]
+    # the sweep carries its backend's meta; the instant holds rows alone
     assert sweep.meta["backend"] == backend
-    assert not hasattr(last, "meta") and not hasattr(last, "__getitem__")
+    assert not hasattr(last, "__getitem__")
     for i in (0, 3, times.size, -2):
         with pytest.raises(IndexError):
             sweep[i]
@@ -276,7 +281,7 @@ def test_ground_branch_alignment(sweep_setup):
 # Oracle cases: a fig1-style sweep without and with the published gravity, a
 # chirp whose detuning delta0(p) - qg t changes sign inside the sweep, and the
 # strongly chirped resonant case of criterion 7 as a single instant.  A unit
-# "field" (w_n = 1) makes C and D the block amplitudes themselves.
+# "field" (w_n = 1) makes C and D / sqrt(w_k) the block amplitudes themselves.
 ORACLE_CASES = {
     "qg0": (dict(qg=0.0), np.linspace(0.0, 5.0, 401), 4),
     "qg1.5e7": (dict(qg=1.5e7), np.linspace(0.0, 5.0, 401), 4),
@@ -295,8 +300,8 @@ def test_magnus_matches_dop853_oracle(case, monkeypatch, stored_sweeps):
     unit = np.ones(ORACLE_NMAX + 1, dtype=complex)
     times = lam_t / p.lam
     sweep = branch_states_ode_sweep(times, p, unit, grid)
-    ce = sweep.c[..., :-1]
-    cg = sweep.d[..., 1:]
+    ce = unweighted(sweep.c, grid)[..., :-1]
+    cg = unweighted(sweep.d, grid)[..., 1:]
     omega = p.lam * np.sqrt(np.arange(ORACLE_NMAX + 1) + 1.0)
     d0 = detuning0_of_p(grid.nodes, p)
     res = ode._integrate(d0, omega, p.qg, times)
@@ -362,8 +367,8 @@ def test_chosen_substeps_meet_tol(case, monkeypatch, stored_sweeps):
     monkeypatch.setattr(ode, "_substeps", lambda *args: (4 * chosen(*args)[0], 0.0))
     finer = branch_states_ode_sweep(times, p, field, grid)
     assert finer.meta["steps"] == 4 * sweep.meta["steps"]
-    assert float(np.max(np.abs(sweep.c - finer.c))) <= ode.TOL
-    assert float(np.max(np.abs(sweep.d - finer.d))) <= ode.TOL
+    assert float(np.max(np.abs(unweighted(sweep.c - finer.c, grid)))) <= ode.TOL
+    assert float(np.max(np.abs(unweighted(sweep.d - finer.d, grid)))) <= ode.TOL
 
 
 def composed_propagator(h, t0, count, d0, omega, qg):
