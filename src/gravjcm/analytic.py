@@ -15,6 +15,9 @@ The closed and elementary phase integrals and the branch coefficients
 broadcast over arrays of times and momentum nodes, so one call covers a
 chunk of a sweep on the whole grid.  The Faddeeva function is
 scipy's ``wofz`` (S. G. Johnson's Faddeeva Package) behind a finiteness check.
+``scipy.special`` is imported on the first call of ``special_kernels``, not
+with this module: only the closed form at qg > 0 and the audit need it, and a
+scenario that will run the closed form calls it while it is built.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import erf, wofz
 
 from .core import (MomentumGrid, PhysicalParams, Sweep, branch_sweep, check_times,
                    detuning0_of_p)
@@ -46,6 +48,17 @@ class BranchAuditError(RuntimeError):
 # --- complex error function kernels ----------------------------------------
 
 
+def special_kernels() -> tuple:
+    """scipy.special's ``(wofz, erf)``, imported on the first call.
+
+    Later calls find the module in ``sys.modules``.  Raises ImportError where
+    scipy.special cannot be imported.
+    """
+    from scipy.special import erf, wofz
+
+    return wofz, erf
+
+
 def _checked(kernel, z):
     """kernel(z) for finite z; a non-finite value for a finite z overflowed."""
     z = np.asarray(z, dtype=np.complex128)
@@ -64,6 +77,7 @@ def faddeeva(z):
     Raises OverflowError where w itself leaves the double range, which
     happens deep in the lower half-plane (w(0.1 - 27i) ~ exp(729)).
     """
+    wofz, _ = special_kernels()
     return _checked(wofz, z)
 
 
@@ -155,6 +169,7 @@ def closed_form_variant(d0: float, qg: float, t: float, variant: tuple) -> compl
     x = d0 / math.sqrt(2.0 * qg)
     s = math.sqrt(qg / 2.0) * t
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
+    _, erf = special_kernels()
     bracket = -_checked(erf, 1j * ROOT_1_34 * x) + sign2 * _checked(erf, ray2 * (x - s))
     return pref * cmath.exp(1j * exp_sign * x * x) * bracket
 

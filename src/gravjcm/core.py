@@ -27,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TRUNCATION_EPS = 1e-12
+# Most momentum nodes whose Gauss-Hermite rule numpy (2.4) computes finitely:
+# from 371 on its weights overflow, and the normalized rule is NaN.
+MAX_NODES = 370
 
 
 class TruncationError(ValueError):
@@ -141,8 +144,10 @@ class MomentumGrid:
     weights: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.nodes)):
+            raise ValueError("nodes must be finite")
         s = float(np.sum(self.weights))
-        if abs(s - 1.0) > 1e-12:
+        if not abs(s - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"weights must sum to 1, got {s}")
 
 
@@ -153,10 +158,11 @@ def build_momentum_grid(sigma0: float, n_nodes: int) -> MomentumGrid:
     Hermite weight exp(-x^2); the rule is then exact for polynomials in p up
     to degree 2*n_nodes - 1.  Weights are renormalized to unit sum (the
     published wavepacket prefactor does not square-integrate to 1; we keep
-    the shape and fix the normalization).
+    the shape and fix the normalization).  n_nodes is at most MAX_NODES, and a
+    larger count is rejected before any rule is computed.
     """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+    if not 1 <= n_nodes <= MAX_NODES:
+        raise ValueError(f"n_nodes must be in 1 .. {MAX_NODES}, got {n_nodes}")
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
     x, v = np.polynomial.hermite.hermgauss(n_nodes)

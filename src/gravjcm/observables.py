@@ -9,7 +9,7 @@ Q is evaluated a few grid rows at a time, as one matrix product of each
 chunk's Gaussian-seeded Fock ladder with the field state's significant modes
 (the stacked rows projected on the eigenvectors of their Gram matrix
 above rounding level, often a few of the 2K rows), so its working set is a
-few MB and a window of any size stays finite.
+few MB and a window of any size stays finite.  No observable imports scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import entr
 
 from .core import BranchState, Sweep, coherent_amplitudes
 
@@ -103,6 +102,17 @@ def inversion(cc: np.ndarray, dd: np.ndarray) -> np.ndarray:
     return cc - dd
 
 
+def _entr(v) -> np.ndarray:
+    """-v ln v per value, 0 at v = 0: scipy.special.entr bit for bit for v in [0, 1].
+
+    Each value goes through ``math.log``, the C library's log, as in entr;
+    numpy's vectorized log may round differently.  A scalar v gives a scalar.
+    """
+    v = np.asarray(v, dtype=float)
+    terms = [-x * math.log(x) if x > 0 else 0.0 for x in v.ravel().tolist()]
+    return np.array(terms).reshape(v.shape)[()]
+
+
 def entropy(cc: np.ndarray, dd: np.ndarray, cd: np.ndarray) -> EntropyPair:
     """Two-branch entropy of the overlaps [[cc, cd], [conj(cd), dd]] per sample.
 
@@ -131,7 +141,7 @@ def entropy(cc: np.ndarray, dd: np.ndarray, cd: np.ndarray) -> EntropyPair:
     pi_plus = 0.5 * (1.0 + root)
     pi_minus = 0.5 * (1.0 - root)
     return EntropyPair(pi_plus=pi_plus, pi_minus=pi_minus,
-                       s_f=entr(pi_plus) + entr(pi_minus))
+                       s_f=_entr(pi_plus) + _entr(pi_minus))
 
 
 def check_q_window(reach: float, alpha: complex) -> None:

@@ -20,6 +20,11 @@ belongs to a numerical layer (the Hamiltonian constants, sigma0, a finite
 the Q window and grid, the cat ansatz's norm)
 call that layer's own check, so each bound is written once.  The Fock cutoff
 is no input: ``adaptive_nmax`` derives it from alpha.
+
+An analytic scenario with some qg > 0 runs the closed form, so building it
+imports ``scipy.special`` (``analytic.special_kernels``): the import falls in
+the scenario's set-up, never inside a sweep, and a missing kernel is a
+scenario error.  No other scenario loads a scipy module.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import special_kernels
 from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, check_times,
                    coherent_amplitudes, paper_defaults)
 from .observables import QGridSpec, cat_ansatz, check_q_window
@@ -53,11 +59,12 @@ def qg_token(qg: float) -> str:
 def _layer_check(key: str, check, *args):
     """Run a numerical layer's own argument check as a scenario rule; returns its result.
 
-    An array too large to allocate is a scenario error too.
+    An array too large to allocate, or a kernel that cannot be imported, is a
+    scenario error too.
     """
     try:
         return check(*args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, ImportError) as exc:
         raise ScenarioError(f"key {key!r}: {exc}") from exc
 
 
@@ -96,6 +103,8 @@ class Scenario:
             raise ScenarioError("qg_list must be non-empty")
         if not all(0 <= v < math.inf for v in self.qg_list):
             raise ScenarioError("qg values must be finite and >= 0")
+        if self.backend == "analytic" and any(self.qg_list):  # the closed form
+            _layer_check("backend", special_kernels)
         tags = [qg_token(v) for v in self.qg_list]
         if len(set(self.qg_list)) < len(tags) or len(set(tags)) < len(tags):
             raise ScenarioError(

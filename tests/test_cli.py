@@ -6,6 +6,7 @@ the full builtin figures are exercised by the acceptance suite.
 
 import math
 import shlex
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from gravjcm.cli import main
 from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from gravjcm.observables import QGrid, QGridSpec, q_function
 from gravjcm.ode import branch_states_ode_sweep
-from gravjcm.scenario import parse_scenario
+from gravjcm.scenario import ScenarioError, parse_scenario
 from storing_sweep import store_sweeps
 
 SMALL_SWEEP = """\
@@ -342,10 +343,9 @@ def test_run_bad_input_rejected_up_front(tmp_path, capsys, text):
 # Sample times that overflow to infinite seconds, through a subnormal lam or a
 # huge t_end, and a time grid or Q grid too large to allocate: 800 PB of times
 # or 80 PB of Q values lie beyond any 64-bit address space, so numpy's
-# allocation fails at once and touches no memory.  So does the 728 TiB
-# Gauss-Hermite companion matrix of 10^7 momentum nodes, after numpy has built
-# its 10^7 coefficients (~0.2 GB for ~1 s).  Each is one scenario error line
-# naming the key at fault.
+# allocation fails at once and touches no memory.  10^7 momentum nodes are
+# above the node cap, refused before any Gauss-Hermite rule is computed.  Each
+# is one scenario error line naming the key at fault.
 BAD_TIME_GRIDS = {
     "times_overflow_to_inf": ("lam = 1e-320\n", "key 'lam'"),
     "t_end_overflows_seconds": ("lam = 1e-3\nt_end = 1e308\n",
@@ -353,7 +353,12 @@ BAD_TIME_GRIDS = {
     "n_samples_too_large": ("n_samples = 100000000000000000\n", "key 'n_samples': Unable"),
     "qgrid_n_too_large": ("t_end = 0\nn_samples = 1\noutputs = qgrid\nqgrid.n = 100000000\n",
                           "key 'qgrid.n': Unable"),
-    "n_nodes_too_large": ("n_nodes = 10000000\n", "key 'n_nodes': Unable"),
+    # from 371 nodes numpy's Gauss-Hermite weights overflow: such a scenario once
+    # built and failed after its sweeps with "branch norm nan"
+    "n_nodes_above_cap": ("n_nodes = 371\n",
+                          f"key 'n_nodes': n_nodes must be in 1 .. {core.MAX_NODES}, got 371"),
+    "n_nodes_too_large": ("n_nodes = 10000000\n",
+                          f"key 'n_nodes': n_nodes must be in 1 .. {core.MAX_NODES}, got 10000000"),
 }
 
 
@@ -368,6 +373,37 @@ def test_bad_time_grid_is_one_scenario_error(tmp_path, capsys, command, text, sa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("scenario error: ") and says in err[0]
     assert not any(out.iterdir())
+
+
+def test_largest_node_count_runs(tmp_path):
+    # the cap is no lower than it must be: its rule is finite all the way to the entropy
+    text = SMALL_SWEEP.replace("n_nodes = 4", f"n_nodes = {core.MAX_NODES}").replace(
+        "n_samples = 40", "n_samples = 3").replace("t_end = 6", "t_end = 1")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+    entropy = np.loadtxt(out / "custom_qg0_entropy.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(entropy))
+
+
+def test_missing_closed_form_kernel(tmp_path, capsys, monkeypatch):
+    # without scipy.special the closed form at qg > 0 cannot run; that is known
+    # while the scenario is built, and every other scenario still runs
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    base = SMALL_SWEEP.replace("delta0 = 0", "delta0 = 8.5e7").replace(
+        "outputs = inversion, entropy", "outputs = inversion")
+    runs = {"closed_form": ("0, 1.5e7", "analytic", 1), "ode": ("0, 1.5e7", "ode", 0),
+            "elementary": ("0", "analytic", 0)}
+    for kind, (qg, backend, code) in runs.items():
+        text = base.replace("qg = 0", f"qg = {qg}") + f"backend = {backend}\n"
+        if code:
+            with pytest.raises(ScenarioError, match="key 'backend': .*scipy.special"):
+                parse_scenario(text)
+        out = tmp_path / kind
+        out.mkdir()
+        assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == code, kind
+        assert any(out.iterdir()) == (code == 0), kind
+    assert capsys.readouterr().err.count("scenario error: key 'backend'") == 1
 
 
 @pytest.mark.parametrize("delta0, code", [(0.0, 2), (8.5e7, 0)],

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 from gravjcm.core import (
+    MAX_NODES,
     MomentumGrid,
     TruncationError,
     adaptive_nmax,
@@ -137,6 +139,23 @@ def test_momentum_grid_single_node():
 def test_momentum_grid_weight_sum_enforced():
     with pytest.raises(ValueError):
         MomentumGrid(nodes=np.zeros(2), weights=np.array([0.6, 0.3]))
+    # NaN weights, as a rule whose weights overflowed normalizes to, and NaN nodes
+    with pytest.raises(ValueError, match="sum to 1, got nan"):
+        MomentumGrid(nodes=np.zeros(2), weights=np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        MomentumGrid(nodes=np.array([np.nan, 0.0]), weights=np.array([0.5, 0.5]))
+
+
+def test_momentum_grid_node_cap():
+    # the largest rule is finite and normalized; one node more is refused before
+    # numpy computes a rule, whose weights would overflow
+    g = build_momentum_grid(1.0, MAX_NODES)
+    assert np.all(np.isfinite(g.nodes)) and g.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    for n in (MAX_NODES + 1, 10**7):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"n_nodes must be in 1 .. {MAX_NODES}, got {n}"):
+            build_momentum_grid(1.0, n)
+        assert time.perf_counter() - start < 0.1  # 10^7 took ~1 s and ~0.2 GB uncapped
 
 
 def test_branch_state_norm():

@@ -12,10 +12,13 @@ that name is read, since the syntax tree carries no types.  ``gravjcm.ode``
 (the production Magnus backend, whose ``_integrate`` is the DOP853 oracle)
 and ``gravjcm.analytic`` share only ``gravjcm.core``.
 
-A run imports only what it runs: the DOP853 oracle's ``scipy.integrate``, and
-the scipy subpackages it pulls in, stay out of a fresh interpreter's
-``sys.modules`` through a whole ``run``, while the oracle still calls
-``gravjcm.ode.solve_ivp``, the name the benchmark's tracer wraps.
+A run imports only what it runs.  An ode run, a sweep or a snapshot, leaves
+a fresh interpreter's ``sys.modules`` without any scipy module: the DOP853
+oracle's ``scipy.integrate`` is imported on its first call, and no observable
+uses scipy.  An analytic scenario with a qg > 0 runs the closed form on
+``scipy.special``, which building the scenario imports, before any sweep.  The
+oracle still calls ``gravjcm.ode.solve_ivp``, the name the benchmark's tracer
+wraps.
 """
 
 import ast
@@ -174,30 +177,41 @@ def test_physical_params_only_where_a_sweep_starts():
     assert found == PHYSICAL_PARAMS_SIGNATURES
 
 
-# imported by the DOP853 oracle alone; a run starts and ends without them
-ORACLE_ONLY_MODULES = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.optimize")
-
-
-# a sweep, and a snapshot whose Q grid reduces the field state to its significant modes
-RUN_OUTPUTS = {"sweep": "outputs = inversion\nn_samples = 5\n",
-               "snapshot": "outputs = qgrid, cat_report\nn_samples = 1\nt_start = 1\n"}
+# an ode sweep and an ode snapshot, whose Q grid reduces the field state to its
+# significant modes, load no scipy module; the closed form at qg > 0 loads
+# scipy.special while its scenario is built
+RUN_OUTPUTS = {"sweep": "qg = 0\noutputs = inversion, entropy\nn_samples = 5\n",
+               "snapshot": "qg = 0\noutputs = qgrid, cat_report\nn_samples = 1\nt_start = 1\n",
+               "closed_form": "qg = 0, 1.5e7\nbackend = analytic\noutputs = inversion\n"
+                              "n_samples = 5\n"}
 
 
 @pytest.mark.parametrize("kind", RUN_OUTPUTS)
 def test_run_does_not_import_the_oracle(tmp_path, kind):
     scn = tmp_path / "scn.txt"
-    scn.write_text("alpha = 2\nqg = 0\nt_end = 1\nn_nodes = 2\n" + RUN_OUTPUTS[kind],
-                   encoding="utf-8")
+    scn.write_text("alpha = 2\nt_end = 1\nn_nodes = 2\n" + RUN_OUTPUTS[kind], encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
-    code = ("import sys\nfrom gravjcm.cli import main\n"
-            f"assert main(['run', {str(scn)!r}, '--out', {str(out)!r}]) == 0\n"
-            f"print('loaded:', *[m for m in {ORACLE_ONLY_MODULES!r} if m in sys.modules])\n")
+    code = ("import sys\nfrom pathlib import Path\nfrom gravjcm import cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "print('imported:', *scipy_modules())\n"
+            f"cli.parse_scenario(Path({str(scn)!r}).read_text(encoding='utf-8'))\n"
+            "print('built:', *scipy_modules())\n"
+            f"assert cli.main(['run', {str(scn)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print('run:', *scipy_modules())\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "loaded:"
+    lines = {line.split(":")[0]: line.split()[1:] for line in result.stdout.splitlines()}
+    imported, built, run = lines["imported"], lines["built"], lines["run"]
+    assert imported == []
+    if kind == "closed_form":
+        assert "scipy.special" in built and run == built
+        assert not {"scipy.integrate", "scipy.linalg"} & set(run)
+    else:
+        assert built == run == []
 
 
 def test_oracle_calls_the_module_solve_ivp(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import entr
 
 from gravjcm import observables
 from gravjcm.analytic import branch_states_analytic
@@ -153,6 +154,28 @@ def test_entropy_matches_scalar_formula_bit_for_bit():
             if lam > 0.0:
                 s -= lam * math.log(lam)
         assert s_f[i] == s
+
+
+def fig2_eigenvalues(qg):
+    sc = builtin_scenario("fig2")
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
+    e = entropy(*overlaps(branch_states_ode_sweep(sc.times_seconds(), sc.params_for(qg), w, grid)))
+    return e.pi_plus, e.pi_minus
+
+
+def test_entropy_terms_are_scipy_entr_bit_for_bit():
+    # scipy.special.entr is the reference; the run computes its terms without scipy
+    tiny = np.finfo(float).tiny
+    edge = np.array([0.0, 1.0, 0.5, 5e-324, 1e-310, tiny, np.nextafter(tiny, 0.0),
+                     np.nextafter(1.0, 0.0)])
+    values = np.concatenate([edge, *fig2_eigenvalues(1.5e7), *fig2_eigenvalues(0.0)])
+    assert np.array_equal(observables._entr(values).view(np.int64),
+                          entr(values).view(np.int64))
+    # a scalar stays a scalar, 1 gives -0.0 as entr does
+    term = observables._entr(np.float64(1.0))
+    assert np.ndim(term) == 0 and np.array_equal(np.float64(term).view(np.int64),
+                                                 entr(1.0).view(np.int64))
 
 
 def test_entropy_norm_gate():
