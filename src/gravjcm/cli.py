@@ -9,7 +9,9 @@ the same way: a scenario file or ``--builtin NAME``.
 
 Standard output carries machine-readable summaries only; progress chatter
 goes to standard error.  Floating-point values are serialized with 17
-significant digits so a round trip through text is exact.
+significant digits (``FMT``) so a round trip through text is exact.  The CSV
+and Q-grid files format whole blocks of values with numpy (``_cells``), byte
+for byte what one ``FMT % v`` per value writes; a non-finite value is refused.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .analytic import (
     BranchAuditError,
     audit_branch_variants,
     branch_states_analytic,
+    special_kernels,
 )
 from .core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from .observables import (
@@ -61,6 +64,190 @@ def _fmt(v: float) -> str:
     return FMT % v
 
 
+# --- FMT for whole arrays ---------------------------------------------------
+# '%.17g' % v costs ~1.5 us a value (CPython's dtoa takes its bignum path for 17
+# digits), and a Q grid is 160 801 of them.  _cells writes the same bytes with a
+# fixed number of numpy passes over a block of values.
+
+# 10^k for k in _K_LO.._K_HI (every 16 - E of a finite double, +-1) as
+# (hi + lo) 2^ex: hi in [1, 2) holds 53 bits, lo the next 53, truncated
+_K_LO, _K_HI = -294, 342
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+
+
+def _pow10_table():
+    rows, exps = np.empty((_K_HI + 1 - _K_LO, 4)), np.empty(_K_HI + 1 - _K_LO, np.int32)
+    for i, k in enumerate(range(_K_LO, _K_HI + 1)):
+        p = 10 ** abs(k)
+        ex = p.bit_length() - 1 if k >= 0 else -p.bit_length()
+        # floor(10^k 2^(105 - ex)), 106 bits
+        if k < 0:
+            t = (1 << (105 - ex)) // p
+        else:
+            t = p << (105 - ex) if ex <= 105 else p >> (ex - 105)
+        hi = (t >> 53) / (1 << 52)
+        c = hi * _SPLIT
+        hh = c - (c - hi)
+        rows[i] = hi, hh, hi - hh, (t & ((1 << 53) - 1)) / (1 << 105)
+        exps[i] = ex
+    return rows, exps
+
+
+_POW10, _POW10_EXP = _pow10_table()
+
+
+def _scaled(m: np.ndarray, e2: np.ndarray, i: np.ndarray):
+    """m 2^e2 10^(_K_LO + i) as a double-double (hi, lo), relative error < 2^-102.
+
+    m * (hi + lo) by Dekker's two-product (numpy has no fused multiply-add) and
+    a fast two-sum; the power of two is applied exactly by ldexp.
+    """
+    b, bh, bl, bo = np.take(_POW10, i, axis=0).T
+    c = m * _SPLIT
+    mh = c - (c - m)
+    ml = m - mh
+    p = m * b
+    t = (((mh * bh - p) + mh * bl + ml * bh) + ml * bl) + m * bo
+    s = p + t
+    ex = e2 + np.take(_POW10_EXP, i)
+    return np.ldexp(s, ex), np.ldexp(t - (s - p), ex)
+
+
+def _digits17(v: np.ndarray):
+    """(N, E) of finite float64 v: the digits and exponent '%.16e' % v prints.
+
+    N is the int64 of the 17 correctly rounded significant digits, in
+    [1e16, 1e17), and 0 for +-0 (whose E is 0).  |v| 10^(16 - E) is formed in
+    double-double, within 2^-45 below 1e17, and rounded by its fraction; a
+    fraction within 1e-9 of 1/2 (an exact tie, or too close to tell) takes its
+    digits from '%.16e' % v.
+    """
+    a = np.abs(v)
+    zero = a == 0
+    a[zero] = 1.0  # any finite stand-in: N and E of a zero are set at the end
+    m, e2 = np.frexp(a)
+    E = np.floor(np.log10(a)).astype(np.int32)
+    sh, sl = _scaled(m, e2, (16 - _K_LO) - E)
+    # log10 rounds: E can be one off near a power of ten
+    off = (sh < 1e16) | ((sh == 1e16) & (sl < 0)) | (sh >= 1e17)
+    if off.any():
+        E[off] += np.where(sh[off] >= 1e17, 1, -1).astype(np.int32)
+        sh[off], sl[off] = _scaled(m[off], e2[off], (16 - _K_LO) - E[off])
+    fl = np.floor(sl)  # sh >= 1e16 > 2^53 is an integer
+    frac = sl - fl
+    N = sh.astype(np.int64) + fl.astype(np.int64) + (frac > 0.5)
+    for i in np.flatnonzero(np.abs(frac - 0.5) < 1e-9):
+        digits, _, exp = ("%.16e" % a[i]).partition("e")
+        N[i], E[i] = int(digits.replace(".", "")), int(exp)
+    up = N == 10 ** 17  # rounded up to the next power of ten
+    N[up] = 10 ** 16
+    E[up] += 1
+    N[zero] = 0
+    E[zero] = 0
+    return N, E
+
+
+# A cell is four uint64 words, read as 32 little-endian bytes (so a left shift by
+# 8 moves each byte to the next address); a 0 byte is no character:
+#   word 0: sign, then "0." and zeros for fixed notation below 1
+#   words 1-3: the 17 digits with their '.' in bytes 0..17, then "e+dd" or
+#   "e-ddd" in bytes 18..22, and the separator in byte 31
+_CELL = 32
+
+
+def _words(strings: list, at: int) -> np.ndarray:
+    """uint64 words holding ASCII strings of <= 8 - at bytes from byte at, 0-padded."""
+    return np.frombuffer(b"".join((b"\0" * at + s.encode()).ljust(8, b"\0") for s in strings),
+                         "<u8").astype(np.uint64)
+
+
+def _ascii4() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, as the low 4 bytes of a word."""
+    d = np.arange(100, dtype=np.uint32)
+    two = (d // 10 + 48) | ((d % 10 + 48) << 8)
+    return (two[:, None] | (two << 16)).ravel().astype(np.uint64)
+
+
+_T4 = _ascii4()
+# E + 324 -> the exponent at bytes 2.. of word 3; none where E is written in fixed notation
+_EXP_WORDS = _words(["" if -4 <= e < 17 else f"e{e:+03d}" for e in range(-324, 309)], at=2)
+
+
+def _layout_table() -> np.ndarray:
+    """Row (clip(E, -5, 17) + 5) * 18 + last + 1 -> 10 words for a cell.
+
+    last is the index of the last nonzero digit (-1 for 0).  The words are the
+    head, then for words 1-3 the masks of the digits before the '.', of the
+    digits after it (read shifted one byte up), and the '.' itself.  %g writes
+    fixed notation for -4 <= E < 17, drops trailing zeros after the point and a
+    bare point.
+    """
+    e, last = np.divmod(np.arange(23 * 18), 18)
+    e, last = e - 5, last - 1
+    below_one = (e >= -4) & (e < 0)
+    point = np.where(below_one, 17, np.where((e >= 0) & (e < 17), e + 1, 1))  # digits before it
+    keep = np.where(below_one, last + 1, np.where(last >= point, last + 2, point))
+    j = np.arange(24)
+    before = j < np.minimum(point, keep)[:, None]
+    after = (j > point[:, None]) & (j < keep[:, None])
+    dot = (j == point[:, None]) & (j < keep[:, None])
+    heads = _words(["", "0.", "0.0", "0.00", "0.000"], at=1)[np.where(below_one, -e, 0)]
+    masks = [(mask * fill).astype(np.uint8).view("<u8").astype(np.uint64)
+             for mask, fill in ((before, 255), (after, 255), (dot, 46))]
+    return np.column_stack([heads, *masks])
+
+
+_LAYOUT = _layout_table()
+
+
+def _cells(v, sep: str) -> np.ndarray:
+    """(v.size, _CELL) uint8: each value of v as FMT writes it, 0-padded, then sep.
+
+    Raises ValueError on a non-finite value.
+    """
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("only finite values are written")
+    N, E = _digits17(v)
+    hi8 = N // 10 ** 9  # digits 0..7
+    lo9 = N - hi8 * 10 ** 9
+    mid8 = lo9 // 10  # digits 8..15
+    d16 = lo9 - mid8 * 10  # digit 16
+    g0, g2 = hi8 // 10000, mid8 // 10000  # digits 0..3, 8..11
+    # digits 0..7 and 8..15 as ASCII words, digit j in byte j % 8
+    x0 = _T4.take(g0) | (_T4.take(hi8 - g0 * 10000) << 32)
+    x1 = _T4.take(g2) | (_T4.take(mid8 - g2 * 10000) << 32)
+    # last nonzero digit: the highest nonzero byte of x ^ '0...'; each byte is <= 9, so
+    # rounding to float64 keeps the highest set bit in its byte
+    e1 = np.frexp((x1 ^ 0x3030303030303030).astype(np.float64))[1]
+    e0 = np.frexp((x0 ^ 0x3030303030303030).astype(np.float64))[1]
+    last = np.maximum(np.maximum(17 * (d16 != 0) - 1, 8 * (e1 > 0) + ((e1 - 1) >> 3)),
+                      (e0 - 1) >> 3)
+    x2 = (d16 + 48).astype(np.uint64)
+    row = (np.minimum(np.maximum(E, -5), 17) + 5) * 18 + last + 1
+    head, *m = np.take(_LAYOUT, row, axis=0).T
+    out = np.empty((v.size, 4), np.uint64)
+    out[:, 0] = head | np.signbit(v) * np.uint64(ord("-"))
+    out[:, 1] = (x0 & m[0]) | ((x0 << 8) & m[3]) | m[6]
+    out[:, 2] = (x1 & m[1]) | (((x1 << 8) | (x0 >> 56)) & m[4]) | m[7]
+    out[:, 3] = ((x2 & m[2]) | (((x2 << 8) | (x1 >> 56)) & m[5]) | m[8]
+                 | _EXP_WORDS.take(E + 324))
+    cells = out.astype("<u8", copy=False).view(np.uint8)
+    cells[:, -1] = ord(sep)
+    return cells
+
+
+def _text(cells: np.ndarray) -> bytes:
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _line(v) -> bytes:
+    """v written with FMT, space-separated, as one line."""
+    cells = _cells(v, " ")
+    cells[-1, -1] = ord("\n")
+    return _text(cells)
+
+
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
@@ -73,9 +260,16 @@ def _states_for(sc: Scenario, backend: str, qg: float):
     return sweep(sc.times_seconds(), sc.params_for(qg), w, grid)
 
 
+_BLOCK = 2048  # values per _cells pass: ~0.7 MiB of temporaries
+
+
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:
-    np.savetxt(path, np.column_stack([lam_t, values]), fmt=FMT, delimiter=",",
-               header="lambda_t,value", comments="", encoding="utf-8")
+    """Write ``lambda_t,value`` lines: what ``np.savetxt`` with FMT writes, byte for byte."""
+    with path.open("wb") as fh:
+        fh.write(b"lambda_t,value\n")
+        for lo in range(0, len(lam_t), _BLOCK):
+            fh.write(_text(np.hstack([_cells(lam_t[lo:lo + _BLOCK], ","),
+                                      _cells(values[lo:lo + _BLOCK], "\n")])))
 
 
 QGRID_SUFFIXES = (".csv", ".matrix.txt")  # long form, matrix form
@@ -84,30 +278,26 @@ QGRID_SUFFIXES = (".csv", ".matrix.txt")  # long form, matrix form
 def _write_qgrid(base: Path, grid) -> None:
     """Write a Q grid as BASE.csv (``x,y,q`` lines, y-major) and BASE.matrix.txt.
 
-    Each distinct value is formatted once with FMT: the axis labels up front,
-    each row's Q values by one ``%`` of a row format as that row is reached.
-    The long form's lines come from one template with the x labels built in,
-    filled per row with y and the row's Q strings.  Both files are streamed
-    row by row; the text is what ``np.savetxt`` with FMT writes, byte for
-    byte, without a whole-grid buffer.
+    The text is what ``np.savetxt`` with FMT writes, byte for byte.  Both files
+    are streamed a block of grid rows at a time, from one ``_cells`` pass over
+    the block's Q values; the long form puts the x and y cells, formatted once
+    up front, before each Q cell.
     """
-    xs = [_fmt(v) for v in grid.x.tolist()]
-    ys = [_fmt(v) for v in grid.y.tolist()]
-    row_fmt = " ".join([FMT] * len(xs))
-    long_row = "".join(f"{x},%s,%s\n" for x in xs)  # each line's y, then its q
-    fields = [None] * (2 * len(xs))
+    nx = grid.x.size
+    xs, ys = _cells(grid.x, ","), _cells(grid.y, ",")[:, None]
+    rows = max(1, _BLOCK // nx)
     long_path, matrix_path = (base.with_name(base.name + s) for s in QGRID_SUFFIXES)
-    with long_path.open("w", encoding="utf-8") as long_fh, \
-            matrix_path.open("w", encoding="utf-8") as matrix_fh:
-        long_fh.write("x,y,q\n")
-        matrix_fh.write("# rows: y ascending; columns: x ascending\n"
-                        f"# x {' '.join(xs)}\n# y {' '.join(ys)}\n")
-        for y, row in zip(ys, grid.values):
-            qline = row_fmt % tuple(row.tolist())
-            fields[0::2] = [y] * len(xs)
-            fields[1::2] = qline.split(" ")
-            long_fh.write(long_row % tuple(fields))
-            matrix_fh.write(qline + "\n")
+    with long_path.open("wb") as long_fh, matrix_path.open("wb") as matrix_fh:
+        long_fh.write(b"x,y,q\n")
+        matrix_fh.write(b"# rows: y ascending; columns: x ascending\n# x " + _line(grid.x)
+                        + b"# y " + _line(grid.y))
+        for lo in range(0, grid.y.size, rows):
+            q = _cells(grid.values[lo:lo + rows], " ").reshape(-1, nx, _CELL)
+            q[:, -1, -1] = ord("\n")
+            matrix_fh.write(_text(q))
+            q[..., -1] = ord("\n")
+            long_fh.write(_text(np.concatenate(np.broadcast_arrays(xs, ys[lo:lo + rows], q),
+                                               axis=-1)))
 
 
 def _write_kv(path: Path, pairs: list) -> None:
@@ -239,6 +429,13 @@ def _cmd_crosscheck(args) -> int:
     sc, code = _load_scenario(args)
     if sc is None:
         return code
+    if any(sc.qg_list):  # the closed form's kernel, before the first sweep
+        try:
+            special_kernels()
+        except ImportError as exc:
+            print(f"scenario error: key 'qg': crosscheck runs the closed form at qg > 0, "
+                  f"and scipy.special cannot be imported ({exc})", file=sys.stderr)
+            return EXIT_SCENARIO
     for qg_val in sc.qg_list:
         _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:
@@ -264,6 +461,9 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         audit = audit_branch_variants()
+    except ImportError as exc:
+        print(f"audit failure: scipy.special cannot be imported ({exc})", file=sys.stderr)
+        return EXIT_SCENARIO
     except BranchAuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

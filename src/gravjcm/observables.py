@@ -264,9 +264,13 @@ def q_peak_analysis(q: QGrid) -> QPeakReport:
     """
     v = q.values
     cut = PEAK_REL_THRESHOLD * float(v.max())
-    win = np.lib.stride_tricks.sliding_window_view(v, (3, 3))  # win[i, j] centred on v[i+1, j+1]
-    centre = win[..., 1:2, 1:2]
-    mask = (np.count_nonzero(win < centre, axis=(-2, -1)) == 8) & (centre[..., 0, 0] > cut)
+    centre = v[1:-1, 1:-1]
+    mask = centre > cut
+    ny, nx = v.shape
+    for dy in range(3):
+        for dx in range(3):
+            if dy != 1 or dx != 1:
+                mask &= v[dy:ny - 2 + dy, dx:nx - 2 + dx] < centre
     iys, ixs = np.nonzero(mask)
     locs, heights, widths = [], [], []
     for iy, ix in zip(iys + 1, ixs + 1):

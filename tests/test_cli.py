@@ -12,12 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravjcm import analytic, cli, core
 from gravjcm.analytic import branch_states_analytic
 from gravjcm.cli import main
 from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
-from gravjcm.observables import QGrid, QGridSpec, q_function
+from gravjcm.observables import QGrid, QGridSpec, entropy, inversion, overlaps, q_function
 from gravjcm.ode import branch_states_ode_sweep
 from gravjcm.scenario import ScenarioError, parse_scenario
 from storing_sweep import store_sweeps
@@ -156,6 +158,85 @@ def test_qgrid_writer_streams_rows(tmp_path):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert (tmp_path / "g_qgrid.matrix.txt").stat().st_size > 401 ** 2 * 17
+
+
+def array_text(values):
+    """The array formatter's text for values, one per line."""
+    return cli._text(cli._cells(np.asarray(values, dtype=np.float64), "\n")).decode("ascii")
+
+
+def per_value_text(values):
+    return "".join(f"{cli.FMT % v}\n" for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# every bit pattern: each exponent, subnormals and both signs equally likely
+FROM_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: float(np.array(b, np.uint64).view(np.float64))).filter(math.isfinite)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(FINITE, FROM_BITS))
+def test_array_formatter_matches_fmt_on_any_double(v):
+    assert array_text([v]) == per_value_text([v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(FINITE, FROM_BITS), min_size=1, max_size=300))
+def test_array_formatter_matches_fmt_on_mixed_arrays(values):
+    assert array_text(values) == per_value_text(values)
+
+
+FMT_EDGES = {
+    "exact_ties_round_half_even": (
+        [1000000000000000.25, 1000000000000000.75, 1000000000000001.25, -1000000000000001.75],
+        ["1000000000000000.2", "1000000000000000.8", "1000000000000001.2", "-1000000000000001.8"]),
+    "signed_zeros": ([0.0, -0.0], ["0", "-0"]),
+    "smallest_subnormal": ([5e-324, -5e-324], ["4.9406564584124654e-324",
+                                               "-4.9406564584124654e-324"]),
+    "largest_double": ([1.7976931348623157e308], ["1.7976931348623157e+308"]),
+    "rounds_up_to_1e17": ([99999999999999999.0, 1e16, 1e17],
+                          ["1e+17", "10000000000000000", "1e+17"]),
+    "fixed_notation_ends_at_1e-4": ([9.9999999999999995e-05, 1e-4, 1.5e-4, 1e-5],
+                                    ["9.9999999999999991e-05", "0.0001", "0.00014999999999999999",
+                                     "1.0000000000000001e-05"]),
+    "three_digit_exponents": ([1e100, -1.5e-100, 1e-300, 2.2250738585072014e-308],
+                              ["1e+100", "-1.5e-100", "1e-300", "2.2250738585072014e-308"]),
+}
+
+
+@pytest.mark.parametrize("values, expected", FMT_EDGES.values(), ids=FMT_EDGES.keys())
+def test_array_formatter_edge_cases(values, expected):
+    assert per_value_text(values) == "".join(f"{e}\n" for e in expected)
+    assert array_text(values) == per_value_text(values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_refuse_non_finite_values(tmp_path, bad):
+    values = np.array([0.5, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        array_text(values)
+    with pytest.raises(ValueError, match="finite"):
+        cli._write_scalar_csv(tmp_path / "s.csv", np.arange(3.0), values)
+    grid = QGrid(x=np.arange(3.0), y=np.arange(2.0), values=np.vstack([values, values]))
+    with pytest.raises(ValueError, match="finite"):
+        cli._write_qgrid(tmp_path / "g_qgrid", grid)
+
+
+def test_scalar_csv_matches_savetxt_on_a_sweep(tmp_path):
+    # a real 2000-sample sweep's inversion and entropy, against np.savetxt with FMT
+    sc = parse_scenario(SMALL_SWEEP.replace("n_samples = 40", "n_samples = 2000")
+                        .replace("qg = 0", "qg = 1.5e7"))
+    sweep = cli._states_for(sc, sc.backend, 1.5e7)
+    cc, dd, cd = overlaps(sweep)
+    lam_t = sc.times_scaled()
+    for name, values in (("inversion", inversion(cc, dd)), ("entropy", entropy(cc, dd, cd).s_f)):
+        cli._write_scalar_csv(tmp_path / f"{name}.csv", lam_t, values)
+        np.savetxt(tmp_path / f"{name}_ref.csv", np.column_stack([lam_t, values]), fmt=cli.FMT,
+                   delimiter=",", header="lambda_t,value", comments="", encoding="utf-8")
+        text = (tmp_path / f"{name}.csv").read_bytes()
+        assert text == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert text.count(b"\n") == 2001
 
 
 @pytest.mark.parametrize("argv", [["crosscheck"], ["run", "--builtin", "fig1"]],
@@ -404,6 +485,25 @@ def test_missing_closed_form_kernel(tmp_path, capsys, monkeypatch):
         assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == code, kind
         assert any(out.iterdir()) == (code == 0), kind
     assert capsys.readouterr().err.count("scenario error: key 'backend'") == 1
+
+
+def test_commands_missing_closed_form_kernel(tmp_path, capsys, monkeypatch):
+    # crosscheck runs the closed form on every qg: at qg > 0 a missing scipy.special
+    # is one scenario error before the first sweep, and the audit one failure line
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    assert main(["crosscheck", str(write_scenario(tmp_path, SMALL_SWEEP, "zero.txt"))]) == 0
+    capsys.readouterr()
+    sweeps = []
+    monkeypatch.setattr(cli, "_states_for", lambda *args: sweeps.append(args))
+    scn = write_scenario(tmp_path, SMALL_SWEEP.replace("qg = 0", "qg = 0, 1.5e7"))
+    assert main(["crosscheck", str(scn)]) == 1
+    assert main(["audit-branches"]) == 1
+    assert sweeps == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    crosscheck, audit = err.splitlines()
+    assert crosscheck.startswith("scenario error: key 'qg': ") and "scipy.special" in crosscheck
+    assert audit.startswith("audit failure: scipy.special cannot be imported")
 
 
 @pytest.mark.parametrize("delta0, code", [(0.0, 2), (8.5e7, 0)],

@@ -18,7 +18,8 @@ oracle's ``scipy.integrate`` is imported on its first call, and no observable
 uses scipy.  An analytic scenario with a qg > 0 runs the closed form on
 ``scipy.special``, which building the scenario imports, before any sweep.  The
 oracle still calls ``gravjcm.ode.solve_ivp``, the name the benchmark's tracer
-wraps.
+wraps.  Importing ``gravjcm.cli`` loads neither ``fractions`` nor ``decimal``:
+the array formatter builds its power-of-ten table from Python ints.
 """
 
 import ast
@@ -212,6 +213,17 @@ def test_run_does_not_import_the_oracle(tmp_path, kind):
         assert not {"scipy.integrate", "scipy.linalg"} & set(run)
     else:
         assert built == run == []
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # the array formatter builds its power-of-ten table from Python ints
+    code = ("import sys\nimport gravjcm.cli\n"
+            "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
 
 
 def test_oracle_calls_the_module_solve_ivp(monkeypatch):

@@ -476,6 +476,38 @@ def test_peak_mask_matches_neighbour_by_neighbour_reference(monkeypatch):
         assert set(rep.locations) == expect and rep.count == len(expect)
 
 
+def sliding_window_peak_mask(v):
+    """Peak mask as a count of strictly lower cells in each 3x3 window, kept as the reference."""
+    win = np.lib.stride_tricks.sliding_window_view(v, (3, 3))  # win[i, j] centred on v[i+1, j+1]
+    centre = win[..., 1:2, 1:2]
+    cut = PEAK_REL_THRESHOLD * float(v.max())
+    return (np.count_nonzero(win < centre, axis=(-2, -1)) == 8) & (centre[..., 0, 0] > cut)
+
+
+def test_peak_mask_matches_sliding_window_reference(monkeypatch):
+    # plateaus, ties, NaN and infinities, on square and non-square grids
+    monkeypatch.setattr(observables, "_refine_peak",
+                        lambda q, iy, ix: (complex(ix, iy), float(q.values[iy, ix]), 1.0))
+    rng = np.random.default_rng(47)
+    grids = [rng.integers(0, k, size=shape).astype(float)
+             for k in (2, 3, 6) for shape in ((3, 3), (5, 9), (17, 11)) for _ in range(10)]
+    grids += [np.exp(-np.abs(np.linspace(-3, 3, 41)[None, :] + 1j * np.linspace(-2, 4, 37)[:, None]
+                             - c) ** 2) for c in (0.0, 1 + 1j, 3.0)]
+    for bad in (np.nan, np.inf, -np.inf):
+        for v in grids[:30:3]:
+            w = v.copy()
+            w[rng.integers(0, w.shape[0]), rng.integers(0, w.shape[1])] = bad
+            grids.append(w)
+    found = 0
+    for v in grids:
+        iys, ixs = np.nonzero(sliding_window_peak_mask(v))
+        rep = q_peak_analysis(QGrid(x=np.arange(v.shape[1] * 1.0), y=np.arange(v.shape[0] * 1.0),
+                                    values=v))
+        assert set(rep.locations) == {complex(ix + 1, iy + 1) for iy, ix in zip(iys, ixs)}
+        found += rep.count
+    assert found > 50  # the grids do hold peaks
+
+
 def test_peak_analysis_overlapping_blobs_not_bimodal():
     # separation below twice the width: no cat call even with two maxima
     rep = q_peak_analysis(synthetic_two_gaussian_grid(sep=2.2, width=1.0))
