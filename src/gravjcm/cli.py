@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from importlib import metadata as _im
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analytic import (
     BranchAuditError,
     audit_branch_variants,
@@ -48,13 +48,6 @@ EXIT_OK = 0
 EXIT_SCENARIO = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-
-def _version() -> str:
-    try:
-        return _im.version("gravjcm")
-    except _im.PackageNotFoundError:
-        return "unknown"
 
 
 FMT = "%.17g"
@@ -241,11 +234,11 @@ def _text(cells: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
-def _line(v) -> bytes:
-    """v written with FMT, space-separated, as one line."""
-    cells = _cells(v, " ")
-    cells[-1, -1] = ord("\n")
-    return _text(cells)
+def _rows(block, sep: str) -> np.ndarray:
+    """(R, C, _CELL) cells of the 2-d block: sep between values, a newline ending each row."""
+    cells = _cells(block, sep).reshape(*block.shape, _CELL)
+    cells[:, -1, -1] = ord("\n")
+    return cells
 
 
 def _progress(msg: str) -> None:
@@ -265,35 +258,30 @@ _BLOCK = 2048  # values per _cells pass: ~0.7 MiB of temporaries
 
 def _write_scalar_csv(path: Path, lam_t: np.ndarray, values: np.ndarray) -> None:
     """Write ``lambda_t,value`` lines: what ``np.savetxt`` with FMT writes, byte for byte."""
+    pairs = np.column_stack((lam_t, values))
     with path.open("wb") as fh:
         fh.write(b"lambda_t,value\n")
-        for lo in range(0, len(lam_t), _BLOCK):
-            fh.write(_text(np.hstack([_cells(lam_t[lo:lo + _BLOCK], ","),
-                                      _cells(values[lo:lo + _BLOCK], "\n")])))
+        for lo in range(0, len(pairs), _BLOCK // 2):
+            fh.write(_text(_rows(pairs[lo:lo + _BLOCK // 2], ",")))
 
 
-QGRID_SUFFIXES = (".csv", ".matrix.txt")  # long form, matrix form
-
-
-def _write_qgrid(base: Path, grid) -> None:
-    """Write a Q grid as BASE.csv (``x,y,q`` lines, y-major) and BASE.matrix.txt.
+def _write_qgrid(long_path: Path, matrix_path: Path, grid) -> None:
+    """Write a Q grid's ``x,y,q`` lines (y-major) to long_path and its matrix to matrix_path.
 
     The text is what ``np.savetxt`` with FMT writes, byte for byte.  Both files
-    are streamed a block of grid rows at a time, from one ``_cells`` pass over
+    are streamed a block of grid rows at a time, from one ``_rows`` pass over
     the block's Q values; the long form puts the x and y cells, formatted once
-    up front, before each Q cell.
+    up front, before each Q cell, and ends its line there.
     """
-    nx = grid.x.size
     xs, ys = _cells(grid.x, ","), _cells(grid.y, ",")[:, None]
-    rows = max(1, _BLOCK // nx)
-    long_path, matrix_path = (base.with_name(base.name + s) for s in QGRID_SUFFIXES)
+    rows = max(1, _BLOCK // grid.x.size)
     with long_path.open("wb") as long_fh, matrix_path.open("wb") as matrix_fh:
         long_fh.write(b"x,y,q\n")
-        matrix_fh.write(b"# rows: y ascending; columns: x ascending\n# x " + _line(grid.x)
-                        + b"# y " + _line(grid.y))
+        matrix_fh.write(b"# rows: y ascending; columns: x ascending\n"
+                        + b"# x " + _text(_rows(grid.x[None], " "))
+                        + b"# y " + _text(_rows(grid.y[None], " ")))
         for lo in range(0, grid.y.size, rows):
-            q = _cells(grid.values[lo:lo + rows], " ").reshape(-1, nx, _CELL)
-            q[:, -1, -1] = ord("\n")
+            q = _rows(grid.values[lo:lo + rows], " ")
             matrix_fh.write(_text(q))
             q[..., -1] = ord("\n")
             long_fh.write(_text(np.concatenate(np.broadcast_arrays(xs, ys[lo:lo + rows], q),
@@ -310,12 +298,12 @@ def _sweep_files(sc: Scenario, qg: float) -> dict:
     """Each of sc's outputs mapped to the names of the files one qg sweep writes for it.
 
     Outputs and names are in writing order: NAME_TAG_inversion.csv,
-    NAME_TAG_entropy.csv, the Q grid's NAME_TAG_qgrid plus QGRID_SUFFIXES,
-    NAME_TAG_cat_report.txt.
+    NAME_TAG_entropy.csv, the Q grid's long form NAME_TAG_qgrid.csv and matrix
+    form NAME_TAG_qgrid.matrix.txt, NAME_TAG_cat_report.txt.
     """
     prefix = f"{sc.name}_{qg_token(qg)}_"
     files = {"inversion": ["inversion.csv"], "entropy": ["entropy.csv"],
-             "qgrid": ["qgrid" + s for s in QGRID_SUFFIXES], "cat_report": ["cat_report.txt"]}
+             "qgrid": ["qgrid.csv", "qgrid.matrix.txt"], "cat_report": ["cat_report.txt"]}
     return {o: [prefix + f for f in fs] for o, fs in files.items() if o in sc.outputs}
 
 
@@ -342,21 +330,20 @@ def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
     bad = norm[~(norm <= 1.0 + NORM_SLACK)]
     if bad.size:
         raise ValueError(f"branch norm {bad[0]:.6g} exceeds 1 + {NORM_SLACK:g} at qg = {qg:g}")
-    # each output's first file; the Q grid's two files share its stem
-    files = {o: out / fs[0] for o, fs in _sweep_files(sc, qg).items()}
+    files = {o: [out / f for f in fs] for o, fs in _sweep_files(sc, qg).items()}
     if "inversion" in files:
-        _write_scalar_csv(files["inversion"], lam_t, inversion(cc, dd))
+        _write_scalar_csv(*files["inversion"], lam_t, inversion(cc, dd))
     if "entropy" in files:
-        _write_scalar_csv(files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
+        _write_scalar_csv(*files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
     if set(SNAPSHOT_OUTPUTS) & set(files):
         st = sweep.last
         qg_data = q_function(st, sc.qgrid_spec(), sc.alpha)
         if "qgrid" in files:
-            _write_qgrid(files["qgrid"].with_suffix(""), qg_data)
+            _write_qgrid(*files["qgrid"], qg_data)
         if "cat_report" in files:
             rep = q_peak_analysis(qg_data)
             fid = cat_fidelity(st, sc.alpha)
-            _write_kv(files["cat_report"], [
+            _write_kv(*files["cat_report"], [
                 ("peaks", rep.count),
                 ("bimodal", str(rep.bimodal).lower()),
                 ("separation", _fmt(rep.separation)),
@@ -388,13 +375,14 @@ def _cmd_run(args) -> int:
 
     out = Path(args.out)
     if not out.is_dir():
-        print(f"i/o error: output directory {out} does not exist", file=sys.stderr)
+        why = "is not a directory" if out.exists() else "does not exist"
+        print(f"i/o error: output directory {out} {why}", file=sys.stderr)
         return EXIT_IO
 
     meta = [("scenario." + k, v) for k, v in
             (line.split(" = ", 1) for line in serialize_scenario(sc).splitlines())]
     meta += [
-        ("version", _version()),
+        ("version", __version__),
         ("defaults_filled", ", ".join(sc.provenance) or "none"),
     ]
 

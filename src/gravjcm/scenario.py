@@ -181,7 +181,7 @@ def _number(key: str, text: str) -> float:
         raise ScenarioError(f"key {key!r}: not a number ({text!r})") from exc
     if not math.isfinite(val):
         raise ScenarioError(f"key {key!r}: not finite ({text!r})")
-    return val
+    return val + 0.0  # -0 reads as 0
 
 
 def _count(key: str, text: str) -> int:
@@ -200,7 +200,7 @@ def _complex(key: str, text: str) -> complex:
 
 def _numbers(key: str, text: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) + 0.0 for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ScenarioError(f"key {key!r}: not a list of numbers ({text!r})") from exc
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravjcm
 from gravjcm import analytic, cli, core
 from gravjcm.analytic import branch_states_analytic
 from gravjcm.cli import main
@@ -71,6 +72,8 @@ def test_run_sweep_outputs(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-8)
     meta_text = meta.read_text()
     assert "scenario.backend = ode" in meta_text
+    # the package's own version, whether installed or run from a checkout
+    assert f"\nversion = {gravjcm.__version__}\n" in meta_text
     # the branch audit depends only on the code version; audit-branches reports it
     assert "branch_audit" not in meta_text
     assert "nmax" not in meta_text
@@ -102,7 +105,8 @@ def test_writers_match_per_value_formatting(tmp_path):
     x = np.array([-1.5, 0.0, 2.0])
     y = np.array([-0.0, 1e-300])
     vals = np.array([[0.0, -0.0, 1e-300], [1.2e8, 5e-324, 1.0 / 3.0]])
-    cli._write_qgrid(tmp_path / "g_qgrid", QGrid(x=x, y=y, values=vals))
+    cli._write_qgrid(tmp_path / "g_qgrid.csv", tmp_path / "g_qgrid.matrix.txt",
+                     QGrid(x=x, y=y, values=vals))
     cli._write_scalar_csv(tmp_path / "s.csv", x, 3.0 * x)
 
     def fmt(seq):
@@ -132,14 +136,17 @@ def savetxt_qgrid(base, qg):
                encoding="utf-8")
 
 
-def test_qgrid_writer_matches_savetxt_reference(tmp_path):
+# one block of rows; 401 columns in blocks of 5, 5 and 3 rows; 2100 > _BLOCK columns a block each
+@pytest.mark.parametrize("nx, ny", [(29, 17), (401, 13), (2100, 3)])
+def test_qgrid_writer_matches_savetxt_reference(tmp_path, nx, ny):
     # a run's last state on a non-square, off-centre window, so that an x/y swap shows
     sc = parse_scenario(SMALL_GRID)
     st = cli._states_for(sc, sc.backend, 1.5e7)[-1]
-    grid = q_function(st, QGridSpec(-7.0, 6.5, -6.5, 7.5, 29, 17), sc.alpha)
+    grid = q_function(st, QGridSpec(-7.0, 6.5, -6.5, 7.5, nx, ny), sc.alpha)
     for sub in ("new", "ref"):
         (tmp_path / sub).mkdir()
-    cli._write_qgrid(tmp_path / "new" / "g_qgrid", grid)
+    cli._write_qgrid(tmp_path / "new" / "g_qgrid.csv", tmp_path / "new" / "g_qgrid.matrix.txt",
+                     grid)
     savetxt_qgrid(tmp_path / "ref" / "g_qgrid", grid)
     for name in ("g_qgrid.csv", "g_qgrid.matrix.txt"):
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
@@ -152,7 +159,7 @@ def test_qgrid_writer_streams_rows(tmp_path):
     grid = QGrid(x=x, y=x.copy(), values=np.exp(-np.abs(beta - 5.0) ** 2) / math.pi)
     tracemalloc.start()
     try:
-        cli._write_qgrid(tmp_path / "g_qgrid", grid)
+        cli._write_qgrid(tmp_path / "g_qgrid.csv", tmp_path / "g_qgrid.matrix.txt", grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,12 +227,16 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
         cli._write_scalar_csv(tmp_path / "s.csv", np.arange(3.0), values)
     grid = QGrid(x=np.arange(3.0), y=np.arange(2.0), values=np.vstack([values, values]))
     with pytest.raises(ValueError, match="finite"):
-        cli._write_qgrid(tmp_path / "g_qgrid", grid)
+        cli._write_qgrid(tmp_path / "g_qgrid.csv", tmp_path / "g_qgrid.matrix.txt", grid)
 
 
-def test_scalar_csv_matches_savetxt_on_a_sweep(tmp_path):
-    # a real 2000-sample sweep's inversion and entropy, against np.savetxt with FMT
-    sc = parse_scenario(SMALL_SWEEP.replace("n_samples = 40", "n_samples = 2000")
+# _write_scalar_csv writes blocks of _BLOCK // 2 = 1024 rows: one row, one block short of
+# full, full, one row over, within the second block, one row into the third
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2000, 2049])
+def test_scalar_csv_matches_savetxt_on_a_sweep(tmp_path, n):
+    # a real n-sample sweep's inversion and entropy, against np.savetxt with FMT
+    sc = parse_scenario(SMALL_SWEEP.replace("n_samples = 40", f"n_samples = {n}")
+                        .replace("t_end = 6", f"t_end = {6 if n > 1 else 0}")
                         .replace("qg = 0", "qg = 1.5e7"))
     sweep = cli._states_for(sc, sc.backend, 1.5e7)
     cc, dd, cd = overlaps(sweep)
@@ -236,7 +247,7 @@ def test_scalar_csv_matches_savetxt_on_a_sweep(tmp_path):
                    delimiter=",", header="lambda_t,value", comments="", encoding="utf-8")
         text = (tmp_path / f"{name}.csv").read_bytes()
         assert text == (tmp_path / f"{name}_ref.csv").read_bytes()
-        assert text.count(b"\n") == 2001
+        assert text.count(b"\n") == n + 1
 
 
 @pytest.mark.parametrize("argv", [["crosscheck"], ["run", "--builtin", "fig1"]],
@@ -315,7 +326,10 @@ def test_run_missing_output_dir_exits_3(tmp_path, capsys):
     scn = write_scenario(tmp_path, SMALL_SWEEP)
     missing = tmp_path / "nope"
     assert main(["run", str(scn), "--out", str(missing)]) == 3
-    assert "nope" in capsys.readouterr().err
+    assert "nope does not exist" in capsys.readouterr().err
+    # a path that exists but is a file
+    assert main(["run", str(scn), "--out", str(scn)]) == 3
+    assert capsys.readouterr().err == f"i/o error: output directory {scn} is not a directory\n"
 
 
 def test_run_bad_scenario_exits_1(tmp_path, capsys):

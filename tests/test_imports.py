@@ -19,7 +19,9 @@ uses scipy.  An analytic scenario with a qg > 0 runs the closed form on
 ``scipy.special``, which building the scenario imports, before any sweep.  The
 oracle still calls ``gravjcm.ode.solve_ivp``, the name the benchmark's tracer
 wraps.  Importing ``gravjcm.cli`` loads neither ``fractions`` nor ``decimal``:
-the array formatter builds its power-of-ten table from Python ints.
+the array formatter builds its power-of-ten table from Python ints.  Neither
+the import nor a run loads ``importlib.metadata``: a run records
+``gravjcm.__version__``, which ``pyproject.toml`` reads as its version.
 """
 
 import ast
@@ -224,6 +226,29 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_cli_import_and_run_load_no_importlib_metadata(tmp_path):
+    # the version a run records is gravjcm.__version__, not the installed metadata
+    code = ("import sys\nimport gravjcm.cli\n"
+            "print('imported:', 'importlib.metadata' in sys.modules)\n"
+            f"argv = ['run', '--builtin', 'fig1', '--out', {str(tmp_path)!r}]\n"
+            "assert gravjcm.cli.main(argv) == 0\n"
+            "print('run:', 'importlib.metadata' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = [ln for ln in result.stdout.splitlines() if ln.startswith(("imported:", "run:"))]
+    assert lines == ["imported: False", "run: False"]
+
+
+def test_pyproject_reads_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "gravjcm.__version__"}
 
 
 def test_oracle_calls_the_module_solve_ivp(monkeypatch):

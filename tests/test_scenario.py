@@ -115,6 +115,16 @@ def test_time_spec_invariants():
     assert sc.times_scaled().tolist() == [5.0]
 
 
+def test_negative_zero_reads_as_zero():
+    # -0 would name files qgm0, print qg=-0 and write -0 as the first lambda_t
+    sc = parse_scenario("qg = -0, 1.5e7\nt_start = -0\ndelta0 = -0.0\n")
+    assert [math.copysign(1.0, v) for v in (*sc.qg_list, sc.t_start, sc.delta0)] == [1.0] * 4
+    assert qg_token(sc.qg_list[0]) == "qg0"
+    assert "%.17g" % sc.times_scaled()[0] == "0"
+    text = serialize_scenario(sc)
+    assert "\nqg = 0.0, 15000000.0\n" in text and "\nt_start = 0.0\n" in text
+
+
 def test_validation_errors():
     with pytest.raises(ScenarioError, match="backend"):
         parse_scenario("backend = euler\n")
