@@ -125,7 +125,7 @@ def _doubling_error(h: float, t0: float, step, n: int) -> float:
     """
     a1, b1 = _advance(1.0, 0.0, h, t0, n, step)
     a2, b2 = _advance(1.0, 0.0, 0.5 * h, t0, 2 * n, step)
-    return float(max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2))))
+    return float(np.maximum(np.abs(a1 - a2), np.abs(b1 - b2)).max())  # a NaN wins
 
 
 def _substeps(times: np.ndarray, step) -> tuple[np.ndarray, float]:
@@ -140,15 +140,17 @@ def _substeps(times: np.ndarray, step) -> tuple[np.ndarray, float]:
         h = longest / m
         counts = np.ceil(spans / h).astype(int)
         steps = int(counts.sum())
-        local = max(_doubling_error(h, 0.0, step, 1),
-                    _doubling_error(h, t_end - h, step, 1))
+        local = float(np.maximum(_doubling_error(h, 0.0, step, 1),  # not max: a NaN wins
+                                 _doubling_error(h, t_end - h, step, 1)))
         estimate = steps * local
+        if not np.isfinite(estimate):
+            raise IntegrationError(f"step-doubling error {estimate} not finite at {m} substeps")
         if estimate <= TOL or local <= ROUNDING_FLOOR:
             return counts, estimate
         if estimate <= WINDOW * TOL and steps >= 6 * WINDOW:
-            window = max(_doubling_error(h, 0.0, step, WINDOW),
-                         _doubling_error(h, max(t_end - WINDOW * h, 0.0), step, WINDOW))
-            estimate = min(estimate, steps / WINDOW * window)
+            window = np.maximum(_doubling_error(h, 0.0, step, WINDOW),
+                                _doubling_error(h, max(t_end - WINDOW * h, 0.0), step, WINDOW))
+            estimate = min(estimate, float(steps / WINDOW * window))
             if estimate <= TOL:
                 return counts, estimate
         m *= 2

@@ -29,6 +29,7 @@ scenario error.  No other scenario loads a scipy module.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -174,14 +175,15 @@ def _text(key: str, text: str) -> str:
     return text
 
 
-def _number(key: str, text: str) -> float:
+def _number(key: str, text: str, parse=float) -> float | complex:
+    """The one rule for a scenario number: parse(text) (a float or a complex) must be finite."""
     try:
-        val = float(text)
+        val = parse(text)
     except ValueError as exc:
         raise ScenarioError(f"key {key!r}: not a number ({text!r})") from exc
-    if not math.isfinite(val):
+    if not cmath.isfinite(val):
         raise ScenarioError(f"key {key!r}: not finite ({text!r})")
-    return val + 0.0  # -0 reads as 0
+    return val + type(val)()  # -0 reads as 0, in each part of a complex
 
 
 def _count(key: str, text: str) -> int:
@@ -192,17 +194,12 @@ def _count(key: str, text: str) -> int:
 
 
 def _complex(key: str, text: str) -> complex:
-    try:
-        return complex(text.replace("i", "j"))
-    except ValueError as exc:
-        raise ScenarioError(f"key {key!r}: not a number ({text!r})") from exc
+    """Real part first, the imaginary unit a trailing i or j: 3+4i, 2i, 5j."""
+    return _number(key, text, lambda s: complex(s[:-1] + "j" if s.endswith("i") else s))
 
 
 def _numbers(key: str, text: str) -> tuple:
-    try:
-        return tuple(float(tok) + 0.0 for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"key {key!r}: not a list of numbers ({text!r})") from exc
+    return tuple(_number(key, tok) for tok in map(str.strip, text.split(",")) if tok)
 
 
 def _names(key: str, text: str) -> tuple:

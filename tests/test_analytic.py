@@ -320,7 +320,7 @@ def small_setup():
 def test_analytic_state_initial_condition(small_setup):
     field, grid = small_setup
     p = paper_defaults(qg=1.5e7)
-    st = branch_states_analytic(np.array([0.0]), p, field, grid)[0]
+    st = branch_states_analytic(np.array([0.0]), p, field, grid).last
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
     assert float(np.max(np.abs(st.d))) == 0.0
     np.testing.assert_allclose(unweighted(st.c, grid)[0, :101], field, atol=1e-14)
@@ -331,7 +331,7 @@ def test_analytic_state_regression_pin():
     grid = build_momentum_grid(1.0, 1)
     p0 = paper_defaults(qg=0.0)
     sweep = branch_states_analytic(np.array([10.0 / 1e6]), p0, field, grid)
-    st = sweep[0]
+    st = sweep.last
     assert abs(complex(st.c[0, 10]) - C10_PIN) < 1e-12
     assert abs(complex(st.d[0, 10]) - D10_PIN) < 1e-12
     assert st.norm() == pytest.approx(NORM_PIN, abs=1e-10)

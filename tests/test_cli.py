@@ -141,7 +141,7 @@ def savetxt_qgrid(base, qg):
 def test_qgrid_writer_matches_savetxt_reference(tmp_path, nx, ny):
     # a run's last state on a non-square, off-centre window, so that an x/y swap shows
     sc = parse_scenario(SMALL_GRID)
-    st = cli._states_for(sc, sc.backend, 1.5e7)[-1]
+    st = cli._states_for(sc, sc.backend, 1.5e7).last
     grid = q_function(st, QGridSpec(-7.0, 6.5, -6.5, 7.5, nx, ny), sc.alpha)
     for sub in ("new", "ref"):
         (tmp_path / sub).mkdir()

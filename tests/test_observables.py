@@ -222,7 +222,7 @@ def test_q_riemann_sum_matches_ode_norm(alpha, n_nodes, qg, delta0, lam_t):
     p = paper_defaults(qg=qg, delta0=delta0)
     field = coherent_amplitudes(alpha, adaptive_nmax(alpha))
     grid = build_momentum_grid(1.0, n_nodes)
-    state = branch_states_ode_sweep(np.array([lam_t / p.lam]), p, field, grid)[0]
+    state = branch_states_ode_sweep(np.array([lam_t / p.lam]), p, field, grid).last
     e = alpha + 5.0
     q = q_function(state, QGridSpec(-e, e, -e, e, 61, 61), alpha)
     dx = q.x[1] - q.x[0]

@@ -40,7 +40,7 @@ FIELD = coherent_amplitudes(5.0, 100)
 
 def state_at(t, params, field, grid):
     """Branch state at one time: a one-sample sweep."""
-    return branch_states_ode_sweep(np.array([t]), params, field, grid)[0]
+    return branch_states_ode_sweep(np.array([t]), params, field, grid).last
 
 
 def node_grid(p):
@@ -336,6 +336,36 @@ def test_substep_cap_raises(monkeypatch):
     with pytest.raises(IntegrationError, match="substeps"):
         state_at(5.0 * math.pi / p.lam, p, FIELD, node_grid(0.0))
 
+
+
+def test_non_finite_probe_fails_at_once(monkeypatch):
+    # at delta0 = 1e300 a step's v_z^2 overflows and every doubling probe is NaN:
+    # the first pair of probes ends the sweep, instead of doubling to MAX_SUBSTEPS
+    p = paper_defaults(qg=1.5e7, delta0=1e300)
+    probes = []
+    doubling = ode._doubling_error
+
+    def probe(*args):
+        probes.append(args)
+        return doubling(*args)
+
+    monkeypatch.setattr(ode, "_doubling_error", probe)
+    times = np.linspace(0.0, 25.0, 50) / p.lam
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            IntegrationError, match="step-doubling error nan not finite at 1 substeps"):
+        branch_states_ode_sweep(times, p, FIELD, node_grid(0.0))
+    assert len(probes) == 2
+    # a NaN at one end of the sweep is not dropped for the other end's finite value
+    p = paper_defaults(qg=0.0)
+    d0 = detuning0_of_p(np.array([0.0]), p)
+    omega = p.lam * np.sqrt(np.arange(FIELD.size) + 1.0)
+
+    def step(h, t_mid):
+        u, v = ode._magnus_step(h, t_mid, d0, omega, p.qg)
+        return (u * np.nan, v) if t_mid > 0.5 * times[-1] else (u, v)
+
+    with pytest.raises(IntegrationError, match="nan not finite at 1 substeps"):
+        ode._substeps(times, step)
 
 # Sweeps whose substeps the windowed estimate chooses or could lower: the
 # published sweep at two gravities (32 nodes, 2000 samples, coherent field),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 import re
 from pathlib import Path
 
@@ -85,7 +86,7 @@ def test_bad_number_rejected():
                  "omega_rec = 0\n", "omega_rec = -5e5\n"):
         with pytest.raises(ScenarioError):
             parse_scenario(text)
-    # |alpha|^2 overflows or is nan: the error names the key
+    # |alpha|^2 overflows, or alpha is not finite: the error names the key
     for text in ("alpha = 1e200\n", "alpha = nan\n"):
         with pytest.raises(ScenarioError, match="alpha"):
             parse_scenario(text)
@@ -123,6 +124,46 @@ def test_negative_zero_reads_as_zero():
     assert "%.17g" % sc.times_scaled()[0] == "0"
     text = serialize_scenario(sc)
     assert "\nqg = 0.0, 15000000.0\n" in text and "\nt_start = 0.0\n" in text
+
+
+def read_values(key, text):
+    """KEYS[key]'s reader applied to text, as a tuple: a list's values, or the one value."""
+    _, _, read, _ = KEYS[key]
+    value = read(key, text)
+    return value if isinstance(value, tuple) else (value,)
+
+
+def test_every_numeric_key_reads_one_rule():
+    # every key whose reader is numeric, a key added later included: -0 reads as +0,
+    # in each part of a complex, and nan or inf is refused as not finite
+    keys = [k for k in KEYS if all(isinstance(v, numbers.Number) for v in read_values(k, "1"))]
+    assert {"omega_rec", "lam", "delta0", "sigma0", "alpha", "qg", "t_start", "t_end",
+            "n_samples", "qgrid.extent", "qgrid.n", "n_nodes"} <= set(keys)
+    for key in keys:
+        parts = [x for v in read_values(key, "-0") for x in (complex(v).real, complex(v).imag)]
+        assert [math.copysign(1.0, x) for x in parts] == [1.0] * len(parts), key
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ScenarioError, match=re.escape(f"key {key!r}: not finite")):
+                read_values(key, text)
+
+
+def test_alpha_syntax_and_list_entry_errors():
+    # the imaginary unit is a trailing i or j, after the real part
+    read = KEYS["alpha"][2]
+    assert [read("alpha", t) for t in ("3+4i", "2i", "5j", "-1.5", "1e-3-2e-3i")] == [
+        3 + 4j, 2j, 5j, -1.5, 1e-3 - 2e-3j]
+    for text in ("4i+3", "3+4ii", "3+4k"):
+        with pytest.raises(ScenarioError, match=re.escape(f"not a number ({text!r})")):
+            read("alpha", text)
+    # the error quotes the text as written, and a list's error the bad entry alone
+    with pytest.raises(ScenarioError, match=re.escape("key 'alpha': not finite ('-infi')")):
+        parse_scenario("alpha = -infi\n")
+    with pytest.raises(ScenarioError, match=re.escape("key 'qg': not a number ('x')")):
+        parse_scenario("qg = 1e7, x\n")
+    with pytest.raises(ScenarioError, match=re.escape("key 'qg': not finite ('inf')")):
+        parse_scenario("qg = 1e7, inf\n")
+    sc = parse_scenario("alpha = -0\nt_end = 1\nn_samples = 5\n")
+    assert "\nalpha = 0.0\n" in serialize_scenario(sc)
 
 
 def test_validation_errors():
