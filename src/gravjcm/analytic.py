@@ -13,11 +13,10 @@ that winner in a cancellation-free regrouping (see ``phase_integral_closed``).
 
 The closed and elementary phase integrals and the branch coefficients
 broadcast over arrays of times and momentum nodes, so one call covers a
-chunk of a sweep on the whole grid.  The Faddeeva function is
-scipy's ``wofz`` (S. G. Johnson's Faddeeva Package) behind a finiteness check.
-``scipy.special`` is imported on the first call of ``special_kernels``, not
-with this module: only the closed form at qg > 0 and the audit need it, and a
-scenario that will run the closed form calls it while it is built.
+piece of a sweep on the whole grid.  The Faddeeva function is Weideman's
+40-term rational series, evaluated with numpy alone, so no run imports scipy;
+only the audit's literal variants take ``erf`` from ``scipy.special``,
+imported when the audit first runs.
 """
 
 from __future__ import annotations
@@ -32,8 +31,11 @@ from .core import (MomentumGrid, PhysicalParams, Sweep, branch_sweep, check_time
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
 SQRT_PI = math.sqrt(math.pi)
-# Sample times per closed-form evaluation in a sweep: each chunk's arrays
-# hold CHUNK_TIMES x K x (nmax + 2) values.
+# Sample times per piece of a sweep: each piece evaluates E+ once, so the
+# Faddeeva function's fixed cost is paid once per PIECE_TIMES samples.
+PIECE_TIMES = 64
+# Sample times per run a piece yields: each run's arrays hold
+# CHUNK_TIMES x K x (nmax + 2) values.
 CHUNK_TIMES = 8
 
 
@@ -48,37 +50,61 @@ class BranchAuditError(RuntimeError):
 # --- complex error function kernels ----------------------------------------
 
 
-def special_kernels() -> tuple:
-    """scipy.special's ``(wofz, erf)``, imported on the first call.
+def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
+    """Scale L and the n coefficients, highest degree first, of Weideman's series.
 
-    Later calls find the module in ``sys.modules``.  Raises ImportError where
-    scipy.special cannot be imported.
+    a_j = (1 / 4n) sum_k f(s_k) cos(j theta_k) over theta_k = k pi / 2n,
+    |k| < 2n, with s_k = L tan(theta_k / 2) and f(s) = exp(-s^2) (L^2 + s^2):
+    the paper's FFT written as the cosine sum it is (f is even).  In Python
+    floats, so the import runs no numpy kernel that a run does not.
     """
-    from scipy.special import erf, wofz
+    scale = math.sqrt(n / math.sqrt(2.0))
+    theta = [k * math.pi / (2 * n) for k in range(1 - 2 * n, 2 * n)]
+    s = [scale * math.tan(0.5 * th) for th in theta]
+    f = [math.exp(-sk * sk) * (scale * scale + sk * sk) for sk in s]
+    return scale, np.array([math.fsum(fk * math.cos(j * th) for fk, th in zip(f, theta)) / (4 * n)
+                            for j in range(n, 0, -1)])
 
-    return wofz, erf
 
-
-def _checked(kernel, z):
-    """kernel(z) for finite z; a non-finite value for a finite z overflowed."""
-    z = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"{kernel.__name__} requires a finite argument")
-    out = kernel(z)
-    if not np.all(np.isfinite(out)):
-        bad = complex(z[~np.isfinite(out)][0])
-        raise OverflowError(f"{kernel.__name__} leaves the double range at z={bad}")
-    return out[()]
+_W_SCALE, _W_COEFFS = _weideman_coefficients(40)
 
 
 def faddeeva(z):
     """w(z) = exp(-z^2) erfc(-iz), elementwise for finite complex z.
 
-    Raises OverflowError where w itself leaves the double range, which
-    happens deep in the lower half-plane (w(0.1 - 27i) ~ exp(729)).
+    In the closed upper half-plane w is Weideman's N = 40 rational series
+    (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)),
+    w = 2 p(Z) / (L - iz)^2 + pi^(-1/2) / (L - iz) with Z = (L + iz) / (L - iz),
+    L = sqrt(N / sqrt 2) and p of degree N - 1, within ~2e-14 of w relative;
+    an entry in the lower half-plane takes w(z) = 2 exp(-z^2) - w(-z).  The
+    values are computed on a 1-d view, so an entry of an array and the same
+    number alone give the same bits.  Raises OverflowError where w itself
+    leaves the double range, which happens deep in the lower half-plane
+    (w(0.1 - 27i) ~ exp(729)).
     """
-    wofz, _ = special_kernels()
-    return _checked(wofz, z)
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("faddeeva requires a finite argument")
+    flat = z.reshape(-1)
+    lower = flat.imag < 0
+    upper = np.where(lower, -flat, flat)
+    r = 1.0 / (_W_SCALE - 1j * upper)
+    big_z = (_W_SCALE + 1j * upper) * r
+    # no in-place product: numpy multiplies a 1-element array in place without
+    # the fused multiply-add of its vector loop, which would change an entry's bits
+    w = np.full(flat.shape, _W_COEFFS[0], dtype=np.complex128)
+    for c in _W_COEFFS[1:]:  # Horner
+        w = w * big_z
+        w += c
+    w = (2.0 * w * r + 1.0 / SQRT_PI) * r
+    if lower.any():
+        below = flat[lower]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            w[lower] = 2.0 * np.exp(-below * below) - w[lower]
+    if not np.all(np.isfinite(w)):
+        bad = complex(flat[~np.isfinite(w)][0])
+        raise OverflowError(f"faddeeva leaves the double range at z={bad}")
+    return w.reshape(z.shape)[()]
 
 
 # --- phase integrals --------------------------------------------------------
@@ -163,14 +189,15 @@ def closed_form_variant(d0: float, qg: float, t: float, variant: tuple) -> compl
     Intended for the audit lattice (moderate erf arguments); the production
     path uses the numerically regrouped winner in phase_integral_closed.
     """
+    from scipy.special import erf  # the audit alone needs scipy
+
     exp_sign, ray2, sign2 = variant
     if qg <= 0:
         raise ValueError("closed form requires qg > 0")
     x = d0 / math.sqrt(2.0 * qg)
     s = math.sqrt(qg / 2.0) * t
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
-    _, erf = special_kernels()
-    bracket = -_checked(erf, 1j * ROOT_1_34 * x) + sign2 * _checked(erf, ray2 * (x - s))
+    bracket = -erf(1j * ROOT_1_34 * x) + sign2 * erf(ray2 * (x - s))
     return pref * cmath.exp(1j * exp_sign * x * x) * bracket
 
 
@@ -273,9 +300,10 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     b_{n+1} = (n+2) b_0 exactly, so the ground roots are sqrt(n+2) sqrt(b_0):
     one complex square root per time and node.  The phase integrals take the
     closed form when qg > 0 and the elementary antiderivative when qg = 0, in
-    one array evaluation per chunk of CHUNK_TIMES samples over all nodes.
-    The chunks depend only on their own times, so ``core.branch_sweep`` runs
-    them, each yielding its own rows, on every CPU the process may use.
+    one array evaluation per piece of PIECE_TIMES samples over all nodes; the
+    piece then yields its rows CHUNK_TIMES at a time.  The pieces depend only
+    on their own times, so ``core.branch_sweep`` runs them, each yielding its
+    own rows, on every CPU the process may use.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
@@ -287,13 +315,15 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     n = np.arange(w.size)
     meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
 
-    def chunk(lo):
-        t = times[lo : lo + CHUNK_TIMES, None, None]
-        ep = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
-        a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
-        phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
-        ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
-        yield lo, np.sqrt(a) * phase, ground * phase
+    def piece(lo):
+        t = times[lo : lo + PIECE_TIMES, None, None]
+        eps = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
+        for r in range(0, len(t), CHUNK_TIMES):
+            ep = eps[r : r + CHUNK_TIMES]
+            a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
+            phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
+            ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
+            yield lo + r, np.sqrt(a) * phase, ground * phase
 
-    pieces = [chunk(lo) for lo in range(0, times.size, CHUNK_TIMES)]
+    pieces = [piece(lo) for lo in range(0, times.size, PIECE_TIMES)]
     return branch_sweep(times, pieces, w, grid, meta)

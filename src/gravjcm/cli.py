@@ -28,7 +28,6 @@ from .analytic import (
     BranchAuditError,
     audit_branch_variants,
     branch_states_analytic,
-    special_kernels,
 )
 from .core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from .observables import (
@@ -417,13 +416,6 @@ def _cmd_crosscheck(args) -> int:
     sc, code = _load_scenario(args)
     if sc is None:
         return code
-    if any(sc.qg_list):  # the closed form's kernel, before the first sweep
-        try:
-            special_kernels()
-        except ImportError as exc:
-            print(f"scenario error: key 'qg': crosscheck runs the closed form at qg > 0, "
-                  f"and scipy.special cannot be imported ({exc})", file=sys.stderr)
-            return EXIT_SCENARIO
     for qg_val in sc.qg_list:
         _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:

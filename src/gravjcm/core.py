@@ -30,6 +30,10 @@ TRUNCATION_EPS = 1e-12
 # Most momentum nodes whose Gauss-Hermite rule numpy (2.4) computes finitely:
 # from 371 on its weights overflow, and the normalized rule is NaN.
 MAX_NODES = 370
+# Largest chirped phase, in radians, a sweep may reach: from 2^52 on a float64
+# phase keeps no digit below the radian, and far above it the square of a
+# Magnus step's angle overflows.
+MAX_PHASE = 2.0**52
 
 
 class TruncationError(ValueError):
@@ -223,6 +227,20 @@ class Sweep:
 
     def __iter__(self):
         yield self.last
+
+
+def check_phase(d0, qg: float, t_end: float) -> None:
+    """Refuse a sweep to t_end seconds whose chirped phase can pass MAX_PHASE.
+
+    d0 are the nodes' static detunings and qg the largest chirp rate;
+    (max |d0| + qg t_end) t_end bounds every node's phase d0 t - qg t^2 / 2
+    and every Magnus step's detuning angle up to t_end.
+    """
+    phase = (float(np.max(np.abs(d0))) + qg * t_end) * t_end
+    if not phase <= MAX_PHASE:  # NaN fails too
+        raise ValueError(f"the detuning phase (|delta0 - p omega_rec| + qg t) t reaches "
+                         f"{phase:.3g} rad by t_end, above 2^52 = {MAX_PHASE:.3g} rad, where a "
+                         "float64 phase keeps no digit below the radian")
 
 
 def check_times(times) -> np.ndarray:

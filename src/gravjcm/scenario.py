@@ -17,14 +17,12 @@ Validation is complete here: every input rule is checked when a Scenario is
 built, so a run that starts never fails on its input.  Rules whose bound
 belongs to a numerical layer (the Hamiltonian constants, sigma0, a finite
 |alpha|^2, the coherent amplitudes' sum, distinct sample times in seconds,
-the Q window and grid, the cat ansatz's norm)
+the chirped phase up to t_end, the Q window and grid, the cat ansatz's norm)
 call that layer's own check, so each bound is written once.  The Fock cutoff
 is no input: ``adaptive_nmax`` derives it from alpha.
 
-An analytic scenario with some qg > 0 runs the closed form, so building it
-imports ``scipy.special`` (``analytic.special_kernels``): the import falls in
-the scenario's set-up, never inside a sweep, and a missing kernel is a
-scenario error.  No other scenario loads a scipy module.
+Building a scenario loads no scipy module, and neither does running one on
+either backend: the closed form's Faddeeva function is numpy arithmetic.
 """
 
 from __future__ import annotations
@@ -35,9 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import special_kernels
-from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, check_times,
-                   coherent_amplitudes, paper_defaults)
+from .core import (PhysicalParams, adaptive_nmax, build_momentum_grid, check_phase, check_times,
+                   coherent_amplitudes, detuning0_of_p, paper_defaults)
 from .observables import QGridSpec, cat_ansatz, check_q_window
 
 VALID_BACKENDS = ("ode", "analytic")
@@ -60,12 +57,11 @@ def qg_token(qg: float) -> str:
 def _layer_check(key: str, check, *args):
     """Run a numerical layer's own argument check as a scenario rule; returns its result.
 
-    An array too large to allocate, or a kernel that cannot be imported, is a
-    scenario error too.
+    An array too large to allocate is a scenario error too.
     """
     try:
         return check(*args)
-    except (ValueError, MemoryError, ImportError) as exc:
+    except (ValueError, MemoryError) as exc:
         raise ScenarioError(f"key {key!r}: {exc}") from exc
 
 
@@ -104,8 +100,6 @@ class Scenario:
             raise ScenarioError("qg_list must be non-empty")
         if not all(0 <= v < math.inf for v in self.qg_list):
             raise ScenarioError("qg values must be finite and >= 0")
-        if self.backend == "analytic" and any(self.qg_list):  # the closed form
-            _layer_check("backend", special_kernels)
         tags = [qg_token(v) for v in self.qg_list]
         if len(set(self.qg_list)) < len(tags) or len(set(tags)) < len(tags):
             raise ScenarioError(
@@ -117,7 +111,7 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         # the grid's two rules apart: n_nodes at sigma0 = 1, sigma0 at one node
-        _layer_check("n_nodes", build_momentum_grid, 1.0, self.n_nodes)
+        unit_grid = _layer_check("n_nodes", build_momentum_grid, 1.0, self.n_nodes)
         _layer_check("sigma0", build_momentum_grid, self.sigma0, 1)
         nmax = _layer_check("alpha", adaptive_nmax, self.alpha)
         _layer_check("alpha", coherent_amplitudes, self.alpha, nmax)
@@ -137,6 +131,12 @@ class Scenario:
                 "largest float64 in seconds; lower t_end or raise lam"
             )
         _layer_check("n_samples", check_times, seconds)
+        with np.errstate(over="ignore"):  # nodes scale with sigma0; an infinite d0 is refused
+            d0 = detuning0_of_p(self.sigma0 * unit_grid.nodes, self.params_for(0.0))
+        try:
+            check_phase(d0, max(self.qg_list), float(seconds[-1]))
+        except ValueError as exc:
+            raise ScenarioError(f"{exc}; lower delta0, omega_rec, qg or t_end") from exc
         bad = [o for o in self.outputs if o not in VALID_OUTPUTS]
         if bad:
             raise ScenarioError(f"unknown outputs {bad}; valid: {VALID_OUTPUTS}")

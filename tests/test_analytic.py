@@ -3,8 +3,8 @@
 The defining object is the quadrature; the error-function closed form must
 reproduce it after the branch audit.  The Fresnel-integral special case and
 the chirp-free elementary antiderivative serve as external oracles.  The
-Faddeeva wrapper is checked against stdlib erfc, a Simpson-rule Dawson
-integral and its large-|z| asymptote.
+Faddeeva kernel is checked against stdlib erfc, a Simpson-rule Dawson
+integral, its large-|z| asymptote and, region by region, scipy's ``wofz``.
 """
 
 import cmath
@@ -23,7 +23,8 @@ from scipy.integrate import simpson
 from gravjcm import analytic, core, ode
 from gravjcm.analytic import (
     BRANCH_VARIANTS,
-    CHUNK_TIMES,
+    PIECE_TIMES,
+    ROOT_1_34,
     SELECTED_VARIANT,
     SELECTED_VARIANT_ID,
     QuadratureError,
@@ -119,6 +120,26 @@ def test_faddeeva_lower_half_plane_overflow_reported():
         faddeeva(complex(0.1, -27.0))
     with pytest.raises(OverflowError):
         faddeeva(np.array([1.0, complex(0.1, -27.0)]))
+
+
+# scipy's wofz (S. G. Johnson's Faddeeva Package) as the reference, per region:
+# the 3 pi/4 ray the closed form evaluates, the upper half-plane the series
+# covers and the lower half-plane that reflection reaches (relative bounds)
+FADDEEVA_REGIONS = {
+    "production_ray": (np.concatenate(([0.0], np.linspace(0.0, 50.0, 5001),
+                                       np.logspace(-8.0, 7.0, 30001))) * ROOT_1_34, 5e-14),
+    "upper_half_plane": (np.add.outer(1j * np.linspace(0.0, 30.0, 151),
+                                      np.linspace(-30.0, 30.0, 301)), 5e-14),
+    "lower_half_plane": (np.add.outer(1j * np.linspace(-5.0, 5.0, 201),
+                                      np.linspace(-5.0, 5.0, 201)), 2e-13),
+}
+
+
+@pytest.mark.parametrize("region", FADDEEVA_REGIONS)
+def test_faddeeva_matches_scipy_wofz(region):
+    z, bound = FADDEEVA_REGIONS[region]
+    expect = sp.wofz(z)
+    assert np.max(np.abs(faddeeva(z) - expect) / np.abs(expect)) <= bound
 
 
 def test_detuning0_values():
@@ -356,14 +377,14 @@ def test_ground_branch_matches_its_definition(qg, stored_sweeps):
         assert np.all(np.abs(unweighted(st.d, grid)[:, 1:] - expect) <= 1e-14 * np.abs(expect))
 
 
-# --- chunks on a thread pool -----------------------------------------------
+# --- pieces on a thread pool -----------------------------------------------
 
 
 def fig1_chunks(qg):
-    # 43 samples: five full chunks and a partial one
+    # 400 samples: six full pieces and a partial one, more pieces than two CPUs' threads
     sc = builtin_scenario("fig1")
     w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
-    return sc.times_seconds()[::47], sc.params_for(qg), w, build_momentum_grid(sc.sigma0, 8)
+    return sc.times_seconds()[::5], sc.params_for(qg), w, build_momentum_grid(sc.sigma0, 8)
 
 
 @pytest.mark.parametrize("qg", [0.0, 1.5e7])
@@ -379,7 +400,7 @@ def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads interleave as often as they can
     try:
-        for cpus in (1, 2, 64):  # 64 is more threads than the six chunks can use
+        for cpus in (1, 2, 64):  # 64 is more threads than the seven pieces can use
             threads = set()
 
             def coeffs(*args):
@@ -393,7 +414,7 @@ def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
                 monkeypatch.setattr(ode, "branch_sweep", builder)
                 for backend in backends:
                     sweeps[backend, builder, cpus] = backend(times, p, w, grid)
-            # one CPU runs the chunks in the calling thread, more run none there
+            # one CPU runs the pieces in the calling thread, more run none there
             assert (threads == {threading.get_ident()}) == (cpus == 1)
     finally:
         sys.setswitchinterval(interval)
@@ -411,14 +432,14 @@ def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_failing_chunk_reaches_the_caller_unchanged(cpus, monkeypatch):
-    # chunks 2 and 4 fail; the first in chunk order is the one raised, as without threads
+    # pieces 2 and 4 fail; the first in piece order is the one raised, as without threads
     times, p, w, grid = fig1_chunks(1.5e7)
     real_closed = analytic.phase_integral_closed
 
-    def closed(d0, qg, t):
-        if t[0, 0, 0] == times[2 * CHUNK_TIMES]:
+    def closed(d0, qg, t):  # t holds a piece's times
+        if t[0, 0, 0] == times[2 * PIECE_TIMES]:
             raise OverflowError("faddeeva leaves the double range at z=(1-27j)")
-        if t[0, 0, 0] == times[4 * CHUNK_TIMES]:
+        if t[0, 0, 0] == times[4 * PIECE_TIMES]:
             raise ValueError("faddeeva requires a finite argument")
         return real_closed(d0, qg, t)
 
@@ -458,7 +479,7 @@ def test_one_piece_starts_no_thread(monkeypatch):
     monkeypatch.setattr(core, "_cpus", lambda: 64)
     times, p, w, grid = fig1_chunks(1.5e7)
     before = threading.active_count()
-    branch_states_analytic(times[:CHUNK_TIMES], p, w, grid)
+    branch_states_analytic(times[:PIECE_TIMES], p, w, grid)
     branch_states_analytic(times[:1], p, w, grid)
     ode.branch_states_ode_sweep(times[:20], p, w, grid)
     assert threading.active_count() == before

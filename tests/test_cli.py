@@ -8,6 +8,7 @@ import math
 import shlex
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from gravjcm.cli import main
 from gravjcm.core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from gravjcm.observables import QGrid, QGridSpec, entropy, inversion, overlaps, q_function
 from gravjcm.ode import branch_states_ode_sweep
-from gravjcm.scenario import ScenarioError, parse_scenario
+from gravjcm.scenario import parse_scenario
 from storing_sweep import store_sweeps
 
 SMALL_SWEEP = """\
@@ -301,18 +302,20 @@ def test_sweep_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_chunk_failing_on_a_worker_thread_exits_2(tmp_path, capsys, monkeypatch):
-    # the closed form's chunks run on a thread pool; one that overflows fails the run
+    # the closed form's pieces run on a thread pool; one that overflows fails the run
     # as it would in the calling thread
     real_closed = analytic.phase_integral_closed
 
-    def closed(d0, qg, t):
+    def closed(d0, qg, t):  # t holds a piece's times: every piece but the first fails
         if t[0, 0, 0] > 0:
             raise OverflowError("faddeeva leaves the double range at z=(1-27j)")
         return real_closed(d0, qg, t)
 
     monkeypatch.setattr(analytic, "phase_integral_closed", closed)
     monkeypatch.setattr(core, "_cpus", lambda: 2)
-    text = SMALL_SWEEP.replace("qg = 0", "qg = 1.5e7")
+    samples = 3 * analytic.PIECE_TIMES + 8  # four pieces for the two threads
+    text = SMALL_SWEEP.replace("qg = 0", "qg = 1.5e7").replace("n_samples = 40",
+                                                                f"n_samples = {samples}")
     scn = write_scenario(tmp_path, text + "backend = analytic\n")
     out = tmp_path / "out"
     out.mkdir()
@@ -482,42 +485,39 @@ def test_largest_node_count_runs(tmp_path):
 
 
 def test_missing_closed_form_kernel(tmp_path, capsys, monkeypatch):
-    # without scipy.special the closed form at qg > 0 cannot run; that is known
-    # while the scenario is built, and every other scenario still runs
+    # without scipy.special every run and crosscheck works, the closed form at qg > 0
+    # included; only the audit's literal variants need it, one failure line
     monkeypatch.setitem(sys.modules, "scipy.special", None)
-    base = SMALL_SWEEP.replace("delta0 = 0", "delta0 = 8.5e7").replace(
-        "outputs = inversion, entropy", "outputs = inversion")
-    runs = {"closed_form": ("0, 1.5e7", "analytic", 1), "ode": ("0, 1.5e7", "ode", 0),
-            "elementary": ("0", "analytic", 0)}
-    for kind, (qg, backend, code) in runs.items():
-        text = base.replace("qg = 0", f"qg = {qg}") + f"backend = {backend}\n"
-        if code:
-            with pytest.raises(ScenarioError, match="key 'backend': .*scipy.special"):
-                parse_scenario(text)
-        out = tmp_path / kind
-        out.mkdir()
-        assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == code, kind
-        assert any(out.iterdir()) == (code == 0), kind
-    assert capsys.readouterr().err.count("scenario error: key 'backend'") == 1
-
-
-def test_commands_missing_closed_form_kernel(tmp_path, capsys, monkeypatch):
-    # crosscheck runs the closed form on every qg: at qg > 0 a missing scipy.special
-    # is one scenario error before the first sweep, and the audit one failure line
-    monkeypatch.setitem(sys.modules, "scipy.special", None)
-    assert main(["crosscheck", str(write_scenario(tmp_path, SMALL_SWEEP, "zero.txt"))]) == 0
+    text = SMALL_SWEEP.replace("delta0 = 0", "delta0 = 8.5e7").replace(
+        "outputs = inversion, entropy", "outputs = inversion").replace("qg = 0", "qg = 0, 1.5e7")
+    scn = write_scenario(tmp_path, text + "backend = analytic\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    assert any(out.iterdir())
+    assert main(["crosscheck", str(scn)]) == 0
     capsys.readouterr()
-    sweeps = []
-    monkeypatch.setattr(cli, "_states_for", lambda *args: sweeps.append(args))
-    scn = write_scenario(tmp_path, SMALL_SWEEP.replace("qg = 0", "qg = 0, 1.5e7"))
-    assert main(["crosscheck", str(scn)]) == 1
     assert main(["audit-branches"]) == 1
-    assert sweeps == []
     out, err = capsys.readouterr()
     assert out == ""
-    crosscheck, audit = err.splitlines()
-    assert crosscheck.startswith("scenario error: key 'qg': ") and "scipy.special" in crosscheck
-    assert audit.startswith("audit failure: scipy.special cannot be imported")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("audit failure: scipy.special cannot be imported")
+
+
+@pytest.mark.parametrize("backend", ["ode", "analytic"])
+def test_detuning_phase_beyond_float64_is_one_scenario_error(tmp_path, capsys, backend):
+    # a detuning whose phase overflows a step's float64 once ran into numpy warnings and
+    # exited 2 from the sweep; it is refused while the scenario is built
+    text = ("delta0 = 1e300\nt_end = 1\nn_samples = 5\nn_nodes = 2\nqg = 1.5e7\n"
+            f"outputs = inversion\nbackend = {backend}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("scenario error: the detuning phase")
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("delta0, code", [(0.0, 2), (8.5e7, 0)],

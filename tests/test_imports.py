@@ -12,16 +12,16 @@ that name is read, since the syntax tree carries no types.  ``gravjcm.ode``
 (the production Magnus backend, whose ``_integrate`` is the DOP853 oracle)
 and ``gravjcm.analytic`` share only ``gravjcm.core``.
 
-A run imports only what it runs.  An ode run, a sweep or a snapshot, leaves
-a fresh interpreter's ``sys.modules`` without any scipy module: the DOP853
-oracle's ``scipy.integrate`` is imported on its first call, and no observable
-uses scipy.  An analytic scenario with a qg > 0 runs the closed form on
-``scipy.special``, which building the scenario imports, before any sweep.  The
-oracle still calls ``gravjcm.ode.solve_ivp``, the name the benchmark's tracer
-wraps.  Importing ``gravjcm.cli`` loads neither ``fractions`` nor ``decimal``:
-the array formatter builds its power-of-ten table from Python ints.  Neither
-the import nor a run loads ``importlib.metadata``: a run records
-``gravjcm.__version__``, which ``pyproject.toml`` reads as its version.
+A run imports only what it runs.  A run, an ode sweep or snapshot or the
+closed form at qg > 0, leaves a fresh interpreter's ``sys.modules`` without
+any scipy module: the DOP853 oracle's ``scipy.integrate`` is imported on its
+first call, no observable uses scipy, and the closed form's Faddeeva function
+is numpy arithmetic.  The oracle still calls ``gravjcm.ode.solve_ivp``, the
+name the benchmark's tracer wraps.  Importing ``gravjcm.cli`` loads neither
+``fractions`` nor ``decimal``: the array formatter builds its power-of-ten
+table from Python ints.  Neither the import nor a run loads
+``importlib.metadata``: a run records ``gravjcm.__version__``, which
+``pyproject.toml`` reads as its version.
 """
 
 import ast
@@ -180,9 +180,8 @@ def test_physical_params_only_where_a_sweep_starts():
     assert found == PHYSICAL_PARAMS_SIGNATURES
 
 
-# an ode sweep and an ode snapshot, whose Q grid reduces the field state to its
-# significant modes, load no scipy module; the closed form at qg > 0 loads
-# scipy.special while its scenario is built
+# an ode sweep, an ode snapshot, whose Q grid reduces the field state to its
+# significant modes, and the closed form at qg > 0 load no scipy module
 RUN_OUTPUTS = {"sweep": "qg = 0\noutputs = inversion, entropy\nn_samples = 5\n",
                "snapshot": "qg = 0\noutputs = qgrid, cat_report\nn_samples = 1\nt_start = 1\n",
                "closed_form": "qg = 0, 1.5e7\nbackend = analytic\noutputs = inversion\n"
@@ -209,12 +208,7 @@ def test_run_does_not_import_the_oracle(tmp_path, kind):
     assert result.returncode == 0, result.stderr
     lines = {line.split(":")[0]: line.split()[1:] for line in result.stdout.splitlines()}
     imported, built, run = lines["imported"], lines["built"], lines["run"]
-    assert imported == []
-    if kind == "closed_form":
-        assert "scipy.special" in built and run == built
-        assert not {"scipy.integrate", "scipy.linalg"} & set(run)
-    else:
-        assert built == run == []
+    assert imported == built == run == []
 
 
 def test_cli_import_loads_neither_fractions_nor_decimal():

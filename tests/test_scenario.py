@@ -307,6 +307,12 @@ INVALID = {
                   STEM.map(".{}".format)).map("name = {}\n".format),
         "name",
     ),
+    # the chirped phase passes 2^52 rad within lam*t = 1 (a microsecond), on either sign
+    "detuning_phase": (
+        st.tuples(finite(4.6e21, 1.7e308), st.sampled_from([1.0, -1.0])).map(
+            lambda a: f"delta0 = {a[0] * a[1]!r}\nt_end = 1\nn_samples = 5\nn_nodes = 2\n"),
+        "detuning phase",
+    ),
     "qg_tags_distinct": (
         finite(0, 1e14).map(lambda v: f"qg = {v!r}, {float('%g' % v)!r}\n"),
         "distinct",
