@@ -13,21 +13,24 @@ that winner in a cancellation-free regrouping (see ``phase_integral_closed``).
 
 The closed and elementary phase integrals and the branch coefficients
 broadcast over arrays of times and momentum nodes, so one call covers a
-piece of a sweep on the whole grid.  The Faddeeva function is Weideman's
-40-term rational series, evaluated with numpy alone, so no run imports scipy;
-only the audit's literal variants take ``erf`` from ``scipy.special``,
-imported when the audit first runs.
+piece of a sweep on the whole grid.  A sweep's <C|C> and <D|D> take only the
+moduli of its amplitudes; the complex amplitudes are formed for the instant it
+keeps and, if asked, for the cross term <C|D>.  The Faddeeva function is
+Weideman's 40-term rational series, evaluated with numpy alone, so no run
+imports scipy; only the audit's literal variants take ``erf`` from
+``scipy.special``, imported when the audit first runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .core import (MomentumGrid, PhysicalParams, Sweep, branch_sweep, check_times,
-                   detuning0_of_p)
+from .core import (MomentumGrid, PhysicalParams, Sweep, branch_moduli, branch_sweep,
+                   check_times, detuning0_of_p)
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
 SQRT_PI = math.sqrt(math.pi)
@@ -230,8 +233,11 @@ def phase_integral_closed(d0, qg: float, t):
     w2 = faddeeva(np.abs(u2) * ROOT_1_34)
     phi = d0 * t - 0.5 * qg * t * t
     core = -sx * w1 - su * np.exp(1j * phi) * w2
-    # sx + su = 0 until the chirp sweeps the node through resonance
-    core = core + (sx + su) * np.exp(1j * np.fmod(x * x, 2.0 * math.pi))
+    # sx + su = 0 until the chirp sweeps the node through resonance; x^2 is
+    # taken only after that, as it overflows at a tiny qg long before
+    crossed = sx + su
+    x = np.where(crossed != 0, x, 0.0)
+    core = core + crossed * np.exp(1j * np.fmod(x * x, 2.0 * math.pi))
     pref = (0.5 - 0.5j) * SQRT_PI / math.sqrt(qg)
     return (pref * core)[()]
 
@@ -290,20 +296,20 @@ def branch_coeffs(n, ep, lam: float) -> tuple:
 
 
 def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndarray,
-                           grid: MomentumGrid) -> Sweep:
+                           grid: MomentumGrid, cross: bool = True) -> Sweep:
     """The sweep over the requested times from the closed-form branch amplitudes.
 
     Per sample and momentum node, block n's excited and ground amplitudes are
     sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1))
-    and principal square roots; ``core.branch_sweep`` makes them C_n and
-    D_{n+1}, reduces each sample to its overlaps and keeps the last instant.
-    b_{n+1} = (n+2) b_0 exactly, so the ground roots are sqrt(n+2) sqrt(b_0):
-    one complex square root per time and node.  The phase integrals take the
-    closed form when qg > 0 and the elementary antiderivative when qg = 0, in
-    one array evaluation per piece of PIECE_TIMES samples over all nodes; the
-    piece then yields its rows CHUNK_TIMES at a time.  The pieces depend only
-    on their own times, so ``core.branch_sweep`` runs them, each yielding its
-    own rows, on every CPU the process may use.
+    and principal square roots; b_{n+1} = (n+2) b_0 exactly, so the ground
+    roots are sqrt(n+2) sqrt(b_0).  <C|C> and <D|D> need neither phase nor
+    root: ``core.branch_moduli`` sums |a_n| |ph_n|^2 and (n+2) |b_0| |ph_n|^2,
+    |ph_n|^2 = exp(-lam Im E+ sqrt(n+1)).  ``core.branch_sweep`` makes C_n and
+    D_{n+1} of the last sample, a one-sample piece, and, if ``cross``, of
+    every sample for <C|D> (else ``cd`` is None).  E+ takes the closed form
+    when qg > 0 and the elementary antiderivative when qg = 0, one array
+    evaluation per piece of PIECE_TIMES samples over all nodes; a piece
+    yields runs of CHUNK_TIMES samples, and the pieces run on every CPU.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
@@ -313,17 +319,27 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     qg, lam = params.qg, params.lam
     d0 = detuning0_of_p(grid.nodes, params)[:, None]  # (K, 1) broadcasts against the Fock axis
     n = np.arange(w.size)
+    root = np.sqrt(n + 1.0)
     meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
 
-    def piece(lo):
+    def runs(lo, values):
+        """(row, *values(E+, a_n, b_n)) of the piece from row lo, CHUNK_TIMES rows at a time."""
         t = times[lo : lo + PIECE_TIMES, None, None]
         eps = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
         for r in range(0, len(t), CHUNK_TIMES):
             ep = eps[r : r + CHUNK_TIMES]
-            a, b = branch_coeffs(n, ep, lam)  # (R, K, nmax+1), n = 0 .. nmax
-            phase = np.exp(0.5j * lam * ep * np.sqrt(n + 1.0))
-            ground = np.sqrt(n + 2.0) * np.sqrt(b[..., :1])
-            yield lo + r, np.sqrt(a) * phase, ground * phase
+            yield (lo + r, *values(ep, *branch_coeffs(n, ep, lam)))  # each (R, K, nmax+1)
 
-    pieces = [piece(lo) for lo in range(0, times.size, PIECE_TIMES)]
-    return branch_sweep(times, pieces, w, grid, meta)
+    def moduli(ep, a, b):
+        decay = np.exp(-lam * ep.imag * root)
+        return np.abs(a) * decay, (n + 2.0) * np.abs(b[..., :1]) * decay
+
+    def amplitudes(ep, a, b):
+        phase = np.exp(0.5j * lam * ep * root)
+        return np.sqrt(a) * phase, np.sqrt(n + 2.0) * np.sqrt(b[..., :1]) * phase
+
+    starts = range(0, times.size, PIECE_TIMES)
+    cc, dd = branch_moduli(times, [runs(lo, moduli) for lo in starts], w, grid)
+    # the last row alone is a one-sample piece
+    rows = [runs(lo, amplitudes) for lo in (starts if cross else [times.size - 1])]
+    return replace(branch_sweep(times, rows, w, grid, meta, cross), cc=cc, dd=dd)

@@ -244,12 +244,12 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _states_for(sc: Scenario, backend: str, qg: float):
+def _states_for(sc: Scenario, backend: str, qg: float, cross: bool = True):
     w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
     grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
     # looked up per call, so wrappers set on this module's names see every sweep
     sweep = branch_states_ode_sweep if backend == "ode" else branch_states_analytic
-    return sweep(sc.times_seconds(), sc.params_for(qg), w, grid)
+    return sweep(sc.times_seconds(), sc.params_for(qg), w, grid, cross)
 
 
 _BLOCK = 2048  # values per _cells pass: ~0.7 MiB of temporaries
@@ -322,7 +322,7 @@ def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
     which Q and the cat report read.  Raises ValueError, before any write, if a
     sample's norm is NaN or above 1 + NORM_SLACK.
     """
-    sweep = _states_for(sc, sc.backend, qg)
+    sweep = _states_for(sc, sc.backend, qg, "entropy" in sc.outputs)
     lam_t = sc.times_scaled()
     cc, dd, cd = overlaps(sweep)
     norm = cc + dd
@@ -419,8 +419,8 @@ def _cmd_crosscheck(args) -> int:
     for qg_val in sc.qg_list:
         _progress(f"crosscheck {sc.name}: qg={qg_val:g}")
         try:
-            cc_o, dd_o, cd_o = overlaps(_states_for(sc, "ode", qg_val))
-            cc_a, dd_a, cd_a = overlaps(_states_for(sc, "analytic", qg_val))
+            cc_o, dd_o, cd_o = overlaps(_states_for(sc, "ode", qg_val, True))
+            cc_a, dd_a, cd_a = overlaps(_states_for(sc, "analytic", qg_val, True))
             # the closed form does not conserve the norm; entropy is compared on renormalized
             # overlaps, cd divided part by part (numpy's complex / real rounds 1 / ta first)
             ta = cc_a + dd_a

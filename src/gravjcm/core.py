@@ -5,7 +5,8 @@ coherent-field initial amplitudes, the Gauss-Hermite discretization of the
 center-of-mass momentum wavepacket, the container of one instant's field
 state rows, and the sweep builder of both backends, which weights each
 sample's amplitudes by node and level, reduces them to overlaps as they are
-produced and keeps the rows of the last instant alone.
+produced and keeps the rows of the last instant alone, and the closed form's
+sum of the blocks' weighted squared moduli.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -205,7 +206,9 @@ class Sweep:
 
     ``cc``, ``dd`` and ``cd`` are (T,): the inner products <C|C>, <D|D> and
     <C|D> of every sample's rows, summed over nodes and Fock levels, complex
-    as ``np.vecdot`` gives them.  ``last`` is the instant t[-1] with its
+    as ``np.vecdot`` gives them, except the closed form's real ``cc`` and
+    ``dd``; ``cd`` is None unless the sweep was asked for the cross term.
+    ``last`` is the instant t[-1] with its
     rows, the only one a sweep keeps: ``sweep[-1]`` and ``sweep[T - 1]`` are
     it, any other index raises IndexError, and iterating yields it alone
     (both only for ``perfbench/``, until it reads ``last``).  ``meta`` is the
@@ -215,7 +218,7 @@ class Sweep:
     t: np.ndarray
     cc: np.ndarray
     dd: np.ndarray
-    cd: np.ndarray
+    cd: np.ndarray | None
     last: BranchState
     meta: dict
 
@@ -253,7 +256,7 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-# One piece of a sweep's work: it yields runs (lo, x, y) of some rows' block amplitudes.
+# One piece of a sweep's work: runs (lo, x, y) of some rows' block amplitudes, or their moduli.
 Piece = Iterable[tuple[int, np.ndarray, np.ndarray]]
 
 
@@ -265,8 +268,24 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run(pieces: Sequence[Iterable], fill) -> None:
+    """fill(piece) for each piece, on a thread per CPU the process may use, at most one per piece.
+
+    With one thread they run in order in the calling thread.  The first exception of a
+    piece, in their order, reaches the caller unchanged once the pieces before it have
+    finished; pieces not yet started then are cancelled.
+    """
+    threads = min(len(pieces), _cpus())
+    if threads <= 1:
+        for piece in pieces:
+            fill(piece)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(fill, pieces))
+
+
 def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
-                 grid: MomentumGrid, meta: dict) -> Sweep:
+                 grid: MomentumGrid, meta: dict, cross: bool = True) -> Sweep:
     """The sweep over ``times`` that the independent ``pieces`` fill, reduced row by row.
 
     Each piece yields runs (lo, x, y) with the excited and ground amplitudes
@@ -277,21 +296,17 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     ``w``, on the shared (K, nmax + 2) Fock axis: no other code applies either
     weight.  They are stored in a pair of padded buffers that the thread keeps
     for the whole sweep, and each row is summed over nodes and levels at once
-    into rows lo.. of the sweep's (T,) ``cc``, ``dd`` and ``cd``; the last row
-    is copied into ``Sweep.last``, and the backend's ``meta`` becomes
-    ``Sweep.meta``.  Pieces must yield disjoint rows.  They run on a
-    thread pool of one thread per CPU the process may use, at most one per
-    piece, and each is reduced by the thread that runs it; with one thread
-    they run in order in the calling thread.  Every row is the same whichever
-    thread computes it.  The first exception of a piece, in their order,
-    reaches the caller unchanged once the pieces before it have finished;
-    pieces not yet started by then are cancelled.
+    into rows lo.. of the sweep's (T,) ``cc``, ``dd`` and, if ``cross``, ``cd``
+    (else None); the last row is copied into ``Sweep.last``, and the backend's
+    ``meta`` becomes ``Sweep.meta``.  Pieces must yield disjoint rows.  Each is
+    reduced by the ``_run`` thread that runs it, and every row is the same
+    whichever thread computes it.
     """
     table = np.sqrt(grid.weights)[:, None] * w
     shape = (grid.nodes.size, w.size + 1)
     cc = np.empty(times.size, dtype=np.complex128)
     dd = np.empty_like(cc)
-    cd = np.empty_like(cc)
+    cd = np.empty_like(cc) if cross else None
     last = BranchState(t=times[-1], c=np.empty(shape, dtype=np.complex128),
                        d=np.empty(shape, dtype=np.complex128))
     # a fresh pair per run would map and unmap it (a chunk's pair is above the
@@ -311,16 +326,31 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
             flat_c, flat_d = c.reshape(len(x), -1), d.reshape(len(x), -1)
             np.vecdot(flat_c, flat_c, out=cc[rows])
             np.vecdot(flat_d, flat_d, out=dd[rows])
-            np.vecdot(flat_c, flat_d, out=cd[rows])
+            if cross:
+                np.vecdot(flat_c, flat_d, out=cd[rows])
             if rows.stop == times.size:
                 last.c[...] = c[-1]
                 last.d[...] = d[-1]
 
-    threads = min(len(pieces), _cpus())
-    if threads <= 1:
-        for piece in pieces:
-            fill(piece)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(fill, pieces))
+    _run(pieces, fill)
     return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last, meta=meta)
+
+
+def branch_moduli(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
+                  grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The real (T,) <C|C> and <D|D> over ``times`` from the blocks' squared moduli.
+
+    The pieces yield runs (lo, xx, yy) of |x|^2 and |y|^2 for the (x, y) that
+    ``branch_sweep`` takes, and run as there; row lo + r of <C|C> is
+    sum_kn w_k |w_n|^2 xx[r, k, n], and of <D|D> the same sum over yy.
+    """
+    weight = (grid.weights[:, None] * np.abs(w) ** 2).ravel()
+    cc, dd = np.empty((2, times.size))
+
+    def fill(piece: Piece) -> None:
+        for lo, xx, yy in piece:
+            np.vecdot(xx.reshape(len(xx), -1), weight, out=cc[lo : lo + len(xx)])
+            np.vecdot(yy.reshape(len(yy), -1), weight, out=dd[lo : lo + len(yy)])
+
+    _run(pieces, fill)
+    return cc, dd

@@ -91,8 +91,8 @@ def overlaps(sweep: Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The branch arrays share the Fock axis, so the cross term is the plain
     inner product; through the one-level ladder shift it pairs the n-th
-    excited amplitude with the (n+1)-th ground amplitude.  ``core.branch_sweep``
-    summed each sample's weighted rows over nodes and levels as it produced them.
+    excited amplitude with the (n+1)-th ground amplitude; it is None for a sweep
+    built without it.  The sweep's builder summed each sample as it produced it.
     """
     return sweep.cc.real, sweep.dd.real, sweep.cd
 

@@ -207,11 +207,12 @@ def _integrate(d0: np.ndarray, omega: np.ndarray, qg: float, times: np.ndarray) 
 
 
 def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.ndarray,
-                            grid: MomentumGrid) -> Sweep:
+                            grid: MomentumGrid, cross: bool = True) -> Sweep:
     """The sweep over the requested times from one Magnus pass.
 
     One step function serves the step-doubling probes and the substeps, and
-    the blocks' c_e and c_g at each sample go to ``core.branch_sweep``.  The
+    the blocks' c_e and c_g at each sample go to ``core.branch_sweep``, which
+    sums <C|D> only if ``cross`` (else the sweep's ``cd`` is None).  The
     sweep's ``meta`` records the step-doubling target ``TOL``, the substeps of
     the longest interval, the total substep count and the estimate.
     """
@@ -242,4 +243,4 @@ def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.nda
             yield i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)
 
     # the recursion carries each sample into the next: one piece, in the calling thread
-    return branch_sweep(times, [magnus()], w, grid, meta)
+    return branch_sweep(times, [magnus()], w, grid, meta, cross)

@@ -7,7 +7,6 @@ rows and their ``overlaps`` are the reference the reduced sweep is checked
 against.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,39 +22,34 @@ class StoredSweep(BranchState):
     ``t`` is the (T,) sample times and ``c``, ``d`` lead with the time axis,
     (T, K, nmax + 2).  ``sweep[i]`` is the instant t[i], viewing row i of
     both.  ``cc``, ``dd`` and ``cd`` are the (T,) overlaps ``core.Sweep``
-    holds, each sample's rows summed over nodes and levels; the inherited
+    holds; those not given are each sample's rows summed over nodes and
+    levels, and a backend may replace them with its own.  The inherited
     ``norm`` reduces the last two axes, so it gives one value per sample.
     ``meta`` is the backend's, as on ``core.Sweep``.
     """
 
     meta: dict
+    cc: np.ndarray = None
+    dd: np.ndarray = None
+    cd: np.ndarray = None
+
+    def __post_init__(self):
+        c, d = (branch.reshape(self.t.size, -1) for branch in (self.c, self.d))
+        for name, (x, y) in (("cc", (c, c)), ("dd", (d, d)), ("cd", (c, d))):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.vecdot(x, y))
 
     def __getitem__(self, i) -> BranchState:
         return BranchState(t=self.t[i], c=self.c[i], d=self.d[i])
 
-    def _rows(self, branch: np.ndarray) -> np.ndarray:
-        return branch.reshape(self.t.size, -1)
 
-    @property
-    def cc(self) -> np.ndarray:
-        return np.vecdot(self._rows(self.c), self._rows(self.c))
-
-    @property
-    def dd(self) -> np.ndarray:
-        return np.vecdot(self._rows(self.d), self._rows(self.d))
-
-    @property
-    def cd(self) -> np.ndarray:
-        return np.vecdot(self._rows(self.c), self._rows(self.d))
-
-
-def storing_branch_sweep(times, pieces, w, grid, meta) -> StoredSweep:
+def storing_branch_sweep(times, pieces, w, grid, meta, cross=True) -> StoredSweep:
     """The sweep over ``times`` that ``pieces`` fill, every row stored.
 
     Row lo + r of a run (lo, x, y) is stored as C_kn = sqrt(w_k) w_n x[r, k, n]
     and D_k(n+1) = sqrt(w_k) w_n y[r, k, n] in c and d, each (T, K, nmax + 2),
-    with the node weights w_k and the coherent amplitudes w_n, on one thread
-    per CPU the process may use (``core._cpus``), at most one per piece.
+    with the node weights w_k and the coherent amplitudes w_n, on the pool of
+    ``core._run``.  The sweep holds <C|D> whatever ``cross`` says.
     """
     c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
     d = np.zeros(c.shape, dtype=np.complex128)
@@ -66,13 +60,7 @@ def storing_branch_sweep(times, pieces, w, grid, meta) -> StoredSweep:
             c[lo : lo + len(x), :, : w.size] = weight * x
             d[lo : lo + len(y), :, 1:] = weight * y
 
-    threads = min(len(pieces), core._cpus())
-    if threads <= 1:
-        for piece in pieces:
-            fill(piece)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(fill, pieces))
+    core._run(pieces, fill)
     return StoredSweep(t=times, c=c, d=d, meta=meta)
 
 

@@ -41,7 +41,7 @@ from gravjcm.core import (adaptive_nmax, build_momentum_grid, coherent_amplitude
                           paper_defaults)
 from gravjcm.observables import overlaps
 from gravjcm.scenario import builtin_scenario
-from storing_sweep import storing_branch_sweep, unweighted
+from storing_sweep import StoredSweep, store_sweeps, storing_branch_sweep, unweighted
 
 # frozen from the quadrature oracle
 EPLUS_PIN_QG15E6 = -1.176472389836063e-08 + 1.1775373758395895e-08j
@@ -375,6 +375,36 @@ def test_ground_branch_matches_its_definition(qg, stored_sweeps):
         _, b = branch_coeffs(n + 1, ep, p.lam)
         expect = w * np.sqrt(b) * np.exp(0.5j * p.lam * ep * np.sqrt(n + 1.0))
         assert np.all(np.abs(unweighted(st.d, grid)[:, 1:] - expect) <= 1e-14 * np.abs(expect))
+
+
+# --- populations from the moduli ------------------------------------------
+
+MODULI_CASES = {**{f"fig1_qg{qg:g}": (qg, 8.5e7, 25.0) for qg in (0.0, 5e6, 1.5e7)},
+                **{f"resonant_qg{qg:g}": (qg, 0.0, 40.0) for qg in (0.0, 1e10, 1e11)}}
+
+
+@pytest.mark.parametrize("qg, delta0, lam_t", MODULI_CASES.values(), ids=MODULI_CASES)
+def test_populations_from_moduli_match_the_rows(qg, delta0, lam_t, monkeypatch):
+    # cc and dd summed from |a_n|, (n+2) |b_0| and exp(-lam Im E+ sqrt(n+1)) against
+    # the same sums over every sample's complex rows: W within 2e-15 of the sample's
+    # norm, also on resonance, where the norm reaches ~1e88.  cc and dd do not depend
+    # on the cross term; the kept instant and cd are the rows' bit for bit
+    sc = builtin_scenario("fig1")
+    p = paper_defaults(qg=qg, delta0=delta0)
+    w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
+    grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
+    times = np.linspace(0.0, lam_t, 200) / p.lam
+    plain, crossed = (branch_states_analytic(times, p, w, grid, cross) for cross in (False, True))
+    store_sweeps(monkeypatch)
+    stored = branch_states_analytic(times, p, w, grid, True)
+    rows_cc, rows_dd, rows_cd = overlaps(StoredSweep(t=times, c=stored.c, d=stored.d, meta={}))
+    cc, dd, cd = overlaps(plain)
+    assert cd is None
+    assert np.all(np.abs((cc - dd) - (rows_cc - rows_dd)) <= 2e-15 * (cc + dd))
+    assert np.array_equal(cc, crossed.cc) and np.array_equal(dd, crossed.dd)
+    assert np.array_equal(crossed.cd, rows_cd)
+    for st in (plain.last, crossed.last):
+        assert np.array_equal(st.c, stored.c[-1]) and np.array_equal(st.d, stored.d[-1])
 
 
 # --- pieces on a thread pool -----------------------------------------------

@@ -520,6 +520,46 @@ def test_detuning_phase_beyond_float64_is_one_scenario_error(tmp_path, capsys, b
     assert not any(out.iterdir())
 
 
+def test_inversion_run_forms_the_kept_instants_rows_alone(tmp_path, monkeypatch):
+    # a closed-form run without entropy takes its populations from the amplitudes'
+    # moduli: the one row of complex amplitudes per qg it forms is the kept instant's
+    real_sweep = analytic.branch_sweep
+    rows = []
+
+    def counted(piece):
+        for run in piece:
+            rows.append(len(run[1]))
+            yield run
+
+    def counting(times, pieces, *args):
+        return real_sweep(times, [counted(piece) for piece in pieces], *args)
+
+    monkeypatch.setattr(analytic, "branch_sweep", counting)
+    text = SMALL_SWEEP.replace("delta0 = 0", "delta0 = 8.5e7").replace(
+        "outputs = inversion, entropy", "outputs = inversion").replace("qg = 0", "qg = 0, 1.5e7")
+    out = tmp_path / "out"
+    out.mkdir()
+    scn = write_scenario(tmp_path, text + "backend = analytic\n")
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    assert rows == [1, 1]
+
+
+def test_tiny_chirp_runs_as_no_chirp(tmp_path):
+    # x = d0 / sqrt(2 qg) squares to inf at qg = 1e-300; the closed form squares it only
+    # where the chirp has crossed resonance, so the run warns of nothing, and its W is
+    # the chirp-free one
+    text = ("qg = 0, 1e-300\nt_end = 1\nn_samples = 5\nn_nodes = 2\n"
+            "outputs = inversion\nbackend = analytic\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+    w0, w_tiny = (np.loadtxt(out / f"custom_{tag}_inversion.csv", delimiter=",", skiprows=1)[:, 1]
+                  for tag in ("qg0", "qg1em300"))
+    assert float(np.max(np.abs(w_tiny - w0))) <= 1e-12
+
+
 @pytest.mark.parametrize("delta0, code", [(0.0, 2), (8.5e7, 0)],
                          ids=["resonant", "published_detuning"])
 def test_run_analytic_norm_rule(tmp_path, capsys, delta0, code):

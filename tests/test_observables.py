@@ -83,8 +83,10 @@ def test_overlaps_cross_term_pairs_shifted_levels():
 
 def test_overlaps_reduce_each_state_of_a_sweep(stored_sweeps):
     # one call over the sweep gives each instant's own reduction, the last row of its
-    # one-sample sweep, bit for bit; the per-sample per-node np.dot form on the
-    # unweighted amplitudes stays as a reference within a few ulps
+    # one-sample sweep, bit for bit: the closed form's at that one time, where its cc
+    # and dd are sums of moduli, and the time-ordered one's from the stored rows; the
+    # per-sample per-node np.dot form on the unweighted amplitudes stays as a
+    # reference within a few ulps
     p = paper_defaults(qg=1.5e7)
     field = coherent_amplitudes(2.0, adaptive_nmax(2.0))
     grid = build_momentum_grid(1.0, 4)
@@ -94,8 +96,9 @@ def test_overlaps_reduce_each_state_of_a_sweep(stored_sweeps):
         sweep = sweep_of(times, p, field, grid)
         whole = overlaps(sweep)
         for i in range(times.size):
-            one = StoredSweep(t=times[i : i + 1], c=sweep.c[i : i + 1], d=sweep.d[i : i + 1],
-                              meta={})
+            one = (sweep_of(times[i : i + 1], p, field, grid) if sweep_of is branch_states_analytic
+                   else StoredSweep(t=times[i : i + 1], c=sweep.c[i : i + 1],
+                                    d=sweep.d[i : i + 1], meta={}))
             assert all(col[i] == own[-1] for col, own in zip(whole, overlaps(one)))
             c, d = unweighted(sweep.c[i], grid), unweighted(sweep.d[i], grid)
             hand = (np.dot(wk, np.sum(np.abs(c) ** 2, axis=1)),

@@ -205,6 +205,20 @@ def test_sweep_consistent_with_single_shot(sweep_setup, backend, stored_sweeps):
 
 
 @pytest.mark.parametrize("backend", sorted(SWEEPS))
+def test_cross_term_only_when_asked(sweep_setup, backend):
+    # without the cross term a sweep holds no <C|D>; cc, dd and the kept instant are
+    # the same bits either way
+    field, grid = sweep_setup
+    times = np.linspace(0.0, 3e-6, 2 * CHUNK_TIMES + 3)
+    p = paper_defaults(qg=1.5e7)
+    plain, full = (SWEEPS[backend](times, p, field, grid, cross) for cross in (False, True))
+    assert plain.cd is None and full.cd.shape == times.shape
+    for a, b in ((plain.cc, full.cc), (plain.dd, full.dd), (plain.last.c, full.last.c),
+                 (plain.last.d, full.last.d)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend", sorted(SWEEPS))
 def test_sweep_keeps_its_last_instant(sweep_setup, backend, monkeypatch):
     field, grid = sweep_setup
     times = np.linspace(0.0, 3e-6, 5)
