@@ -29,9 +29,10 @@ from .analytic import (
     audit_branch_variants,
     branch_states_analytic,
 )
-from .core import adaptive_nmax, build_momentum_grid, coherent_amplitudes
+from .core import BranchState, adaptive_nmax, build_momentum_grid, coherent_amplitudes
 from .observables import (
     NORM_SLACK,
+    QGrid,
     cat_fidelity,
     entropy,
     inversion,
@@ -315,28 +316,39 @@ def _refuse_taken(out: Path, names: list) -> bool:
     return bool(taken)
 
 
-def _write_outputs(sc: Scenario, qg: float, out: Path) -> None:
-    """Write one qg sweep's files (named by _sweep_files) into out.
+def _write_outputs(sc: Scenario, out: Path) -> None:
+    """Write every qg sweep's files (named by _sweep_files) into out.
 
-    The sweep holds each sample's overlaps and the field state rows of its last instant,
-    which Q and the cat report read.  Raises ValueError, before any write, if a
-    sample's norm is NaN or above 1 + NORM_SLACK.
+    A sweep holds each sample's overlaps and the field state rows of its last
+    instant; its inversion and entropy files are written as it ends.  The kept
+    instants of all qg are then stacked into one state, whose Q grids come from
+    one ``q_function`` call, one Fock ladder for all of them, and each qg's Q
+    files and cat report are written from its slice.  Raises ValueError, before
+    a sweep's writes, if one of its samples' norm is NaN or above 1 + NORM_SLACK.
     """
-    sweep = _states_for(sc, sc.backend, qg, "entropy" in sc.outputs)
     lam_t = sc.times_scaled()
-    cc, dd, cd = overlaps(sweep)
-    norm = cc + dd
-    bad = norm[~(norm <= 1.0 + NORM_SLACK)]
-    if bad.size:
-        raise ValueError(f"branch norm {bad[0]:.6g} exceeds 1 + {NORM_SLACK:g} at qg = {qg:g}")
-    files = {o: [out / f for f in fs] for o, fs in _sweep_files(sc, qg).items()}
-    if "inversion" in files:
-        _write_scalar_csv(*files["inversion"], lam_t, inversion(cc, dd))
-    if "entropy" in files:
-        _write_scalar_csv(*files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
-    if set(SNAPSHOT_OUTPUTS) & set(files):
-        st = sweep.last
-        qg_data = q_function(st, sc.qgrid_spec(), sc.alpha)
+    kept = []
+    for qg in sc.qg_list:
+        _progress(f"running {sc.name}: backend={sc.backend} qg={qg:g}")
+        sweep = _states_for(sc, sc.backend, qg, "entropy" in sc.outputs)
+        cc, dd, cd = overlaps(sweep)
+        norm = cc + dd
+        bad = norm[~(norm <= 1.0 + NORM_SLACK)]
+        if bad.size:
+            raise ValueError(f"branch norm {bad[0]:.6g} exceeds 1 + {NORM_SLACK:g} at qg = {qg:g}")
+        files = {o: [out / f for f in fs] for o, fs in _sweep_files(sc, qg).items()}
+        if "inversion" in files:
+            _write_scalar_csv(*files["inversion"], lam_t, inversion(cc, dd))
+        if "entropy" in files:
+            _write_scalar_csv(*files["entropy"], lam_t, entropy(cc, dd, cd).s_f)
+        kept.append((files, sweep.last))
+    if not set(SNAPSHOT_OUTPUTS) & set(sc.outputs):
+        return
+    stack = BranchState(t=kept[0][1].t, c=np.stack([st.c for _, st in kept]),
+                        d=np.stack([st.d for _, st in kept]))
+    grids = q_function(stack, sc.qgrid_spec(), sc.alpha)
+    for (files, st), values in zip(kept, grids.values):
+        qg_data = QGrid(x=grids.x, y=grids.y, values=values)
         if "qgrid" in files:
             _write_qgrid(*files["qgrid"], qg_data)
         if "cat_report" in files:
@@ -394,9 +406,7 @@ def _cmd_run(args) -> int:
     try:
         with tempfile.TemporaryDirectory(dir=out, ignore_cleanup_errors=True) as tmp:
             stage = Path(tmp)
-            for qg_val in sc.qg_list:
-                _progress(f"running {sc.name}: backend={sc.backend} qg={qg_val:g}")
-                _write_outputs(sc, qg_val, stage)
+            _write_outputs(sc, stage)
             _write_kv(stage / names[-1], meta + [("files", ", ".join(names[:-1]))])
             if _refuse_taken(out, names):  # a file that appeared during the run
                 return EXIT_IO

@@ -182,9 +182,11 @@ class BranchState:
 
     ``c[k, n]`` is sqrt(w_k) times the excited-branch amplitude on Fock level
     n at momentum node k of weight w_k, ``d[k, n]`` the ground-branch one,
-    each (K, nmax + 2).  These 2K rows b give the reduced field state
-    rho_F = sum_b |b><b|.  The branches share the Fock axis: d[:, 0] = 0
-    holds the one-level shift of the ground ladder.
+    each (..., K, nmax + 2): leading axes, if any, stack states of one
+    instant, such as a run's qg, for ``norm`` and ``q_function``.  Each
+    state's 2K rows b give its reduced field state rho_F = sum_b |b><b|.
+    The branches share the Fock axis: d[..., 0] = 0 holds the one-level
+    shift of the ground ladder.
     """
 
     t: float

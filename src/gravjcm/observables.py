@@ -9,7 +9,8 @@ Q is evaluated a few grid rows at a time, as one matrix product of each
 chunk's Gaussian-seeded Fock ladder with the field state's significant modes
 (the stacked rows projected on the eigenvectors of their Gram matrix
 above rounding level, often a few of the 2K rows), so its working set is a
-few MB and a window of any size stays finite.  No observable imports scipy.
+few MB and a window of any size stays finite; a stack of states shares each
+chunk's ladder and product.  No observable imports scipy.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ NORM_SLACK = 1e-3
 DISC_SLACK = 1e-9
 # Local maxima of Q below this fraction of the global maximum are not peaks.
 PEAK_REL_THRESHOLD = 0.05
-# Grid rows per Q chunk: 8 rows of a 401-point axis with 70 Fock levels
-# (alpha = 5) make a 3.6 MB ladder.
-_Q_CHUNK_ROWS = 8
+# Grid rows per Q chunk: 4 rows of a 401-point axis with 70 Fock levels
+# (alpha = 5) make a 1.8 MB ladder.
+_Q_CHUNK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,9 @@ def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
     whose eigenvalues exceed eps times its trace.  That moves Q by at most
     2K eps Tr(B B^H) / pi, and shrinks every product by 2K / r (fig3's
     instant has r = 3 of 64).
+    A state whose rows carry leading axes, (..., K, N), is a stack of states:
+    their modes are stacked, so every grid's ladder is built once, and
+    ``values`` is (..., ny, nx), each state's Q summed from its own modes.
     The grid is taken _Q_CHUNK_ROWS rows at a time, one matrix product per
     chunk, so the working set stays at a few MB whatever the grid size.  The
     ladder recurrence starts from the Gaussian, so every term is at most 1 in
@@ -194,32 +198,38 @@ def q_function(state: BranchState, spec: QGridSpec, alpha: complex) -> QGrid:
 
     The window must cover the coherent disk (each edge at least |alpha| + 4
     from the origin) so the quasiprobability mass is captured; significant
-    weight on the boundary ring triggers a warning.
+    weight on the boundary ring of any state's grid triggers a warning.
     """
     check_q_window(min(-spec.xmin, spec.xmax, -spec.ymin, spec.ymax), alpha)
     x = np.linspace(spec.xmin, spec.xmax, spec.nx)
     y = np.linspace(spec.ymin, spec.ymax, spec.ny)
-    branches = _significant_modes(np.concatenate([state.c, state.d]))
+    k_n = state.c.shape[-2:]
+    stack = np.concatenate([state.c.reshape(-1, *k_n), state.d.reshape(-1, *k_n)], axis=1)
+    modes = [_significant_modes(b) for b in stack]
+    ends = np.cumsum([0] + [m.shape[0] for m in modes])
+    branches = np.concatenate(modes)
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, state.nfock))
     ladder = np.empty((state.nfock, _Q_CHUNK_ROWS * spec.nx), dtype=np.complex128)
-    vals = np.empty((spec.ny, spec.nx))
+    vals = np.empty((len(modes), spec.ny, spec.nx))
     for start in range(0, spec.ny, _Q_CHUNK_ROWS):
         rows = y[start : start + _Q_CHUNK_ROWS]
         bc = (x[None, :] - 1j * rows[:, None]).ravel()  # conj(beta), row-major
         pw = ladder[:, : bc.size]
         pw[0] = np.exp(-0.5 * (bc.real**2 + bc.imag**2))
         for n in range(state.nfock - 1):
-            pw[n + 1] = pw[n] * bc * inv_sqrt[n]
+            np.multiply(pw[n], bc, out=pw[n + 1])
+            pw[n + 1] *= inv_sqrt[n]
         amp = branches @ pw
-        q = np.sum(amp.real**2 + amp.imag**2, axis=0) / math.pi
-        vals[start : start + rows.size] = q.reshape(rows.size, spec.nx)
-    edge = np.concatenate([vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1]])
-    if edge.max() > 1e-6 * vals.max():
+        for v, lo, hi in zip(vals, ends, ends[1:]):
+            q = np.sum(amp[lo:hi].real ** 2 + amp[lo:hi].imag ** 2, axis=0) / math.pi
+            v[start : start + rows.size] = q.reshape(rows.size, spec.nx)
+    edge = np.concatenate([vals[:, 0], vals[:, -1], vals[:, :, 0], vals[:, :, -1]], axis=1)
+    if np.any(edge.max(axis=1) > 1e-6 * vals.max(axis=(1, 2))):
         warnings.warn(
             "Q-function mass on the window boundary; enlarge the grid",
             stacklevel=2,
         )
-    return QGrid(x=x, y=y, values=vals)
+    return QGrid(x=x, y=y, values=vals.reshape(*state.c.shape[:-2], *vals.shape[1:]))
 
 
 def _refine_peak(q: QGrid, iy: int, ix: int) -> tuple[complex, float, float]:

@@ -613,6 +613,35 @@ def test_run_never_overwrites(tmp_path, capsys, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_run_computes_every_q_grid_from_one_call(tmp_path, monkeypatch):
+    # a three-qg snapshot run writes what three one-qg runs write, from one Q call
+    text = SMALL_GRID.replace("qg = 0, 1.5e7", "qg = 0, 5e6, 1.5e7")
+    calls = []
+
+    def counted(*args, _fn=cli.q_function):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(cli, "q_function", counted)
+    out = tmp_path / "all"
+    out.mkdir()
+    assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    written = {p.name: p.read_bytes() for p in out.iterdir() if "run_metadata" not in p.name}
+    assert len(written) == 3 * 3
+    alone = {}
+    for qg in ("0", "5e6", "1.5e7"):
+        scn = write_scenario(tmp_path, text.replace("qg = 0, 5e6, 1.5e7", f"qg = {qg}"),
+                             name=f"qg{qg}.txt")
+        sub = tmp_path / f"qg{qg}"
+        sub.mkdir()
+        assert main(["run", str(scn), "--out", str(sub)]) == 0
+        alone.update((p.name, p.read_bytes()) for p in sub.iterdir()
+                     if "run_metadata" not in p.name)
+    assert len(calls) == 4
+    assert written == alone
+
+
 def test_run_dotted_name_keeps_every_file(tmp_path):
     # a '.' in the name is part of the stem: each qg keeps its own two Q-grid files
     scn = write_scenario(tmp_path, SMALL_GRID.replace("cat_report", "qgrid") + "name = fig.3\n")

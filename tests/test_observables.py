@@ -321,13 +321,13 @@ def rank_three_state():
     return normalized_state(c, d, build_momentum_grid(1.0, 32))
 
 
-def fig3_sweep():
-    # fig3's instant on the closed form at qg = 1.5e7, and its grid: 3 of its 64 modes
+def fig3_sweep(qg=1.5e7):
+    # fig3's instant on the closed form, and its grid: at qg = 1.5e7 3 of its 64 modes
     # exceed eps Tr G, the 4th at 1.05e-16 Tr G
     sc = builtin_scenario("fig3")
     w = coherent_amplitudes(sc.alpha, adaptive_nmax(sc.alpha))
     grid = build_momentum_grid(sc.sigma0, sc.n_nodes)
-    return branch_states_analytic(sc.times_seconds(), sc.params_for(1.5e7), w, grid), grid
+    return branch_states_analytic(sc.times_seconds(), sc.params_for(qg), w, grid), grid
 
 
 def fig3_state():
@@ -407,6 +407,37 @@ def test_consumers_match_the_per_node_weighted_formulas():
         assert abs(part[-1] - ref) <= 1e-14
     assert np.max(np.abs(q_function(st, spec, alpha).values - q)) <= 1e-14
     assert abs(cat_fidelity(st, alpha) - fidelity) <= 1e-14
+
+
+def test_q_function_of_a_stack_matches_each_state_bit_for_bit():
+    # one ladder for the three stacked instants gives each one's Q as its own call
+    # does, on the benchmark's 401^2 window
+    states = [fig3_sweep(qg)[0].last for qg in builtin_scenario("fig3").qg_list]
+    spec = QGridSpec(-9.0, 9.0, -9.0, 9.0, 401, 401)
+    stack = BranchState(t=states[0].t, c=np.stack([s.c for s in states]),
+                        d=np.stack([s.d for s in states]))
+    q = q_function(stack, spec, 5.0)
+    assert q.values.shape == (3, 401, 401)
+    for st, values in zip(states, q.values):
+        one = q_function(st, spec, 5.0)
+        assert one.values.shape == (401, 401)
+        assert np.array_equal(one.values, values)
+        assert np.array_equal(one.x, q.x) and np.array_equal(one.y, q.y)
+
+
+def test_q_function_boundary_leak_in_one_state_of_a_stack_warned():
+    # the flat ladder reaches the window edge, the coherent state alone does not
+    flat = np.ones(82, dtype=np.complex128) / math.sqrt(82.0)
+    coherent = coherent_branch_state(1.0, nmax=80)
+    spec = QGridSpec(-6, 6, -6, 6, 61, 61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q_function(coherent, spec, 1.0)
+    stack = BranchState(t=0.0, c=np.stack([coherent.c, flat[None, :]]),
+                        d=np.zeros((2, 1, 82), dtype=np.complex128))
+    with pytest.warns(UserWarning, match="window boundary"):
+        q = q_function(stack, spec, 1.0)
+    assert q.values.shape == (2, 61, 61)
 
 
 def test_q_function_working_set_is_a_few_mb():

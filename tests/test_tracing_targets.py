@@ -55,3 +55,31 @@ def test_tracer_reads_a_sweep_as_the_harness_does():
     assert tracer.counters["ode.history_bytes"] == last.c.nbytes + last.d.nbytes
     assert sweep[sweep.t.size - 1] is last
     assert isinstance(last.norm(), float)
+
+
+def test_tracer_reads_the_q_call_the_run_makes(tmp_path, monkeypatch):
+    # the tracer sizes the Q working set from q_function's first two arguments; a
+    # run passes its qg's kept instants stacked as one state
+    from gravjcm import cli
+
+    calls = []
+
+    def counted(*args, _fn=cli.q_function):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(cli, "q_function", counted)
+    scn = tmp_path / "scn.txt"
+    scn.write_text("alpha = 2\nqg = 0, 1.5e7\nt_start = 2\nt_end = 2\nn_samples = 1\n"
+                   "n_nodes = 4\noutputs = qgrid\nqgrid.extent = 7\nqgrid.n = 41\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["run", str(scn), "--out", str(out)]) == 0
+    [args] = calls
+    tracer = load_tracing().Tracer("t")
+    tracer._count("observables.q_function", args, None)
+    state, spec = args[0], args[1]
+    assert state.c.shape[0] == 2
+    assert tracer.counters["observables.qgrid_working_set_bytes"] == (
+        spec.nx * spec.ny * state.nfock * 16)
