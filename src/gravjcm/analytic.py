@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .core import (MomentumGrid, PhysicalParams, Sweep, branch_moduli, branch_sweep,
-                   check_times, detuning0_of_p)
+from .core import (MomentumGrid, PhysicalParams, Sweep, branch_sweep, check_times,
+                   detuning0_of_p)
 
 ROOT_1_34 = cmath.exp(3j * math.pi / 4)  # principal (-1)^(3/4)
 SQRT_PI = math.sqrt(math.pi)
@@ -303,13 +302,13 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     sqrt(a_n) ph_n and sqrt(b_{n+1}) ph_n with ph_n = exp(i/2 lam E+ sqrt(n+1))
     and principal square roots; b_{n+1} = (n+2) b_0 exactly, so the ground
     roots are sqrt(n+2) sqrt(b_0).  <C|C> and <D|D> need neither phase nor
-    root: ``core.branch_moduli`` sums |a_n| |ph_n|^2 and (n+2) |b_0| |ph_n|^2,
-    |ph_n|^2 = exp(-lam Im E+ sqrt(n+1)).  ``core.branch_sweep`` makes C_n and
-    D_{n+1} of the last sample, a one-sample piece, and, if ``cross``, of
-    every sample for <C|D> (else ``cd`` is None).  E+ takes the closed form
-    when qg > 0 and the elementary antiderivative when qg = 0, one array
-    evaluation per piece of PIECE_TIMES samples over all nodes; a piece
-    yields runs of CHUNK_TIMES samples, and the pieces run on every CPU.
+    root: each run yields every sample's squared moduli |a_n| |ph_n|^2 and
+    (n+2) |b_0| |ph_n|^2, |ph_n|^2 = exp(-lam Im E+ sqrt(n+1)), and the
+    amplitudes only of every sample if ``cross``, for <C|D>, else of the last
+    (and ``cd`` is None).  E+ takes the closed form when qg > 0 and the
+    elementary antiderivative when qg = 0, one array evaluation per piece of
+    PIECE_TIMES samples over all nodes, the branch coefficients one per run of
+    CHUNK_TIMES samples; the pieces run on every CPU.
 
     The closed form is first order in eta, so its norm is not conserved: up
     to rounding it stays at or below 1 at the published detuning, and it grows
@@ -321,25 +320,30 @@ def branch_states_analytic(times: np.ndarray, params: PhysicalParams, w: np.ndar
     n = np.arange(w.size)
     root = np.sqrt(n + 1.0)
     meta = {"backend": "analytic", "phase_integral_method": "closed" if qg > 0 else "elementary"}
+    # a run's empty amplitudes: a view a[:0] would keep a alive while the reducer holds the run
+    no_rows = np.empty((0, grid.nodes.size, w.size), dtype=np.complex128)
 
-    def runs(lo, values):
-        """(row, *values(E+, a_n, b_n)) of the piece from row lo, CHUNK_TIMES rows at a time."""
+    def run(lo, ep, keep):
+        """Run (lo, x, y, xx, yy) of the rows from lo whose E+ is ep, (R, K, 1): every
+        row's squared moduli, the amplitudes of the last ``keep`` rows alone."""
+        a, b = branch_coeffs(n, ep, lam)
+        decay = np.exp(-lam * ep.imag * root)
+        moduli = np.abs(a) * decay, (n + 2.0) * np.abs(b[..., :1]) * decay
+        if not keep:
+            return lo, no_rows, no_rows, *moduli
+        ep, a, b = ep[-keep:], a[-keep:], b[-keep:]
+        phase = np.exp(0.5j * lam * ep * root)
+        return lo, np.sqrt(a) * phase, np.sqrt(n + 2.0) * np.sqrt(b[..., :1]) * phase, *moduli
+
+    def runs(lo):
+        """The runs of the piece from row lo, CHUNK_TIMES rows at a time."""
         t = times[lo : lo + PIECE_TIMES, None, None]
         eps = phase_integral_closed(d0, qg, t) if qg > 0 else phase_integral_elementary(d0, t)
         for r in range(0, len(t), CHUNK_TIMES):
             ep = eps[r : r + CHUNK_TIMES]
-            yield (lo + r, *values(ep, *branch_coeffs(n, ep, lam)))  # each (R, K, nmax+1)
+            # cd reads every row, the kept instant the sweep's last
+            keep = len(ep) if cross else int(lo + r + len(ep) == times.size)
+            yield run(lo + r, ep, keep)
 
-    def moduli(ep, a, b):
-        decay = np.exp(-lam * ep.imag * root)
-        return np.abs(a) * decay, (n + 2.0) * np.abs(b[..., :1]) * decay
-
-    def amplitudes(ep, a, b):
-        phase = np.exp(0.5j * lam * ep * root)
-        return np.sqrt(a) * phase, np.sqrt(n + 2.0) * np.sqrt(b[..., :1]) * phase
-
-    starts = range(0, times.size, PIECE_TIMES)
-    cc, dd = branch_moduli(times, [runs(lo, moduli) for lo in starts], w, grid)
-    # the last row alone is a one-sample piece
-    rows = [runs(lo, amplitudes) for lo in (starts if cross else [times.size - 1])]
-    return replace(branch_sweep(times, rows, w, grid, meta, cross), cc=cc, dd=dd)
+    pieces = [runs(lo) for lo in range(0, times.size, PIECE_TIMES)]
+    return branch_sweep(times, pieces, w, grid, meta, cross)

@@ -4,9 +4,9 @@ The Hamiltonian constants and the detuning they give each momentum node, the
 coherent-field initial amplitudes, the Gauss-Hermite discretization of the
 center-of-mass momentum wavepacket, the container of one instant's field
 state rows, and the sweep builder of both backends, which weights each
-sample's amplitudes by node and level, reduces them to overlaps as they are
-produced and keeps the rows of the last instant alone, and the closed form's
-sum of the blocks' weighted squared moduli.
+sample's amplitudes by node and level, reduces them, or the squared moduli a
+backend yields with them, to overlaps as they are produced and keeps the rows
+of the last instant alone.
 
 Unit conventions: all rates (coupling, detuning, recoil frequency) are in
 rad/s, the gravity knob ``qg`` is in rad/s^2, and the scalar momentum label
@@ -206,15 +206,15 @@ class BranchState:
 class Sweep:
     """A sweep over the (T,) sample times ``t``, reduced as it was produced.
 
-    ``cc``, ``dd`` and ``cd`` are (T,): the inner products <C|C>, <D|D> and
-    <C|D> of every sample's rows, summed over nodes and Fock levels, complex
-    as ``np.vecdot`` gives them, except the closed form's real ``cc`` and
-    ``dd``; ``cd`` is None unless the sweep was asked for the cross term.
-    ``last`` is the instant t[-1] with its
-    rows, the only one a sweep keeps: ``sweep[-1]`` and ``sweep[T - 1]`` are
-    it, any other index raises IndexError, and iterating yields it alone
-    (both only for ``perfbench/``, until it reads ``last``).  ``meta`` is the
-    backend's record of how it computed the sweep.
+    ``cc``, ``dd`` and ``cd`` are (T,) and complex: the inner products <C|C>,
+    <D|D> and <C|D> of every sample's rows, summed over nodes and Fock levels,
+    <C|C> and <D|D> from the blocks' squared moduli where the backend gives
+    them (the closed form); ``cd`` is None unless the sweep was asked for the
+    cross term.  ``last`` is the instant t[-1] with its rows, the only one a
+    sweep keeps: ``sweep[-1]`` and ``sweep[T - 1]`` are it, any other index
+    raises IndexError, and iterating yields it alone (both only for
+    ``perfbench/``, until it reads ``last``).  ``meta`` is the backend's
+    record of how it computed the sweep.
     """
 
     t: np.ndarray
@@ -258,8 +258,9 @@ def check_times(times) -> np.ndarray:
     return times
 
 
-# One piece of a sweep's work: runs (lo, x, y) of some rows' block amplitudes, or their moduli.
-Piece = Iterable[tuple[int, np.ndarray, np.ndarray]]
+# One piece of a sweep's work: runs (lo, x, y, xx, yy) of some rows' block amplitudes
+# and, where a backend forms them, the blocks' squared moduli.
+Piece = Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]
 
 
 def _cpus() -> int:
@@ -290,21 +291,25 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
                  grid: MomentumGrid, meta: dict, cross: bool = True) -> Sweep:
     """The sweep over ``times`` that the independent ``pieces`` fill, reduced row by row.
 
-    Each piece yields runs (lo, x, y) with the excited and ground amplitudes
-    (x, y) of every block for rows lo, lo + 1, ..., each (R, K, nmax + 1) with
-    nmax = w.size - 1.  Row lo + r's field state rows are
-    C_kn = sqrt(w_k) w_n x[r, k, n] and D_k(n+1) = sqrt(w_k) w_n y[r, k, n],
-    with the node weights w_k of ``grid`` and the coherent amplitudes w_n of
-    ``w``, on the shared (K, nmax + 2) Fock axis: no other code applies either
-    weight.  They are stored in a pair of padded buffers that the thread keeps
-    for the whole sweep, and each row is summed over nodes and levels at once
-    into rows lo.. of the sweep's (T,) ``cc``, ``dd`` and, if ``cross``, ``cd``
-    (else None); the last row is copied into ``Sweep.last``, and the backend's
-    ``meta`` becomes ``Sweep.meta``.  Pieces must yield disjoint rows.  Each is
-    reduced by the ``_run`` thread that runs it, and every row is the same
-    whichever thread computes it.
+    Each piece yields runs (lo, x, y, xx, yy) of rows lo, lo + 1, ..., each
+    array (R, K, nmax + 1) with nmax = w.size - 1: the blocks' excited and
+    ground amplitudes (x, y) and their squared moduli (xx, yy), or None.  Row
+    lo + r's field state rows are C_kn = sqrt(w_k) w_n x[r, k, n] and
+    D_k(n+1) = sqrt(w_k) w_n y[r, k, n], with the node weights w_k of ``grid``
+    and the coherent amplitudes w_n of ``w``, on the shared (K, nmax + 2) Fock
+    axis: no other code applies either weight.  They are stored in a pair of
+    padded buffers that the thread keeps for the whole sweep, and each row is
+    summed over nodes and levels at once into the sweep's (T,) ``cc``, ``dd``
+    and, if ``cross``, ``cd`` (else None).  A run with moduli gives ``cc`` and
+    ``dd`` as sum_kn w_k |w_n|^2 xx[r, k, n] and the same sum over yy, and
+    (x, y) only for its trailing rows that the sweep reads: all of them if
+    ``cross``, else the sweep's last row, or none.  The last row is copied
+    into ``Sweep.last``, and the backend's ``meta`` becomes ``Sweep.meta``.
+    Pieces must yield disjoint rows.  Each is reduced by the ``_run`` thread
+    that runs it, and every row is the same whichever thread computes it.
     """
     table = np.sqrt(grid.weights)[:, None] * w
+    weight = (grid.weights[:, None] * np.abs(w) ** 2).ravel()
     shape = (grid.nodes.size, w.size + 1)
     cc = np.empty(times.size, dtype=np.complex128)
     dd = np.empty_like(cc)
@@ -316,8 +321,14 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
     buffers = threading.local()
 
     def fill(piece: Piece) -> None:
-        for lo, x, y in piece:
-            rows = slice(lo, lo + len(x))
+        for lo, x, y, xx, yy in piece:
+            stop = lo + len(x if xx is None else xx)
+            if xx is not None:
+                np.vecdot(xx.reshape(len(xx), -1), weight, out=cc[lo:stop])
+                np.vecdot(yy.reshape(len(yy), -1), weight, out=dd[lo:stop])
+            if not len(x):
+                continue
+            rows = slice(stop - len(x), stop)
             if getattr(buffers, "c", None) is None or len(buffers.c) < len(x):
                 # the padding, c[..., nmax + 1] and d[..., 0], stays zero
                 buffers.c = np.zeros((len(x),) + shape, dtype=np.complex128)
@@ -326,33 +337,14 @@ def branch_sweep(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
             np.multiply(table, x, out=c[..., : w.size])
             np.multiply(table, y, out=d[..., 1:])
             flat_c, flat_d = c.reshape(len(x), -1), d.reshape(len(x), -1)
-            np.vecdot(flat_c, flat_c, out=cc[rows])
-            np.vecdot(flat_d, flat_d, out=dd[rows])
+            if xx is None:
+                np.vecdot(flat_c, flat_c, out=cc[rows])
+                np.vecdot(flat_d, flat_d, out=dd[rows])
             if cross:
                 np.vecdot(flat_c, flat_d, out=cd[rows])
-            if rows.stop == times.size:
+            if stop == times.size:
                 last.c[...] = c[-1]
                 last.d[...] = d[-1]
 
     _run(pieces, fill)
     return Sweep(t=times, cc=cc, dd=dd, cd=cd, last=last, meta=meta)
-
-
-def branch_moduli(times: np.ndarray, pieces: Sequence[Piece], w: np.ndarray,
-                  grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The real (T,) <C|C> and <D|D> over ``times`` from the blocks' squared moduli.
-
-    The pieces yield runs (lo, xx, yy) of |x|^2 and |y|^2 for the (x, y) that
-    ``branch_sweep`` takes, and run as there; row lo + r of <C|C> is
-    sum_kn w_k |w_n|^2 xx[r, k, n], and of <D|D> the same sum over yy.
-    """
-    weight = (grid.weights[:, None] * np.abs(w) ** 2).ravel()
-    cc, dd = np.empty((2, times.size))
-
-    def fill(piece: Piece) -> None:
-        for lo, xx, yy in piece:
-            np.vecdot(xx.reshape(len(xx), -1), weight, out=cc[lo : lo + len(xx)])
-            np.vecdot(yy.reshape(len(yy), -1), weight, out=dd[lo : lo + len(yy)])
-
-    _run(pieces, fill)
-    return cc, dd

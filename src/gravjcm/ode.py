@@ -240,7 +240,7 @@ def branch_states_ode_sweep(times: np.ndarray, params: PhysicalParams, w: np.nda
             a, b = _advance(a, b, (t_next - t) / max(m, 1), t, m, step)
             t = float(t_next)
             half_phi = (0.5 * (d0 * t - 0.5 * qg * t * t))[None, :, None]  # row i, every node
-            yield i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi)
+            yield i, a * np.exp(1j * half_phi), b * np.exp(-1j * half_phi), None, None
 
     # the recursion carries each sample into the next: one piece, in the calling thread
     return branch_sweep(times, [magnus()], w, grid, meta, cross)

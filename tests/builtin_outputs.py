@@ -48,7 +48,7 @@ def record(out: Path) -> dict:
 
 
 def deviation(expected, got) -> float:
-    """Largest absolute difference between two samples of one file; inf where they do not pair up."""
+    """Largest absolute difference of two samples of one file; inf where they do not pair up."""
     if isinstance(expected, dict):
         if expected.keys() != got.keys():
             return math.inf

@@ -23,9 +23,8 @@ class StoredSweep(BranchState):
     (T, K, nmax + 2).  ``sweep[i]`` is the instant t[i], viewing row i of
     both.  ``cc``, ``dd`` and ``cd`` are the (T,) overlaps ``core.Sweep``
     holds; those not given are each sample's rows summed over nodes and
-    levels, and a backend may replace them with its own.  The inherited
-    ``norm`` reduces the last two axes, so it gives one value per sample.
-    ``meta`` is the backend's, as on ``core.Sweep``.
+    levels.  The inherited ``norm`` reduces the last two axes, so it gives
+    one value per sample.  ``meta`` is the backend's, as on ``core.Sweep``.
     """
 
     meta: dict
@@ -46,22 +45,35 @@ class StoredSweep(BranchState):
 def storing_branch_sweep(times, pieces, w, grid, meta, cross=True) -> StoredSweep:
     """The sweep over ``times`` that ``pieces`` fill, every row stored.
 
-    Row lo + r of a run (lo, x, y) is stored as C_kn = sqrt(w_k) w_n x[r, k, n]
-    and D_k(n+1) = sqrt(w_k) w_n y[r, k, n] in c and d, each (T, K, nmax + 2),
-    with the node weights w_k and the coherent amplitudes w_n, on the pool of
-    ``core._run``.  The sweep holds <C|D> whatever ``cross`` says.
+    Row lo + r of a run (lo, x, y, xx, yy) is stored as
+    C_kn = sqrt(w_k) w_n x[r, k, n] and D_k(n+1) = sqrt(w_k) w_n y[r, k, n] in
+    c and d, each (T, K, nmax + 2), with the node weights w_k and the coherent
+    amplitudes w_n, on the pool of ``core._run``; every run must give the
+    amplitudes of all its rows.  Its rows' cc and dd are, as in
+    ``core.branch_sweep``, sum_kn w_k |w_n|^2 xx[r, k, n] and the same sum over
+    yy where the run gives the moduli, else the rows' own sums.  The sweep
+    holds <C|D> whatever ``cross`` says.
     """
     c = np.zeros((times.size, grid.nodes.size, w.size + 1), dtype=np.complex128)
     d = np.zeros(c.shape, dtype=np.complex128)
-    weight = np.outer(np.sqrt(grid.weights), w)  # [k, n] = sqrt(w_k) w_n
+    cc = np.empty(times.size, dtype=np.complex128)
+    dd = np.empty_like(cc)
+    table = np.outer(np.sqrt(grid.weights), w)  # [k, n] = sqrt(w_k) w_n
+    weight = (grid.weights[:, None] * np.abs(w) ** 2).ravel()  # w_k |w_n|^2
 
     def fill(piece):
-        for lo, x, y in piece:
-            c[lo : lo + len(x), :, : w.size] = weight * x
-            d[lo : lo + len(y), :, 1:] = weight * y
+        for lo, x, y, xx, yy in piece:
+            rows = slice(lo, lo + len(x))
+            assert xx is None or len(x) == len(xx), "a run left rows without amplitudes"
+            c[rows, :, : w.size] = table * x
+            d[rows, :, 1:] = table * y
+            parts = (xx, yy) if xx is not None else (c[rows], d[rows])
+            for out, part in zip((cc, dd), parts):
+                flat = part.reshape(len(x), -1)
+                out[rows] = np.vecdot(flat, flat) if xx is None else np.vecdot(flat, weight)
 
     core._run(pieces, fill)
-    return StoredSweep(t=times, c=c, d=d, meta=meta)
+    return StoredSweep(t=times, c=c, d=d, meta=meta, cc=cc, dd=dd)
 
 
 def store_sweeps(monkeypatch) -> None:

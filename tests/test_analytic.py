@@ -460,6 +460,24 @@ def test_sweep_is_the_same_on_any_number_of_threads(qg, monkeypatch):
             assert np.array_equal(reduced[-1].d, stored.d[-1])
 
 
+@pytest.mark.parametrize("samples", [3 * PIECE_TIMES + 8, 1])
+@pytest.mark.parametrize("cross", [True, False])
+def test_closed_form_evaluates_each_piece_once(samples, cross, monkeypatch):
+    # one E+ evaluation per piece of PIECE_TIMES samples gives the moduli of every row
+    # and the complex rows the sweep reads: those of every row for <C|D>, else the last
+    times, p, w, grid = fig1_chunks(1.5e7)
+    real_closed = analytic.phase_integral_closed
+    calls = []
+
+    def closed(d0, qg, t):
+        calls.append(t.size)
+        return real_closed(d0, qg, t)
+
+    monkeypatch.setattr(analytic, "phase_integral_closed", closed)
+    branch_states_analytic(times[:samples], p, w, grid, cross)
+    assert len(calls) == math.ceil(samples / PIECE_TIMES)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_failing_chunk_reaches_the_caller_unchanged(cpus, monkeypatch):
     # pieces 2 and 4 fail; the first in piece order is the one raised, as without threads

@@ -528,7 +528,8 @@ def test_inversion_run_forms_the_kept_instants_rows_alone(tmp_path, monkeypatch)
 
     def counted(piece):
         for run in piece:
-            rows.append(len(run[1]))
+            if len(run[1]):
+                rows.append(len(run[1]))
             yield run
 
     def counting(times, pieces, *args):

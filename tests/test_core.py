@@ -163,6 +163,6 @@ def test_branch_state_norm():
     x = np.zeros((1, 2, 3), dtype=np.complex128)
     x[..., 0] = math.sqrt(0.5)
     grid = build_momentum_grid(1.0, 2)
-    st = branch_sweep(np.zeros(1), [[(0, x, x)]], np.ones(3), grid, {}).last
+    st = branch_sweep(np.zeros(1), [[(0, x, x, None, None)]], np.ones(3), grid, {}).last
     assert st.norm() == pytest.approx(1.0, abs=1e-14)
     assert st.nfock == 4

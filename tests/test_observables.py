@@ -364,22 +364,32 @@ def test_significant_modes_drop_only_rounding(case, rank):
 
 def test_sweep_applies_the_weights_once():
     # a 3-node sweep of one hand-built run holds sqrt(w_k) w_n times each block, bit
-    # for bit, and its overlaps are each sample's flattened rows summed
+    # for bit, and its overlaps are each sample's flattened rows summed; a run that
+    # gives the blocks' squared moduli and its last row's amplitudes alone takes cc
+    # and dd from the moduli, weighted by w_k |w_n|^2, and keeps the same last row
     rng = np.random.default_rng(5)
     grid = build_momentum_grid(1.0, 3)
     w, x, y = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
                for shape in ((7,), (2, 3, 7), (2, 3, 7)))
-    sweep = branch_sweep(np.arange(2.0), [[(0, x, y)]], w, grid, {})
+    xx, yy = rng.uniform(size=(2, 2, 3, 7))
+    sweep = branch_sweep(np.arange(2.0), [[(0, x, y, None, None)]], w, grid, {})
+    moduli = branch_sweep(np.arange(2.0), [[(0, x[-1:], y[-1:], xx, yy)]], w, grid, {},
+                          cross=False)
     c = np.zeros((2, 3, 8), dtype=np.complex128)
     d = np.zeros_like(c)
     c[..., :7] = np.sqrt(grid.weights)[:, None] * w * x
     d[..., 1:] = np.sqrt(grid.weights)[:, None] * w * y
-    assert np.array_equal(sweep.last.c, c[-1]) and np.array_equal(sweep.last.d, d[-1])
+    for st in (sweep.last, moduli.last):
+        assert np.array_equal(st.c, c[-1]) and np.array_equal(st.d, d[-1])
     rows_c, rows_d = c.reshape(2, -1), d.reshape(2, -1)
     sums = (np.sum(np.abs(rows_c) ** 2, axis=1), np.sum(np.abs(rows_d) ** 2, axis=1),
             np.sum(np.conj(rows_c) * rows_d, axis=1))
     for part, ref in zip(overlaps(sweep), sums):
         assert np.all(np.abs(part - ref) <= 8 * np.finfo(float).eps * np.abs(ref).max())
+    weight = (grid.weights[:, None] * np.abs(w) ** 2).ravel()
+    assert np.array_equal(moduli.cc, np.vecdot(xx.reshape(2, -1), weight))
+    assert np.array_equal(moduli.dd, np.vecdot(yy.reshape(2, -1), weight))
+    assert moduli.cd is None
 
 
 def weighted_per_node(c, d, weights, alpha, spec):
